@@ -9,7 +9,8 @@ use std::collections::HashMap;
 
 use qudit_qgl::Expr;
 
-use crate::language::{Id, Node, Op, Pattern};
+use crate::language::{Id, Node, Op};
+use crate::rewrite::{SlotPattern, SlotTerm};
 
 /// An equivalence class of e-nodes.
 #[derive(Debug, Clone, Default)]
@@ -30,8 +31,8 @@ pub struct EGraph {
     node_count: usize,
 }
 
-/// A substitution binding pattern variables to e-class ids.
-pub type Subst = HashMap<String, Id>;
+/// Marks a slot that the current partial match has not bound yet.
+const UNBOUND: Id = Id(u32::MAX);
 
 impl EGraph {
     /// Creates an empty e-graph.
@@ -102,55 +103,46 @@ impl EGraph {
 
     /// Adds a full expression tree, returning the e-class of its root.
     pub fn add_expr(&mut self, expr: &Expr) -> Id {
-        match expr {
-            Expr::Const(c) => self.add(Node::leaf(Op::constant(*c))),
-            Expr::Pi => self.add(Node::leaf(Op::Pi)),
-            Expr::Var(v) => self.add(Node::leaf(Op::Var(v.clone()))),
-            Expr::Neg(a) => {
-                let a = self.add_expr(a);
-                self.add(Node::new(Op::Neg, vec![a]))
-            }
-            Expr::Add(a, b) => {
-                let (a, b) = (self.add_expr(a), self.add_expr(b));
-                self.add(Node::new(Op::Add, vec![a, b]))
-            }
-            Expr::Sub(a, b) => {
-                let (a, b) = (self.add_expr(a), self.add_expr(b));
-                self.add(Node::new(Op::Sub, vec![a, b]))
-            }
-            Expr::Mul(a, b) => {
-                let (a, b) = (self.add_expr(a), self.add_expr(b));
-                self.add(Node::new(Op::Mul, vec![a, b]))
-            }
-            Expr::Div(a, b) => {
-                let (a, b) = (self.add_expr(a), self.add_expr(b));
-                self.add(Node::new(Op::Div, vec![a, b]))
-            }
-            Expr::Pow(a, b) => {
-                let (a, b) = (self.add_expr(a), self.add_expr(b));
-                self.add(Node::new(Op::Pow, vec![a, b]))
-            }
-            Expr::Sin(a) => {
-                let a = self.add_expr(a);
-                self.add(Node::new(Op::Sin, vec![a]))
-            }
-            Expr::Cos(a) => {
-                let a = self.add_expr(a);
-                self.add(Node::new(Op::Cos, vec![a]))
-            }
-            Expr::Sqrt(a) => {
-                let a = self.add_expr(a);
-                self.add(Node::new(Op::Sqrt, vec![a]))
-            }
-            Expr::Exp(a) => {
-                let a = self.add_expr(a);
-                self.add(Node::new(Op::Exp, vec![a]))
-            }
-            Expr::Ln(a) => {
-                let a = self.add_expr(a);
-                self.add(Node::new(Op::Ln, vec![a]))
-            }
+        self.add_exprs(std::slice::from_ref(expr))[0]
+    }
+
+    /// Adds a batch of expression trees, returning the e-class of each root.
+    ///
+    /// Gate expressions and their gradients share most subtrees through `Arc`s, so the
+    /// walk memoizes on node addresses: a subtree reached again through the same `Arc`
+    /// maps to the e-class it got the first time without being walked again. The
+    /// result is the same as adding each tree in full, since hash-consing would give
+    /// every repeated node its existing class anyway.
+    pub fn add_exprs(&mut self, exprs: &[Expr]) -> Vec<Id> {
+        let mut memo = HashMap::new();
+        exprs.iter().map(|e| self.add_shared(e, &mut memo)).collect()
+    }
+
+    fn add_shared(&mut self, expr: &Expr, memo: &mut HashMap<*const Expr, Id>) -> Id {
+        let key: *const Expr = expr;
+        if let Some(&id) = memo.get(&key) {
+            return id;
         }
+        let (op, kids): (Op, Vec<&Expr>) = match expr {
+            Expr::Const(c) => (Op::constant(*c), vec![]),
+            Expr::Pi => (Op::Pi, vec![]),
+            Expr::Var(v) => (Op::Var(v.clone()), vec![]),
+            Expr::Neg(a) => (Op::Neg, vec![a]),
+            Expr::Sin(a) => (Op::Sin, vec![a]),
+            Expr::Cos(a) => (Op::Cos, vec![a]),
+            Expr::Sqrt(a) => (Op::Sqrt, vec![a]),
+            Expr::Exp(a) => (Op::Exp, vec![a]),
+            Expr::Ln(a) => (Op::Ln, vec![a]),
+            Expr::Add(a, b) => (Op::Add, vec![a, b]),
+            Expr::Sub(a, b) => (Op::Sub, vec![a, b]),
+            Expr::Mul(a, b) => (Op::Mul, vec![a, b]),
+            Expr::Div(a, b) => (Op::Div, vec![a, b]),
+            Expr::Pow(a, b) => (Op::Pow, vec![a, b]),
+        };
+        let children = kids.into_iter().map(|k| self.add_shared(k, memo)).collect();
+        let id = self.add(Node { op, children });
+        memo.insert(key, id);
+        id
     }
 
     /// Merges two e-classes, returning the surviving canonical id.
@@ -244,83 +236,87 @@ impl EGraph {
         ids
     }
 
-    /// Returns the canonical ids of classes containing at least one node whose operator
-    /// satisfies `pred`, in ascending id order (see [`EGraph::class_ids`] for why the
-    /// order matters). Used by the saturation runner to only attempt rules whose root
-    /// operator actually occurs in a class.
-    pub fn class_ids_with_op(&self, pred: impl Fn(&Op) -> bool) -> Vec<Id> {
-        let mut ids: Vec<Id> = self
-            // detlint: allow(unsorted-map-iter) — sorted immediately below
-            .classes
-            .iter()
-            .filter(|(_, class)| class.nodes.iter().any(|n| pred(&n.op)))
-            .map(|(&id, _)| id)
-            .collect();
-        ids.sort_unstable();
-        ids
-    }
-
     /// Returns the e-class for a canonical id.
     pub fn class(&self, id: Id) -> Option<&EClass> {
         self.classes.get(&self.find(id))
     }
 
-    /// E-matching: finds all substitutions under which `pattern` matches e-class `id`.
-    pub fn match_pattern(&self, pattern: &Pattern, id: Id) -> Vec<Subst> {
-        let id = self.find(id);
-        match pattern {
-            Pattern::Var(name) => {
-                let mut s = Subst::new();
-                s.insert(name.clone(), id);
-                vec![s]
+    /// E-matching: calls `on_match(class, subst)` for every substitution under which
+    /// `pattern` matches one of the `candidates`, class by class in the given order and,
+    /// within a class, in the enumeration order described in the
+    /// [`rewrite`](crate::rewrite) module docs. `subst[k]` is the canonical e-class
+    /// bound to slot `k`.
+    pub fn match_pattern(
+        &self,
+        pattern: &SlotPattern,
+        candidates: &[Id],
+        mut on_match: impl FnMut(Id, &[Id]),
+    ) {
+        let mut at = vec![UNBOUND; pattern.terms.len()];
+        let mut subst = vec![UNBOUND; pattern.num_slots()];
+        for &class in candidates {
+            at[0] = self.find(class);
+            self.match_term(pattern, 0, &mut at, &mut subst, &mut |s: &[Id]| on_match(class, s));
+        }
+    }
+
+    /// Matches term `term` of `pattern` against class `at[term]` and, for each way it
+    /// matches, continues with the next term in pre-order. Choosing an e-node for a
+    /// `Node` term fills in `at` for its children, which pre-order visits later.
+    fn match_term<F: FnMut(&[Id])>(
+        &self,
+        pattern: &SlotPattern,
+        term: usize,
+        at: &mut [Id],
+        subst: &mut [Id],
+        on_match: &mut F,
+    ) {
+        let Some(t) = pattern.terms.get(term) else {
+            on_match(subst);
+            return;
+        };
+        let id = at[term];
+        match t {
+            SlotTerm::Var(slot) => {
+                if subst[*slot] == UNBOUND {
+                    subst[*slot] = id;
+                    self.match_term(pattern, term + 1, at, subst, on_match);
+                    subst[*slot] = UNBOUND;
+                } else if subst[*slot] == id {
+                    self.match_term(pattern, term + 1, at, subst, on_match);
+                }
             }
-            Pattern::Node(op, child_patterns) => {
-                let mut results = Vec::new();
-                let Some(class) = self.classes.get(&id) else {
-                    return results;
-                };
+            SlotTerm::Node(op, children) => {
+                let Some(class) = self.classes.get(&id) else { return };
                 for node in &class.nodes {
-                    if &node.op != op || node.children.len() != child_patterns.len() {
+                    if &node.op != op || node.children.len() != children.len() {
                         continue;
                     }
-                    // Match children left to right, threading compatible substitutions.
-                    let mut partial: Vec<Subst> = vec![Subst::new()];
-                    for (cp, &cid) in child_patterns.iter().zip(node.children.iter()) {
-                        let mut next: Vec<Subst> = Vec::new();
-                        for sub in &partial {
-                            for m in self.match_pattern(cp, cid) {
-                                if let Some(merged) = merge_substs(sub, &m, self) {
-                                    next.push(merged);
-                                }
-                            }
-                        }
-                        partial = next;
-                        if partial.is_empty() {
-                            break;
-                        }
+                    for (&child_term, &child) in children.iter().zip(&node.children) {
+                        at[child_term] = self.find(child);
                     }
-                    results.extend(partial);
+                    self.match_term(pattern, term + 1, at, subst, on_match);
                 }
-                results
             }
         }
     }
 
-    /// Instantiates a pattern under a substitution, adding any new nodes, and returns the
-    /// e-class of the instantiated root.
+    /// Instantiates a pattern under a substitution (`subst[k]` binds slot `k`), adding
+    /// any new nodes, and returns the e-class of the instantiated root.
     ///
     /// # Panics
     ///
-    /// Panics if the substitution does not bind a variable used by the pattern (rule
-    /// construction guarantees this).
-    pub fn instantiate(&mut self, pattern: &Pattern, subst: &Subst) -> Id {
-        match pattern {
-            Pattern::Var(name) => {
-                *subst.get(name).unwrap_or_else(|| panic!("unbound pattern variable ?{name}"))
-            }
-            Pattern::Node(op, children) => {
-                let child_ids: Vec<Id> =
-                    children.iter().map(|c| self.instantiate(c, subst)).collect();
+    /// Panics if `subst` is shorter than the pattern's slot count.
+    pub fn instantiate(&mut self, pattern: &SlotPattern, subst: &[Id]) -> Id {
+        self.instantiate_term(pattern, 0, subst)
+    }
+
+    fn instantiate_term(&mut self, pattern: &SlotPattern, term: usize, subst: &[Id]) -> Id {
+        match &pattern.terms[term] {
+            SlotTerm::Var(slot) => subst[*slot],
+            SlotTerm::Node(op, children) => {
+                let child_ids =
+                    children.iter().map(|&c| self.instantiate_term(pattern, c, subst)).collect();
                 self.add(Node { op: op.clone(), children: child_ids })
             }
         }
@@ -332,22 +328,10 @@ impl EGraph {
     }
 }
 
-fn merge_substs(a: &Subst, b: &Subst, graph: &EGraph) -> Option<Subst> {
-    let mut out = a.clone();
-    for (k, &v) in b {
-        match out.get(k) {
-            Some(&existing) if graph.find(existing) != graph.find(v) => return None,
-            _ => {
-                out.insert(k.clone(), v);
-            }
-        }
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::language::Pattern;
 
     fn add_mul_expr(g: &mut EGraph) -> (Id, Id, Id) {
         // (a * b), a, b
@@ -416,17 +400,28 @@ mod tests {
         assert!(g.class(root).is_some());
     }
 
+    /// Every substitution under which `pattern` matches class `id`.
+    fn matches(g: &EGraph, pattern: &SlotPattern, id: Id) -> Vec<Vec<Id>> {
+        let mut out = Vec::new();
+        g.match_pattern(pattern, &[id], |_, subst| out.push(subst.to_vec()));
+        out
+    }
+
+    fn slots(text: &str) -> SlotPattern {
+        SlotPattern::new(&Pattern::parse(text))
+    }
+
     #[test]
     fn pattern_matching_binds_variables() {
         let mut g = EGraph::new();
         let (ab, a, b) = add_mul_expr(&mut g);
-        let pat = Pattern::parse("(* ?x ?y)");
-        let matches = g.match_pattern(&pat, ab);
-        assert_eq!(matches.len(), 1);
-        assert_eq!(g.find(matches[0]["x"]), g.find(a));
-        assert_eq!(g.find(matches[0]["y"]), g.find(b));
+        let pat = slots("(* ?x ?y)");
+        let found = matches(&g, &pat, ab);
+        assert_eq!(found.len(), 1);
+        assert_eq!(g.find(found[0][pat.slot("x").unwrap()]), g.find(a));
+        assert_eq!(g.find(found[0][pat.slot("y").unwrap()]), g.find(b));
         // Non-matching pattern.
-        assert!(g.match_pattern(&Pattern::parse("(+ ?x ?y)"), ab).is_empty());
+        assert!(matches(&g, &slots("(+ ?x ?y)"), ab).is_empty());
     }
 
     #[test]
@@ -436,23 +431,21 @@ mod tests {
         let b = g.add(Node::leaf(Op::Var("b".into())));
         let aa = g.add(Node::new(Op::Mul, vec![a, a]));
         let ab = g.add(Node::new(Op::Mul, vec![a, b]));
-        let square = Pattern::parse("(* ?x ?x)");
-        assert_eq!(g.match_pattern(&square, aa).len(), 1);
-        assert!(g.match_pattern(&square, ab).is_empty());
+        let square = slots("(* ?x ?x)");
+        assert_eq!(square.num_slots(), 1);
+        assert_eq!(matches(&g, &square, aa).len(), 1);
+        assert!(matches(&g, &square, ab).is_empty());
         // After a = b, (* a b) matches (* ?x ?x).
         g.union(a, b);
         g.rebuild();
-        assert_eq!(g.match_pattern(&square, ab).len(), 1);
+        assert_eq!(matches(&g, &square, ab).len(), 1);
     }
 
     #[test]
     fn instantiate_creates_nodes() {
         let mut g = EGraph::new();
         let (_, a, b) = add_mul_expr(&mut g);
-        let mut subst = Subst::new();
-        subst.insert("x".into(), a);
-        subst.insert("y".into(), b);
-        let id = g.instantiate(&Pattern::parse("(+ (* ?x ?y) 0)"), &subst);
+        let id = g.instantiate(&slots("(+ (* ?x ?y) 0)"), &[a, b]);
         assert!(g.class(id).is_some());
         assert!(g.node_count() >= 5);
     }
@@ -465,8 +458,20 @@ mod tests {
         let x = g.add(Node::leaf(Op::Var("x".into())));
         let two_x = g.add(Node::new(Op::Mul, vec![two, x]));
         let three_x = g.add(Node::new(Op::Mul, vec![three, x]));
-        let pat = Pattern::parse("(* 2 ?x)");
-        assert_eq!(g.match_pattern(&pat, two_x).len(), 1);
-        assert!(g.match_pattern(&pat, three_x).is_empty());
+        let pat = slots("(* 2 ?x)");
+        assert_eq!(matches(&g, &pat, two_x).len(), 1);
+        assert!(matches(&g, &pat, three_x).is_empty());
+    }
+
+    #[test]
+    fn add_exprs_shares_arc_subtrees_across_the_batch() {
+        let shared = Expr::sin(Expr::add(Expr::var("a"), Expr::var("b")));
+        let batch = [Expr::mul(shared.clone(), Expr::var("c")), shared.clone()];
+        let mut g = EGraph::new();
+        let roots = g.add_exprs(&batch);
+        // a, b, a+b, sin, c, mul: the second root reuses the first root's subtree.
+        assert_eq!(g.node_count(), 6);
+        let mut fresh = EGraph::new();
+        assert_eq!(roots, vec![fresh.add_expr(&batch[0]), fresh.add_expr(&batch[1])]);
     }
 }

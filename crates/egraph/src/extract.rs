@@ -15,95 +15,223 @@
 //! The canonical example is the U2 gate: once `e^{iλ}` and `e^{iϕ}` have been extracted,
 //! the equivalent form `e^{iλ}·e^{iϕ}` of `e^{i(ϕ+λ)}` costs a single multiplication and
 //! is chosen over a fresh complex exponential.
+//!
+//! # Incremental re-stabilization
+//!
+//! Step 1 is defined by sweeps: visit every e-class in ascending id order, recompute its
+//! cost as the cheapest of its e-nodes (operator cost plus the children's *effective*
+//! costs: zero once extracted, the stabilized cost otherwise), and repeat whole sweeps
+//! until one changes nothing. A visit replaces the incumbent e-node only with a
+//! strictly cheaper one (`<=` keeps the incumbent), so ties go to whichever node won
+//! first, and the chosen nodes depend on the visit order, not just on the costs.
+//!
+//! Re-sweeping every class after each of up to hundreds of roots dominated the
+//! expression JIT, so [`GreedyExtractor`] reaches the same fixpoint with a worklist:
+//!
+//! * After a class's first visit, a visit is a no-op unless a child's effective cost
+//!   changed since the class's last visit. With unchanged children it recomputes the
+//!   same totals, whose minimum is the incumbent's cost, and `<=` keeps the incumbent.
+//! * So a class is only revisited when a child's effective cost changes, because the
+//!   child was re-stabilized or zeroed by an extraction. When that happens during a
+//!   sweep, a dependent with a larger id joins the current sweep (the full sweep would
+//!   reach it later in this pass) and any other dependent joins the next sweep (the full
+//!   sweep has already passed it). Extraction zeroes classes between sweeps, so their
+//!   dependents start a fresh sweep.
+//! * Each sweep visits its classes in ascending id order.
+//!
+//! Every visit that can change anything therefore happens in the same order, and sees
+//! the same costs, as in the full sweep, so the costs, the chosen e-nodes and the
+//! extracted expressions are identical; only the no-op visits are skipped.
 
-use std::collections::HashMap;
-use std::collections::HashSet;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use qudit_qgl::Expr;
 
 use crate::cost::OpCost;
 use crate::egraph::EGraph;
-use crate::language::{Id, Node, Op};
+use crate::language::{Id, Op};
+
+/// Marks a class with no extractable e-node yet.
+const NO_CHOICE: usize = usize::MAX;
 
 /// Greedy bottom-up extractor over an e-graph.
+///
+/// Classes are indexed densely by [`Id::index`]. Class `c`'s e-nodes are the flat nodes
+/// `first_node[c]..first_node[c + 1]`, in the class's stored order, and flat node `n`'s
+/// canonical children are `children[first_child[n]..first_child[n + 1]]`.
 #[derive(Debug)]
 pub struct GreedyExtractor<'a> {
     graph: &'a EGraph,
-    cost_model: OpCost,
-    /// Best (cost, node) per canonical e-class under the current zeroing state.
-    best: HashMap<Id, (f64, Node)>,
-    /// Classes already extracted; their effective cost is zero and their expression is
-    /// cached for reuse.
-    extracted: HashMap<Id, Expr>,
+    first_node: Vec<usize>,
+    /// Operator cost of each flat node.
+    node_cost: Vec<f64>,
+    first_child: Vec<usize>,
+    children: Vec<usize>,
+    /// Classes with an e-node that has class `c` as a child:
+    /// `dependents[first_dependent[c]..first_dependent[c + 1]]`.
+    first_dependent: Vec<usize>,
+    dependents: Vec<usize>,
+    /// Best cost per class under the current zeroing state; infinite until extractable.
+    cost: Vec<f64>,
+    /// Position of the chosen e-node within its class, or [`NO_CHOICE`].
+    choice: Vec<usize>,
+    /// The cost of using a class as a child: zero once extracted, `cost` otherwise.
+    effective: Vec<f64>,
+    /// Classes already extracted, with their expression cached for reuse.
+    extracted: Vec<Option<Expr>>,
+    on_stack: Vec<bool>,
+    /// The classes left to visit in the current sweep, smallest id first (a heap with
+    /// membership flags measured about 3× faster here than a `BTreeSet`).
+    sweep: BinaryHeap<Reverse<usize>>,
+    in_sweep: Vec<bool>,
+    /// The classes to visit in the next sweep.
+    next_sweep: Vec<usize>,
+    in_next_sweep: Vec<bool>,
 }
 
 impl<'a> GreedyExtractor<'a> {
     /// Creates an extractor and performs the initial cost stabilization.
     pub fn new(graph: &'a EGraph, cost_model: OpCost) -> Self {
-        let mut ex =
-            GreedyExtractor { graph, cost_model, best: HashMap::new(), extracted: HashMap::new() };
+        let ids = graph.class_ids();
+        let bound = ids.last().map_or(0, |id| id.index() + 1);
+        let mut first_node = Vec::with_capacity(bound + 1);
+        let (mut node_cost, mut first_child, mut children) = (Vec::new(), vec![0], Vec::new());
+        // Counts class `c`'s dependents at `c + 1`; the running sum below makes offsets.
+        let mut first_dependent = vec![0; bound + 1];
+        for c in 0..bound {
+            first_node.push(node_cost.len());
+            let id = Id(c as u32);
+            if graph.find(id) != id {
+                continue;
+            }
+            for node in &graph.class(id).expect("canonical class").nodes {
+                node_cost.push(cost_model.cost(&node.op));
+                for &child in &node.children {
+                    let child = graph.find(child).index();
+                    children.push(child);
+                    first_dependent[child + 1] += 1;
+                }
+                first_child.push(children.len());
+            }
+        }
+        first_node.push(node_cost.len());
+        let mut total = 0;
+        for offset in &mut first_dependent {
+            total += *offset;
+            *offset = total;
+        }
+        let mut fill = first_dependent.clone();
+        let mut dependents = vec![0; children.len()];
+        for c in 0..bound {
+            for n in first_node[c]..first_node[c + 1] {
+                for &child in &children[first_child[n]..first_child[n + 1]] {
+                    dependents[fill[child]] = c;
+                    fill[child] += 1;
+                }
+            }
+        }
+
+        let mut ex = GreedyExtractor {
+            graph,
+            first_node,
+            node_cost,
+            first_child,
+            children,
+            first_dependent,
+            dependents,
+            cost: vec![f64::INFINITY; bound],
+            choice: vec![NO_CHOICE; bound],
+            effective: vec![f64::INFINITY; bound],
+            extracted: vec![None; bound],
+            on_stack: vec![false; bound],
+            sweep: BinaryHeap::new(),
+            in_sweep: vec![false; bound],
+            next_sweep: Vec::new(),
+            in_next_sweep: vec![false; bound],
+        };
+        for id in &ids {
+            ex.schedule(id.index());
+        }
         ex.stabilize();
         ex
     }
 
-    /// The effective cost of using `id` as a child: zero if already extracted, otherwise
-    /// its stabilized class cost.
-    fn child_cost(&self, id: Id) -> Option<f64> {
-        let id = self.graph.find(id);
-        if self.extracted.contains_key(&id) {
-            return Some(0.0);
+    /// The total cost of flat node `n` from its children's effective costs; infinite
+    /// if a child is not extractable yet.
+    fn node_total(&self, n: usize) -> f64 {
+        let mut total = self.node_cost[n];
+        for &child in self.node_children(n) {
+            total += self.effective[child];
         }
-        self.best.get(&id).map(|(c, _)| *c)
+        total
     }
 
-    /// Iteratively recomputes the minimum cost of every e-class until a fixpoint.
+    /// Recomputes class `c`'s best e-node, keeping the incumbent unless a node is
+    /// strictly cheaper. Returns whether `c`'s effective cost changed.
+    fn visit(&mut self, c: usize) -> bool {
+        let first = self.first_node[c];
+        let (mut best, mut choice) = (self.cost[c], self.choice[c]);
+        for n in first..self.first_node[c + 1] {
+            let total = self.node_total(n);
+            if total < best {
+                best = total;
+                choice = n - first;
+            }
+        }
+        if best == self.cost[c] {
+            return false;
+        }
+        self.cost[c] = best;
+        self.choice[c] = choice;
+        if self.extracted[c].is_some() {
+            return false;
+        }
+        self.effective[c] = best;
+        true
+    }
+
+    /// Runs sweeps over the scheduled classes until none is left; see the module docs.
     fn stabilize(&mut self) {
-        let classes = self.graph.class_ids();
         loop {
-            let mut changed = false;
-            for &id in &classes {
-                let id = self.graph.find(id);
-                let Some(class) = self.graph.class(id) else { continue };
-                let mut best: Option<(f64, Node)> = self.best.get(&id).cloned();
-                for node in &class.nodes {
-                    let mut total = self.cost_model.cost(&node.op);
-                    let mut feasible = true;
-                    for &child in &node.children {
-                        match self.child_cost(child) {
-                            Some(c) => total += c,
-                            None => {
-                                feasible = false;
-                                break;
-                            }
-                        }
-                    }
-                    if !feasible {
-                        continue;
-                    }
-                    match &best {
-                        Some((c, _)) if *c <= total => {}
-                        _ => {
-                            best = Some((total, node.clone()));
-                        }
-                    }
+            while let Some(Reverse(c)) = self.sweep.pop() {
+                self.in_sweep[c] = false;
+                if !self.visit(c) {
+                    continue;
                 }
-                if let Some((cost, node)) = best {
-                    let prev = self.best.insert(id, (cost, node));
-                    if prev.map(|(c, _)| c) != Some(cost) {
-                        changed = true;
+                for k in self.first_dependent[c]..self.first_dependent[c + 1] {
+                    let d = self.dependents[k];
+                    if d > c {
+                        self.schedule(d);
+                    } else if !self.in_next_sweep[d] {
+                        self.in_next_sweep[d] = true;
+                        self.next_sweep.push(d);
                     }
                 }
             }
-            if !changed {
-                break;
+            if self.next_sweep.is_empty() {
+                return;
+            }
+            for d in std::mem::take(&mut self.next_sweep) {
+                self.in_next_sweep[d] = false;
+                self.schedule(d);
             }
         }
     }
 
-    /// The stabilized cost of an e-class (before any zeroing from extraction), if the
-    /// class is extractable at all.
+    /// Adds class `c` to the current sweep.
+    fn schedule(&mut self, c: usize) {
+        if !self.in_sweep[c] {
+            self.in_sweep[c] = true;
+            self.sweep.push(Reverse(c));
+        }
+    }
+
+    /// The stabilized cost of an e-class under the current zeroing state, if the class
+    /// is extractable at all.
     pub fn class_cost(&self, id: Id) -> Option<f64> {
-        self.best.get(&self.graph.find(id)).map(|(c, _)| *c)
+        let cost = self.cost[self.graph.find(id).index()];
+        cost.is_finite().then_some(cost)
     }
 
     /// Extracts the best expression for `root`, zeroing every traversed class so later
@@ -114,68 +242,65 @@ impl<'a> GreedyExtractor<'a> {
     /// Panics if the class is not extractable (cannot happen for classes created by
     /// adding complete expressions).
     pub fn extract(&mut self, root: Id) -> Expr {
-        let root = self.graph.find(root);
-        let mut on_stack = HashSet::new();
-        let expr = self.extract_rec(root, &mut on_stack);
+        let expr = self.extract_rec(self.graph.find(root).index());
         // Re-stabilize so that classes *above* the newly-zeroed ones can take advantage
         // of the cheaper children when the next root is extracted.
         self.stabilize();
         expr
     }
 
-    fn extract_rec(&mut self, id: Id, on_stack: &mut HashSet<Id>) -> Expr {
-        let id = self.graph.find(id);
-        if let Some(done) = self.extracted.get(&id) {
+    fn extract_rec(&mut self, c: usize) -> Expr {
+        if let Some(done) = &self.extracted[c] {
             return done.clone();
         }
-        on_stack.insert(id);
-        let (_, node) = self
-            .best
-            .get(&id)
-            .cloned()
-            .unwrap_or_else(|| panic!("e-class {id} has no extractable expression"));
+        self.on_stack[c] = true;
+        let mut choice = self.choice[c];
+        assert!(choice != NO_CHOICE, "e-class e{c} has no extractable expression");
         // Guard against pathological cycles: if the chosen node recurses into a class
         // currently on the stack, fall back to the cheapest acyclic alternative.
-        let node = if node.children.iter().any(|c| on_stack.contains(&self.graph.find(*c))) {
-            self.acyclic_alternative(id, on_stack).unwrap_or(node)
-        } else {
-            node
-        };
-        let children: Vec<Expr> =
-            node.children.iter().map(|&c| self.extract_rec(c, on_stack)).collect();
-        let expr = node_to_expr(&node.op, children);
-        on_stack.remove(&id);
-        self.extracted.insert(id, expr.clone());
+        if self.node_children(self.first_node[c] + choice).iter().any(|&k| self.on_stack[k]) {
+            choice = self.acyclic_alternative(c).unwrap_or(choice);
+        }
+        let n = self.first_node[c] + choice;
+        let children: Vec<Expr> = (self.first_child[n]..self.first_child[n + 1])
+            .map(|k| self.extract_rec(self.children[k]))
+            .collect();
+        let graph = self.graph;
+        let op = &graph.class(Id(c as u32)).expect("canonical class").nodes[choice].op;
+        let expr = node_to_expr(op, children);
+        self.on_stack[c] = false;
+        self.extracted[c] = Some(expr.clone());
+        if self.effective[c] != 0.0 {
+            // A fresh sweep after this extraction revisits everything that uses `c`.
+            self.effective[c] = 0.0;
+            for k in self.first_dependent[c]..self.first_dependent[c + 1] {
+                self.schedule(self.dependents[k]);
+            }
+        }
         expr
     }
 
-    fn acyclic_alternative(&self, id: Id, on_stack: &HashSet<Id>) -> Option<Node> {
-        let class = self.graph.class(id)?;
-        let mut best: Option<(f64, Node)> = None;
-        for node in &class.nodes {
-            if node.children.iter().any(|c| on_stack.contains(&self.graph.find(*c))) {
+    fn node_children(&self, n: usize) -> &[usize] {
+        &self.children[self.first_child[n]..self.first_child[n + 1]]
+    }
+
+    fn acyclic_alternative(&self, c: usize) -> Option<usize> {
+        let first = self.first_node[c];
+        let mut best: Option<(f64, usize)> = None;
+        for n in first..self.first_node[c + 1] {
+            if self.node_children(n).iter().any(|&k| self.on_stack[k]) {
                 continue;
             }
-            let mut total = self.cost_model.cost(&node.op);
-            let mut feasible = true;
-            for &child in &node.children {
-                match self.child_cost(child) {
-                    Some(c) => total += c,
-                    None => {
-                        feasible = false;
-                        break;
-                    }
-                }
-            }
-            if !feasible {
+            let total = self.node_total(n);
+            if total.is_infinite() {
                 continue;
             }
-            match &best {
-                Some((c, _)) if *c <= total => {}
-                _ => best = Some((total, node.clone())),
+            match best {
+                Some((b, _)) if b <= total => {}
+                _ => best = Some((total, n - first)),
             }
         }
-        best.map(|(_, n)| n)
+        best.map(|(_, choice)| choice)
     }
 
     /// Extracts a sequence of roots in order, sharing extraction state (and therefore
@@ -186,7 +311,7 @@ impl<'a> GreedyExtractor<'a> {
 }
 
 /// Rebuilds an [`Expr`] node from an operator and already-extracted children.
-fn node_to_expr(op: &Op, mut children: Vec<Expr>) -> Expr {
+pub(crate) fn node_to_expr(op: &Op, mut children: Vec<Expr>) -> Expr {
     match op {
         Op::Const(bits) => Expr::Const(f64::from_bits(*bits)),
         Op::Pi => Expr::Pi,
@@ -234,7 +359,7 @@ mod tests {
     fn simplify_one(expr: &Expr) -> Expr {
         let mut g = EGraph::new();
         let root = g.add_expr(expr);
-        Runner::new(12, 50_000).run(&mut g, &default_rules());
+        Runner::new(12, 50_000).run(&mut g, default_rules());
         let mut ex = GreedyExtractor::new(&g, OpCost::new());
         ex.extract(root)
     }
@@ -293,7 +418,7 @@ mod tests {
 
         let mut g = EGraph::new();
         let roots: Vec<Id> = [&cp, &sp, &cl, &sl, &cpl].iter().map(|e| g.add_expr(e)).collect();
-        Runner::new(12, 50_000).run(&mut g, &default_rules());
+        Runner::new(12, 50_000).run(&mut g, default_rules());
         let mut ex = GreedyExtractor::new(&g, OpCost::new());
         let exprs = ex.extract_many(&roots);
 
@@ -332,7 +457,7 @@ mod tests {
         let mut g = EGraph::new();
         let ra = g.add_expr(&a);
         let rb = g.add_expr(&b);
-        Runner::new(10, 50_000).run(&mut g, &default_rules());
+        Runner::new(10, 50_000).run(&mut g, default_rules());
         let mut ex = GreedyExtractor::new(&g, OpCost::new());
         let out = ex.extract_many(&[ra, rb]);
         assert_eq!(out[0], a);

@@ -37,6 +37,8 @@ pub mod egraph;
 pub mod extract;
 pub mod fold;
 pub mod language;
+#[cfg(test)]
+mod oracle;
 pub mod rewrite;
 pub mod rules;
 pub mod simplify;
@@ -46,5 +48,5 @@ pub use egraph::EGraph;
 pub use extract::GreedyExtractor;
 pub use fold::{fold_elements, fold_params, snap_to_symbolic, ParamFold, SymbolicSnap};
 pub use language::{Id, Node, Op, Pattern};
-pub use rewrite::{Rewrite, RunReport, Runner, StopReason};
+pub use rewrite::{Rewrite, RunReport, Runner, SlotPattern, StopReason};
 pub use simplify::{simplify, simplify_batch, simplify_batch_with, SimplifyConfig, SimplifyResult};

@@ -5,9 +5,32 @@
 //! right-hand side. The paper notes that QGL expressions are small and sparse, so
 //! saturation is expected to converge quickly, but standard safeguards (iteration and
 //! node-count limits) are applied to prevent blow-up (Sec. III-C).
+//!
+//! # Slot compilation
+//!
+//! [`Rewrite::new`] parses both patterns once and compiles each into a [`SlotPattern`]:
+//! the pattern tree is flattened in pre-order and every pattern variable becomes a
+//! numbered slot, assigned in order of first occurrence in the left-hand side (the
+//! right-hand side reuses that numbering). A substitution is then a slice of e-class ids
+//! indexed by slot instead of a `HashMap<String, Id>`:
+//!
+//! * [`EGraph::match_pattern`] backtracks over one reusable slot array, binding a slot at
+//!   its first occurrence and comparing at later ones, and hands out each complete match
+//!   as a borrowed slice, so no map is built, cloned or merged per partial match;
+//! * [`EGraph::instantiate`] reads the right-hand side's variables straight from the
+//!   slice.
+//!
+//! Matches are enumerated in the order of the textbook child-by-child product: the
+//! e-nodes of a class in stored order and, under one e-node, every choice made for
+//! child 0's subpattern before any choice for child 1's (the pattern's pre-order). The
+//! runner collects all matches of an iteration in that order, rule by rule and class by
+//! class in ascending id order, before applying any, so the unions, the e-graph and
+//! hence the extracted expressions do not depend on how a substitution is stored.
+
+use std::collections::HashMap;
 
 use crate::egraph::EGraph;
-use crate::language::Pattern;
+use crate::language::{Id, Op, Pattern};
 
 /// A directed rewrite rule `lhs → rhs`.
 #[derive(Debug, Clone)]
@@ -18,6 +41,10 @@ pub struct Rewrite {
     pub lhs: Pattern,
     /// Pattern to instantiate and union with the match.
     pub rhs: Pattern,
+    /// `lhs` compiled to slots.
+    searcher: SlotPattern,
+    /// `rhs` compiled against `lhs`'s slot numbering.
+    applier: SlotPattern,
 }
 
 impl Rewrite {
@@ -37,7 +64,9 @@ impl Rewrite {
                 "rewrite '{name}': rhs variable ?{v} is not bound by the lhs"
             );
         }
-        Rewrite { name: name.to_string(), lhs, rhs }
+        let searcher = SlotPattern::new(&lhs);
+        let applier = SlotPattern::compile(&rhs, searcher.vars.clone());
+        Rewrite { name: name.to_string(), lhs, rhs, searcher, applier }
     }
 
     /// Creates the pair of rewrites `lhs → rhs` and `rhs → lhs`.
@@ -47,6 +76,72 @@ impl Rewrite {
     /// Panics if either direction would reference an unbound variable.
     pub fn bidirectional(name: &str, lhs: &str, rhs: &str) -> Vec<Self> {
         vec![Rewrite::new(name, lhs, rhs), Rewrite::new(&format!("{name}-rev"), rhs, lhs)]
+    }
+}
+
+/// One term of a [`SlotPattern`].
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum SlotTerm {
+    /// A pattern variable, by slot.
+    Var(usize),
+    /// An operator applied to the terms at the given positions.
+    Node(Op, Vec<usize>),
+}
+
+/// A [`Pattern`] compiled for e-matching: the terms in pre-order (the root is term 0)
+/// with every variable replaced by a numbered slot. See the [module docs](self).
+#[derive(Debug, Clone, PartialEq)]
+pub struct SlotPattern {
+    pub(crate) terms: Vec<SlotTerm>,
+    vars: Vec<String>,
+}
+
+impl SlotPattern {
+    /// Compiles a pattern, numbering its variables in order of first occurrence.
+    pub fn new(pattern: &Pattern) -> Self {
+        SlotPattern::compile(pattern, Vec::new())
+    }
+
+    fn compile(pattern: &Pattern, vars: Vec<String>) -> Self {
+        fn walk(p: &Pattern, out: &mut SlotPattern) -> usize {
+            let at = out.terms.len();
+            match p {
+                Pattern::Var(name) => {
+                    let slot = out.slot(name).unwrap_or_else(|| {
+                        out.vars.push(name.clone());
+                        out.vars.len() - 1
+                    });
+                    out.terms.push(SlotTerm::Var(slot));
+                }
+                Pattern::Node(op, children) => {
+                    out.terms.push(SlotTerm::Node(op.clone(), Vec::new()));
+                    let positions = children.iter().map(|c| walk(c, out)).collect();
+                    out.terms[at] = SlotTerm::Node(op.clone(), positions);
+                }
+            }
+            at
+        }
+        let mut out = SlotPattern { terms: Vec::new(), vars };
+        walk(pattern, &mut out);
+        out
+    }
+
+    /// The slot of a pattern variable (named without its `?`).
+    pub fn slot(&self, name: &str) -> Option<usize> {
+        self.vars.iter().position(|v| v == name)
+    }
+
+    /// The number of slots, i.e. the length of every substitution for this pattern.
+    pub fn num_slots(&self) -> usize {
+        self.vars.len()
+    }
+
+    /// The operator at the root, or `None` if the root is a variable.
+    fn root_op(&self) -> Option<&Op> {
+        match &self.terms[0] {
+            SlotTerm::Node(op, _) => Some(op),
+            SlotTerm::Var(_) => None,
+        }
     }
 }
 
@@ -62,7 +157,7 @@ pub enum StopReason {
 }
 
 /// A report of a saturation run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunReport {
     /// Number of iterations executed.
     pub iterations: usize,
@@ -110,25 +205,33 @@ impl Runner {
             // Phase 1: collect matches against the frozen e-graph. Rules are only
             // attempted against classes that contain the rule's root operator, which
             // keeps e-matching cheap on the small-but-wide e-graphs gate batches create.
-            let mut pending: Vec<(usize, crate::egraph::Subst, crate::language::Id)> = Vec::new();
-            for (rule_idx, rule) in rules.iter().enumerate() {
-                let candidates = match &rule.lhs {
-                    Pattern::Var(_) => graph.class_ids(),
-                    Pattern::Node(op, _) => graph.class_ids_with_op(|o| o == op),
-                };
-                for class in candidates {
-                    for subst in graph.match_pattern(&rule.lhs, class) {
-                        pending.push((rule_idx, subst, class));
-                    }
+            // Each match is `(rule, class, offset)`, its substitution being the rule's
+            // `num_slots()` ids at `offset` in `bindings`.
+            let mut pending: Vec<(usize, Id, usize)> = Vec::new();
+            let mut bindings: Vec<Id> = Vec::new();
+            {
+                let all = graph.class_ids();
+                let by_op = classes_by_op(graph, &all);
+                for (rule_idx, rule) in rules.iter().enumerate() {
+                    let candidates = match rule.searcher.root_op() {
+                        None => &all[..],
+                        Some(op) => by_op.get(op).map_or(&[][..], Vec::as_slice),
+                    };
+                    graph.match_pattern(&rule.searcher, candidates, |class, subst| {
+                        pending.push((rule_idx, class, bindings.len()));
+                        bindings.extend_from_slice(subst);
+                    });
                 }
             }
             // Phase 2: apply.
             let mut unions_this_iter = 0usize;
-            for (rule_idx, subst, class) in pending {
+            for &(rule_idx, class, at) in &pending {
                 if graph.node_count() > self.node_limit {
                     break;
                 }
-                let new_id = graph.instantiate(&rules[rule_idx].rhs, &subst);
+                let rule = &rules[rule_idx];
+                let subst = &bindings[at..at + rule.searcher.num_slots()];
+                let new_id = graph.instantiate(&rule.applier, subst);
                 if !graph.same_class(new_id, class) {
                     graph.union(new_id, class);
                     unions_this_iter += 1;
@@ -152,6 +255,22 @@ impl Runner {
             stop_reason: StopReason::IterationLimit,
         }
     }
+}
+
+/// Indexes the canonical classes `ids` (ascending) by the operators of their e-nodes;
+/// every list stays in ascending id order. Only ever looked up, never iterated.
+fn classes_by_op<'g>(graph: &'g EGraph, ids: &[Id]) -> HashMap<&'g Op, Vec<Id>> {
+    let mut index: HashMap<&Op, Vec<Id>> = HashMap::new();
+    for &id in ids {
+        let class = graph.class(id).expect("class_ids are canonical");
+        for node in &class.nodes {
+            let with_op = index.entry(&node.op).or_default();
+            if with_op.last() != Some(&id) {
+                with_op.push(id);
+            }
+        }
+    }
+    index
 }
 
 #[cfg(test)]

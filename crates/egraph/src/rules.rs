@@ -9,10 +9,17 @@
 //! gradient expressions of the benchmark gate set (U3, U2, RX/RY/RZ, RZZ, CSUM, qutrit
 //! phase) and to reproduce the paper's U2 CSE example.
 
+use std::sync::OnceLock;
+
 use crate::rewrite::Rewrite;
 
-/// Returns the default rule set.
-pub fn default_rules() -> Vec<Rewrite> {
+/// Returns the default rule set, parsed and slot-compiled on first use.
+pub fn default_rules() -> &'static [Rewrite] {
+    static RULES: OnceLock<Vec<Rewrite>> = OnceLock::new();
+    RULES.get_or_init(build_default_rules)
+}
+
+fn build_default_rules() -> Vec<Rewrite> {
     let mut rules: Vec<Rewrite> = Vec::new();
     let mut uni = |name: &str, lhs: &str, rhs: &str| rules.push(Rewrite::new(name, lhs, rhs));
 
@@ -92,21 +99,6 @@ pub fn default_rules() -> Vec<Rewrite> {
     rules
 }
 
-/// A reduced rule set containing only the cheap structural identities. Used by the
-/// ablation benchmark to quantify how much the trig/exponential identities contribute.
-pub fn structural_rules_only() -> Vec<Rewrite> {
-    default_rules()
-        .into_iter()
-        .filter(|r| {
-            !r.name.contains("sin")
-                && !r.name.contains("cos")
-                && !r.name.contains("pythagoras")
-                && !r.name.contains("exp")
-                && !r.name.contains("ln")
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,14 +110,15 @@ mod tests {
         let mut g = EGraph::new();
         let ia = g.add_expr(a);
         let ib = g.add_expr(b);
-        Runner::new(12, 50_000).run(&mut g, &default_rules());
+        Runner::new(12, 50_000).run(&mut g, default_rules());
         g.same_class(ia, ib)
     }
 
     #[test]
     fn rule_set_is_nontrivial() {
         assert!(default_rules().len() > 40);
-        assert!(structural_rules_only().len() < default_rules().len());
+        // Parsed once: every call returns the same rules.
+        assert!(std::ptr::eq(default_rules(), default_rules()));
     }
 
     #[test]

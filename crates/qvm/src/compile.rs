@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use qudit_egraph::simplify::{simplify_batch_with, SimplifyConfig};
+use qudit_egraph::simplify::simplify_batch;
 use qudit_qgl::{ComplexExpr, Expr, UnitaryExpression};
 use qudit_tensor::{Complex, Float, Matrix};
 
@@ -83,11 +83,8 @@ impl CompiledExpression {
         }
 
         // Symbolic simplification over the whole batch (so CSE acts across U and ∂U).
-        let simplified = if options.skip_simplification {
-            components
-        } else {
-            simplify_batch_with(&components, &SimplifyConfig::default()).exprs
-        };
+        let simplified =
+            if options.skip_simplification { components } else { simplify_batch(&components) };
 
         let unitary_exprs = &simplified[..unitary_len];
         let unitary = emit_program(unitary_exprs, &params);

@@ -69,9 +69,9 @@ impl CompileRequest {
 }
 
 /// Parses and validates a `/compile` body, returning the request plus its dedup
-/// key — the FNV-1a hash of the body's canonical serialization, so requests
-/// differing only in whitespace or key order still join the same in-flight
-/// compile.
+/// key — the body's canonical serialization itself. Requests differing only in
+/// whitespace or key order get equal keys and join the same in-flight compile;
+/// requests differing in anything else never do.
 ///
 /// # Errors
 ///
@@ -80,7 +80,7 @@ impl CompileRequest {
 pub fn parse_compile_request(
     body: &[u8],
     debug_hooks: bool,
-) -> Result<(CompileRequest, u64), String> {
+) -> Result<(CompileRequest, String), String> {
     let doc = json::parse(body).map_err(|e| format!("malformed JSON: {e}"))?;
     let obj = doc.as_obj().ok_or("request body must be a JSON object")?;
 
@@ -103,7 +103,10 @@ pub fn parse_compile_request(
 
     let radices = parse_radices(doc.get("radices").ok_or("missing required field \"radices\"")?)?;
     let target = parse_target(doc.get("target").ok_or("missing required field \"target\"")?)?;
-    let dim: usize = radices.iter().product();
+    let dim = radices
+        .iter()
+        .try_fold(1usize, |dim, &r| dim.checked_mul(r))
+        .ok_or_else(|| format!("radices {radices:?} imply a dimension that overflows"))?;
     if target.rows() != dim || target.cols() != dim {
         return Err(format!(
             "target is {}x{} but radices {radices:?} imply {dim}x{dim}",
@@ -161,7 +164,7 @@ pub fn parse_compile_request(
         }
     };
 
-    let key = fnv1a(doc.to_canonical_string().as_bytes());
+    let key = doc.to_canonical_string();
     Ok((
         CompileRequest {
             target,
@@ -251,18 +254,6 @@ fn parse_coupling(value: &Json, num_qudits: usize) -> Result<CouplingGraph, Stri
     CouplingGraph::new(num_qudits, edges).map_err(|e| e.to_string())
 }
 
-/// 64-bit FNV-1a — the dedup key hash. Not cryptographic; a collision merely
-/// joins two requests, and the canonical byte strings are attacker-visible
-/// anyway (the server trusts its callers — it sits behind the cluster edge).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,6 +276,22 @@ mod tests {
         let (_, key_a) = parse_compile_request(a, false).unwrap();
         let (_, key_b) = parse_compile_request(b, false).unwrap();
         assert_ne!(key_a, key_b);
+    }
+
+    #[test]
+    fn dedup_key_is_the_canonical_body() {
+        let body = br#"{"seed": 5, "radices": [2, 2], "target": {"gate": "CZ"}}"#;
+        let (_, key) = parse_compile_request(body, false).unwrap();
+        assert_eq!(key, r#"{"radices":[2,2],"seed":5,"target":{"gate":"CZ"}}"#);
+    }
+
+    #[test]
+    fn radix_product_overflow_is_rejected() {
+        // 2^64 wraps to 0 in a plain product, which an empty matrix would match.
+        let radices = vec!["2"; 64].join(", ");
+        let body = format!(r#"{{"radices": [{radices}], "target": {{"matrix": []}}}}"#);
+        let err = parse_compile_request(body.as_bytes(), false).unwrap_err();
+        assert!(err.contains("overflows"), "{err}");
     }
 
     #[test]

@@ -112,7 +112,7 @@ struct Job {
     request: CompileRequest,
     token: CancelToken,
     slot: Arc<Slot>,
-    dedup_key: u64,
+    dedup_key: String,
 }
 
 /// Per-pass wall-clock accumulation for `/metrics` (aggregated from
@@ -130,7 +130,7 @@ struct Shared {
     registry: TraceRegistry,
     queue: Mutex<VecDeque<Job>>,
     queue_cv: Condvar,
-    inflight: Mutex<BTreeMap<u64, Arc<Slot>>>,
+    inflight: Mutex<BTreeMap<String, Arc<Slot>>>,
     pass_timings: Mutex<BTreeMap<String, PassStat>>,
     stop: AtomicBool,
 }
@@ -140,7 +140,7 @@ impl Shared {
         self.queue.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn lock_inflight(&self) -> std::sync::MutexGuard<'_, BTreeMap<u64, Arc<Slot>>> {
+    fn lock_inflight(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, Arc<Slot>>> {
         self.inflight.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
@@ -313,7 +313,7 @@ fn handle_compile(body: &[u8], shared: &Arc<Shared>) -> (u16, String, Vec<(Strin
             Some(slot) => (Arc::clone(slot), false),
             None => {
                 let slot = Arc::new(Slot::default());
-                inflight.insert(dedup_key, Arc::clone(&slot));
+                inflight.insert(dedup_key.clone(), Arc::clone(&slot));
                 (slot, true)
             }
         }
@@ -342,7 +342,8 @@ fn handle_compile(body: &[u8], shared: &Arc<Shared>) -> (u16, String, Vec<(Strin
         if queue.len() >= shared.config.queue_capacity {
             false
         } else {
-            queue.push_back(Job { request, token, slot: Arc::clone(&slot), dedup_key });
+            let slot = Arc::clone(&slot);
+            queue.push_back(Job { request, token, slot, dedup_key: dedup_key.clone() });
             shared.queue_cv.notify_one();
             true
         }

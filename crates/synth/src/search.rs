@@ -476,7 +476,13 @@ pub fn validate_target(
     target: &Matrix<f64>,
     config: &SynthesisConfig,
 ) -> Result<(), SynthesisError> {
-    let dim: usize = config.radices.iter().product();
+    let dim =
+        config.radices.iter().try_fold(1usize, |dim, &r| dim.checked_mul(r)).ok_or_else(|| {
+            SynthesisError::InvalidTarget(format!(
+                "the radices {:?} imply a dimension that overflows",
+                config.radices
+            ))
+        })?;
     if target.rows() != dim || target.cols() != dim {
         return Err(SynthesisError::InvalidTarget(format!(
             "target is {}×{} but the radices {:?} require {dim}×{dim}",
@@ -612,6 +618,17 @@ mod tests {
             synthesize(&haar_random_unitary(16, 2), &disconnected),
             Err(SynthesisError::InvalidCoupling(_))
         ));
+    }
+
+    #[test]
+    fn rejects_radix_products_that_overflow() {
+        // 2^64 wraps to 0 in a plain product, which an empty target would match.
+        match validate_target(&Matrix::<f64>::zeros(0, 0), &SynthesisConfig::qubits(64)) {
+            Err(SynthesisError::InvalidTarget(message)) => {
+                assert!(message.contains("overflows"), "{message}");
+            }
+            other => panic!("expected InvalidTarget, got {other:?}"),
+        }
     }
 
     #[test]

@@ -228,6 +228,21 @@ fn degenerate_requests_fail_typed_not_fatally() {
     server.shutdown();
 }
 
+#[test]
+fn overflowing_radix_product_is_a_400_and_the_server_keeps_serving() {
+    let server = start(ServeConfig::default());
+    let addr = server.addr();
+    // 2^64 wraps to 0 in a plain product: the empty matrix used to pass validation and
+    // the compile then aborted the whole process on a 275 GB allocation.
+    let radices = vec!["2"; 64].join(", ");
+    let body = format!(r#"{{"radices": [{radices}], "target": {{"matrix": []}}}}"#);
+    let response = post_compile(addr, &body);
+    assert_eq!(response.status, 400, "{}", response.body);
+    assert!(response.body.contains("overflows"), "{}", response.body);
+    assert_eq!(post_compile(addr, CNOT_SEED7).status, 200);
+    server.shutdown();
+}
+
 /// Removes the tier-variant parts of a 200 body — the `backend` name and the
 /// `kernel_metrics` object — mirroring the CI determinism diff's scrub.
 fn scrub_tier(body: &str) -> String {
