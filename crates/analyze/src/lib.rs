@@ -29,16 +29,10 @@
 //! instruction or operation.
 
 pub mod circuit;
-pub mod dataflow;
 pub mod detlint;
-pub mod optimize;
 pub mod program;
 
 pub use circuit::{verify_circuit, verify_gateset, CircuitReport, CircuitViolation};
-pub use dataflow::{DefUse, DefUseChains, InterferenceGraph, Liveness};
-pub use optimize::{
-    estimate_plan, optimize_program, OptimizeOutcome, OptimizeStats, PlanCostEstimate,
-};
 pub use program::{
     verify_backend, verify_plan, verify_program, PlanViolation, ProgramReport, ProgramViolation,
 };
@@ -145,104 +139,6 @@ pub fn warn_invalid_env(value: &str) -> bool {
     first
 }
 
-/// Environment variable consulted by [`OptimizeLevel::from_env`] (values: `off`,
-/// `instructions`, `full`; also `0`/`1`/`on` as aliases for `off`/`full`).
-pub const OPTIMIZE_ENV_VAR: &str = "OPENQUDIT_OPTIMIZE";
-
-/// How much verified bytecode optimization the pipeline runs.
-///
-/// The default ([`OptimizeLevel::from_env`]) is [`OptimizeLevel::Off`]; every
-/// accepted transformation is translation-validated (see
-/// [`optimize::optimize_program`]) regardless of level, so turning optimization on
-/// can change instruction counts and arena sizes but never evaluated bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OptimizeLevel {
-    /// No optimization.
-    #[default]
-    Off,
-    /// Instruction-level transforms only: dead-instruction elimination and
-    /// common-subexpression elimination.
-    Instructions,
-    /// [`OptimizeLevel::Instructions`] plus liveness-driven buffer coalescing.
-    Full,
-}
-
-impl OptimizeLevel {
-    /// Parses an optimization level name as accepted by `OPENQUDIT_OPTIMIZE`.
-    pub fn parse(name: &str) -> Option<OptimizeLevel> {
-        match name.trim().to_ascii_lowercase().as_str() {
-            "off" | "0" | "none" => Some(OptimizeLevel::Off),
-            "instructions" => Some(OptimizeLevel::Instructions),
-            "full" | "1" | "on" => Some(OptimizeLevel::Full),
-            _ => None,
-        }
-    }
-
-    /// The process-wide default level: `OPENQUDIT_OPTIMIZE` when set to a valid
-    /// level name, otherwise [`OptimizeLevel::Off`].
-    ///
-    /// An invalid value falls back to [`OptimizeLevel::Off`] with a one-time
-    /// stderr warning naming the rejected value and the accepted set — the same
-    /// fail-open-but-visible policy as [`VerifyLevel::from_env`].
-    pub fn from_env() -> OptimizeLevel {
-        match std::env::var(OPTIMIZE_ENV_VAR) {
-            Ok(value) => match OptimizeLevel::parse(&value) {
-                Some(level) => level,
-                None => {
-                    warn_invalid_optimize_env(&value);
-                    OptimizeLevel::Off
-                }
-            },
-            Err(_) => OptimizeLevel::Off,
-        }
-    }
-
-    /// Stable name used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            OptimizeLevel::Off => "off",
-            OptimizeLevel::Instructions => "instructions",
-            OptimizeLevel::Full => "full",
-        }
-    }
-
-    /// `true` unless the level is [`OptimizeLevel::Off`].
-    pub fn is_enabled(self) -> bool {
-        self != OptimizeLevel::Off
-    }
-}
-
-impl std::fmt::Display for OptimizeLevel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// The warning text for an invalid `OPENQUDIT_OPTIMIZE` value: names the value and
-/// the accepted set. Factored out so tests can pin the message without touching
-/// the process environment.
-pub fn invalid_optimize_env_warning(value: &str) -> String {
-    format!(
-        "warning: ignoring invalid {OPTIMIZE_ENV_VAR}={value:?}; \
-         accepted values: off, instructions, full (and 0/1/on/none aliases); \
-         optimization stays off"
-    )
-}
-
-/// Emits [`invalid_optimize_env_warning`] to stderr the first time it is called in
-/// this process; later calls are no-ops. Returns whether this call emitted. The
-/// guard is separate from the verify-level one so a doubly misconfigured
-/// environment reports both problems.
-pub fn warn_invalid_optimize_env(value: &str) -> bool {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    static WARNED: AtomicBool = AtomicBool::new(false);
-    let first = !WARNED.swap(true, Ordering::Relaxed);
-    if first {
-        eprintln!("{}", invalid_optimize_env_warning(value));
-    }
-    first
-}
-
 /// A static-analysis rejection: which layer rejected the artifact and why.
 ///
 /// Instruction-level variants carry a
@@ -342,38 +238,5 @@ mod tests {
         let second = warn_invalid_env("bogus-level");
         assert!(first || !second, "a later call must never emit after the first");
         assert!(!warn_invalid_env("another-bogus-level"));
-    }
-
-    #[test]
-    fn optimize_level_parses_and_displays() {
-        assert_eq!(OptimizeLevel::parse("off"), Some(OptimizeLevel::Off));
-        assert_eq!(OptimizeLevel::parse(" Full "), Some(OptimizeLevel::Full));
-        assert_eq!(OptimizeLevel::parse("instructions"), Some(OptimizeLevel::Instructions));
-        assert_eq!(OptimizeLevel::parse("1"), Some(OptimizeLevel::Full));
-        assert_eq!(OptimizeLevel::parse("bogus"), None);
-        assert_eq!(OptimizeLevel::Full.to_string(), "full");
-        assert!(OptimizeLevel::Instructions.is_enabled());
-        assert!(!OptimizeLevel::Off.is_enabled());
-        assert_eq!(OptimizeLevel::default(), OptimizeLevel::Off);
-    }
-
-    #[test]
-    fn invalid_optimize_values_fall_back_with_a_named_warning() {
-        assert_eq!(OptimizeLevel::parse("ful"), None);
-        assert_eq!(OptimizeLevel::parse(""), None);
-        let warning = invalid_optimize_env_warning("ful");
-        assert!(warning.contains(OPTIMIZE_ENV_VAR), "{warning}");
-        assert!(warning.contains("\"ful\""), "{warning}");
-        for accepted in ["off", "instructions", "full"] {
-            assert!(warning.contains(accepted), "{warning}");
-        }
-    }
-
-    #[test]
-    fn invalid_optimize_warning_fires_once_per_process() {
-        let first = warn_invalid_optimize_env("bogus-level");
-        let second = warn_invalid_optimize_env("bogus-level");
-        assert!(first || !second, "a later call must never emit after the first");
-        assert!(!warn_invalid_optimize_env("another-bogus-level"));
     }
 }

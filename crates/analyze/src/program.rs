@@ -14,7 +14,6 @@ use qudit_network::{InstrRef, TnvmOp, TnvmProgram};
 use qudit_tensor::gemm;
 use qudit_tnvm::{BackendKind, ExecPlan, KernelSel, TargetDescriptor};
 
-use crate::dataflow::{InterferenceGraph, Liveness};
 use crate::AnalyzeError;
 
 /// A typing violation inside a [`TnvmProgram`], naming the offending instruction.
@@ -105,16 +104,6 @@ pub enum ProgramViolation {
         /// Its parameter-dependent output buffer.
         buf: usize,
     },
-    /// The attached arena layout maps two simultaneously-live buffers to
-    /// overlapping elements — executing it would let one value clobber another.
-    LayoutOverlap {
-        /// One overlapping buffer.
-        a: usize,
-        /// The other overlapping buffer.
-        b: usize,
-        /// The overlapping element ranges.
-        detail: String,
-    },
 }
 
 impl std::fmt::Display for ProgramViolation {
@@ -156,10 +145,6 @@ impl std::fmt::Display for ProgramViolation {
             ProgramViolation::ConstantSectionParams { at, buf } => write!(
                 f,
                 "constant-section instruction {at} writes parameter-dependent buffer {buf}"
-            ),
-            ProgramViolation::LayoutOverlap { a, b, detail } => write!(
-                f,
-                "arena layout overlaps simultaneously-live buffers {a} and {b}: {detail}"
             ),
         }
     }
@@ -298,40 +283,7 @@ pub fn verify_program(program: &TnvmProgram) -> Result<ProgramReport, AnalyzeErr
         }
         .into());
     }
-    verify_layout(program)?;
     Ok(report)
-}
-
-/// When the program carries a coalesced [`ArenaLayout`], prove it sound with the
-/// dataflow framework: no two buffers that interfere (are simultaneously live,
-/// or are an instruction's inputs and output) may occupy overlapping element
-/// ranges. `TnvmProgram::validate` already checked the layout's bounds and
-/// per-instruction aliasing; this is the global liveness obligation.
-fn verify_layout(program: &TnvmProgram) -> Result<(), AnalyzeError> {
-    let Some(layout) = &program.layout else {
-        return Ok(());
-    };
-    let liveness = Liveness::compute(program);
-    let graph = InterferenceGraph::build(program, &liveness);
-    for a in 0..program.buffers.len() {
-        let (a_start, a_end) = (layout.offsets[a], layout.offsets[a] + program.buffers[a].len());
-        for b in (a + 1)..program.buffers.len() {
-            if !graph.interferes(a, b) {
-                continue;
-            }
-            let (b_start, b_end) =
-                (layout.offsets[b], layout.offsets[b] + program.buffers[b].len());
-            if a_start < b_end && b_start < a_end {
-                return Err(ProgramViolation::LayoutOverlap {
-                    a,
-                    b,
-                    detail: format!("[{a_start}, {a_end}) overlaps [{b_start}, {b_end})"),
-                }
-                .into());
-            }
-        }
-    }
-    Ok(())
 }
 
 fn verify_op(program: &TnvmProgram, op: &TnvmOp, at: InstrRef) -> Result<(), AnalyzeError> {
@@ -711,8 +663,7 @@ mod tests {
             .expect("pqc template multiplies overlapping supports");
         // A permissive descriptor makes the blocked selection legal, so the
         // too-small workspace is the first violation.
-        let permissive =
-            TargetDescriptor { panel_columns: 8, min_blocked_flops: 1, min_blocked_kron: 1 };
+        let permissive = TargetDescriptor { min_blocked_flops: 1, min_blocked_kron: 1 };
         let mut plan = ExecPlan {
             constant_kernels: vec![KernelSel::Scalar; program.constant_ops.len()],
             dynamic_kernels: vec![KernelSel::Scalar; program.dynamic_ops.len()],
@@ -733,31 +684,6 @@ mod tests {
         plan.dynamic_kernels.pop();
         let err = verify_plan(&program, &plan, &TargetDescriptor::scalar(), "scalar").unwrap_err();
         assert!(matches!(err, AnalyzeError::Plan(PlanViolation::SectionLength { .. })), "{err:?}");
-    }
-
-    #[test]
-    fn overlapping_layout_of_live_buffers_is_rejected() {
-        use qudit_network::ArenaLayout;
-        let mut program = program_for(&[2, 2]);
-        // A dense layout verifies clean...
-        program.layout = Some(ArenaLayout::dense(&program.buffers));
-        verify_program(&program).unwrap();
-        // ...but piling every buffer at offset 0 overlaps live pairs. Grow the
-        // arena so TnvmProgram::validate's bounds checks stay satisfied and the
-        // liveness obligation is the violation that fires. Per-instruction
-        // input/output aliasing would also trip validate(), so expect either the
-        // structural BadLayout or the liveness LayoutOverlap — both reject.
-        let arena_len = program.buffers.iter().map(|b| b.len()).max().unwrap();
-        program.layout = Some(ArenaLayout { offsets: vec![0; program.buffers.len()], arena_len });
-        let err = verify_program(&program).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                AnalyzeError::Program(ProgramViolation::LayoutOverlap { .. })
-                    | AnalyzeError::Bytecode(_)
-            ),
-            "{err:?}"
-        );
     }
 
     #[test]

@@ -240,9 +240,15 @@ impl BaselineCircuit {
     ///
     /// Panics if `params` has the wrong length.
     pub fn unitary_and_gradient(&self, params: &[f64]) -> (Matrix<f64>, Vec<Matrix<f64>>) {
+        let forward = self.forward(params);
+        let gradient = self.gradient_from(params, &forward);
+        (forward.unitary(), gradient)
+    }
+
+    /// The first half of [`BaselineCircuit::unitary_and_gradient`]: the embedded gate
+    /// matrices and their prefix products, the last of which is the unitary.
+    fn forward(&self, params: &[f64]) -> Forward {
         assert_eq!(params.len(), self.num_params, "wrong parameter count");
-        let dim = self.dim();
-        let k = self.ops.len();
         // Embedded gate matrices.
         let mats: Vec<Matrix<f64>> = self
             .ops
@@ -258,18 +264,26 @@ impl BaselineCircuit {
             })
             .collect();
         // prefix[i] = op_{i-1} · … · op_0 (identity for i = 0).
-        let mut prefix = Vec::with_capacity(k + 1);
-        prefix.push(Matrix::<f64>::identity(dim));
+        let mut prefix = Vec::with_capacity(mats.len() + 1);
+        prefix.push(Matrix::<f64>::identity(self.dim()));
         for m in &mats {
             let last = prefix.last().expect("prefix is non-empty");
             prefix.push(m.matmul(last));
         }
+        Forward { mats, prefix }
+    }
+
+    /// The second half of [`BaselineCircuit::unitary_and_gradient`]: suffix products
+    /// and one full-width product per parameter, from `forward` at `params`.
+    fn gradient_from(&self, params: &[f64], forward: &Forward) -> Vec<Matrix<f64>> {
+        let Forward { mats, prefix } = forward;
+        let dim = self.dim();
+        let k = self.ops.len();
         // suffix[i] = op_{k-1} · … · op_i (identity for i = k).
         let mut suffix = vec![Matrix::<f64>::identity(dim); k + 1];
         for i in (0..k).rev() {
             suffix[i] = suffix[i + 1].matmul(&mats[i]);
         }
-        let unitary = prefix[k].clone();
 
         let mut gradient = vec![Matrix::<f64>::zeros(dim, dim); self.num_params];
         for (i, op) in self.ops.iter().enumerate() {
@@ -280,21 +294,41 @@ impl BaselineCircuit {
                 gradient[offset + j] = suffix[i + 1].matmul(&embedded).matmul(&prefix[i]);
             }
         }
-        (unitary, gradient)
+        gradient
+    }
+}
+
+/// The embedded gate matrices of one evaluation and their prefix products.
+#[derive(Debug, Clone)]
+struct Forward {
+    mats: Vec<Matrix<f64>>,
+    prefix: Vec<Matrix<f64>>,
+}
+
+impl Forward {
+    fn unitary(&self) -> Matrix<f64> {
+        self.prefix.last().expect("prefix is non-empty").clone()
     }
 }
 
 /// A [`GradientEvaluator`] backed by the baseline engine, so the same LM optimizer and
 /// instantiation driver can be used for both sides of the comparison.
+///
+/// Trial evaluations defer the gradient the way the TNVM does: a trial computes the
+/// embedded gates and prefix products, and only an accepted step pays for the suffix
+/// and per-parameter products — the same operations as
+/// [`BaselineCircuit::unitary_and_gradient`], so the comparison stays like for like.
 #[derive(Debug, Clone)]
 pub struct BaselineEvaluator {
     circuit: BaselineCircuit,
+    /// The parameters and forward products of the last trial.
+    trial: Option<(Vec<f64>, Forward)>,
 }
 
 impl BaselineEvaluator {
     /// Wraps a baseline circuit.
     pub fn new(circuit: BaselineCircuit) -> Self {
-        BaselineEvaluator { circuit }
+        BaselineEvaluator { circuit, trial: None }
     }
 
     /// Builds the evaluator directly from an OpenQudit circuit.
@@ -318,6 +352,18 @@ impl GradientEvaluator for BaselineEvaluator {
 
     fn evaluate(&mut self, params: &[f64]) -> (Matrix<f64>, Vec<Matrix<f64>>) {
         self.circuit.unitary_and_gradient(params)
+    }
+
+    fn evaluate_trial(&mut self, params: &[f64]) -> (Matrix<f64>, Option<Vec<Matrix<f64>>>) {
+        let forward = self.circuit.forward(params);
+        let unitary = forward.unitary();
+        self.trial = Some((params.to_vec(), forward));
+        (unitary, None)
+    }
+
+    fn deferred_gradient(&mut self) -> Vec<Matrix<f64>> {
+        let (params, forward) = self.trial.as_ref().expect("a trial precedes its gradient");
+        self.circuit.gradient_from(params, forward)
     }
 }
 
@@ -443,6 +489,26 @@ mod tests {
         let (u, g) = evaluator.evaluate(&rng_params(circuit.num_params(), 2));
         assert!(u.is_unitary(1e-10));
         assert_eq!(g.len(), circuit.num_params());
+    }
+
+    #[test]
+    fn deferred_trial_gradient_is_bit_identical_to_eager_evaluation() {
+        let circuit = builders::pqc_qubit_ladder(3, 2).unwrap();
+        let mut evaluator = BaselineEvaluator::from_qudit_circuit(&circuit).unwrap();
+        let params = rng_params(circuit.num_params(), 31);
+        let (eager_u, eager_g) = evaluator.circuit.unitary_and_gradient(&params);
+        let _ = evaluator.evaluate_trial(&rng_params(circuit.num_params(), 32));
+        let (u, deferred) = evaluator.evaluate_trial(&params);
+        assert!(deferred.is_none());
+        let g = evaluator.deferred_gradient();
+        let bits = |m: &Matrix<f64>| -> Vec<(u64, u64)> {
+            m.as_slice().iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        assert_eq!(bits(&u), bits(&eager_u));
+        assert_eq!(g.len(), eager_g.len());
+        for (a, b) in g.iter().zip(&eager_g) {
+            assert_eq!(bits(a), bits(b));
+        }
     }
 
     #[test]

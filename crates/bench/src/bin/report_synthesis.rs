@@ -28,12 +28,6 @@
 //! stay in the pinned output; span *timings* never reach stdout at all — they only
 //! go to the optional Chrome trace file.
 //!
-//! Each row also carries an `"optimize"` object: the verified bytecode optimizer's
-//! outcome (DCE/CSE/coalescing) over the compiled result's TNVM program, always run
-//! at `full` regardless of `OPENQUDIT_OPTIMIZE`. It is bytecode-level and therefore
-//! tier-invariant and deterministic — the determinism diff pins it, and the
-//! committed benchmark records how much each workload shrinks.
-//!
 //! Set `OPENQUDIT_SYNTH_TRACE=<path>` to also write a Chrome `trace_event` JSON
 //! profile (loadable in `about://tracing` or <https://ui.perfetto.dev>) of the first
 //! trial of the widest workload — the 4-qudit partitioned run — on the first
@@ -210,32 +204,12 @@ fn main() {
                 counters_to_json(&invariant.into_iter().collect()),
                 counters_to_json(&kernel.into_iter().collect()),
             );
-            let optimize_json = {
-                let program = try_compile_network(&TensorNetwork::from_circuit(&worst.circuit))
-                    .expect("compiled result lowers to TNVM bytecode");
-                let out = optimize_program(&program, OptimizeLevel::Full, &ExpressionCache::new());
-                format!(
-                    concat!(
-                        "\"optimize\": {{\"instructions_before\": {}, ",
-                        "\"instructions_after\": {}, \"dce_removed\": {}, ",
-                        "\"cse_removed\": {}, \"arena_before\": {}, \"arena_after\": {}, ",
-                        "\"rejected\": {}}}, "
-                    ),
-                    out.stats.instructions_before,
-                    out.stats.instructions_after,
-                    out.stats.dce_removed,
-                    out.stats.cse_removed,
-                    out.stats.arena_before,
-                    out.stats.arena_after,
-                    out.stats.rejected.is_some(),
-                )
-            };
             entries.push(format!(
                 concat!(
                     "  {{\"workload\": \"{}\", \"backend\": \"{}\", \"radices\": {:?}, ",
                     "\"trials\": {}, ",
                     "\"nodes_expanded\": {}, \"blocks_pre_refine\": {}, \"blocks\": {}, ",
-                    "\"params_folded\": {}, \"gates_constified\": {}, {}{}{}{}",
+                    "\"params_folded\": {}, \"gates_constified\": {}, {}{}{}",
                     "\"infidelity\": {:.3e}, \"success\": {}}}"
                 ),
                 json_escape(workload.name),
@@ -249,7 +223,6 @@ fn main() {
                 worst.gates_constified,
                 partition,
                 metrics_json,
-                optimize_json,
                 timing,
                 worst.infidelity,
                 success,

@@ -3,14 +3,13 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use qudit_analyze::{OptimizeLevel, VerifyLevel};
+use qudit_analyze::VerifyLevel;
 use qudit_qvm::ExpressionCache;
 use qudit_synth::{BackendKind, SynthesisResult};
 use qudit_trace::TraceRegistry;
 
 use crate::cancel::CancelToken;
 use crate::error::CompileError;
-use crate::optimize::optimize_task;
 use crate::partition::PartitionPass;
 use crate::pass::{Pass, PassContext, PassTiming};
 use crate::passes::{FoldPass, RefinePass, SynthesisPass};
@@ -63,7 +62,6 @@ pub struct Compiler {
     backend: Option<BackendKind>,
     trace: Option<TraceRegistry>,
     verify: VerifyLevel,
-    optimize: OptimizeLevel,
     passes: Vec<Box<dyn Pass>>,
 }
 
@@ -95,7 +93,6 @@ impl Compiler {
             backend: None,
             trace: None,
             verify: VerifyLevel::from_env(),
-            optimize: OptimizeLevel::from_env(),
             passes: Vec::new(),
         }
     }
@@ -180,26 +177,6 @@ impl Compiler {
     /// The interleaved static-verification level compilations run under.
     pub fn verify_level(&self) -> VerifyLevel {
         self.verify
-    }
-
-    /// Sets the verified bytecode-optimization level, mirroring
-    /// [`Compiler::verify`]. At any enabled level the compiler runs the
-    /// translation-validated optimizer (`qudit-analyze`: DCE + CSE, plus buffer
-    /// coalescing at [`OptimizeLevel::Full`]) over the final circuit's TNVM
-    /// bytecode after the last pass (see [`crate::optimize::optimize_task`]).
-    /// The default comes from the `OPENQUDIT_OPTIMIZE` environment variable
-    /// ([`OptimizeLevel::from_env`]); a task's
-    /// [`CompilationTask::optimize`](crate::CompilationTask) field overrides it
-    /// per compilation.
-    #[must_use]
-    pub fn optimize(mut self, level: OptimizeLevel) -> Self {
-        self.optimize = level;
-        self
-    }
-
-    /// The verified bytecode-optimization level compilations run under.
-    pub fn optimize_level(&self) -> OptimizeLevel {
-        self.optimize
     }
 
     /// The compiler's shared expression cache.
@@ -300,15 +277,6 @@ impl Compiler {
             }
             last_checkpoint = pass.name().to_string();
         }
-        // Verified bytecode optimization runs once, after the whole pipeline (and
-        // its verification): the artifact worth optimizing is the final circuit's
-        // bytecode. Untimed, like verification, so enabling it never shifts pass
-        // timings; a rejected candidate is a counter bump, never a failure.
-        if self.optimize.is_enabled() || task.optimize.is_some() {
-            let ospan = trace.span("optimize");
-            optimize_task(&mut task, self.optimize, &self.cache, &trace)?;
-            drop(ospan);
-        }
         // Cache occupancy is a gauge, not a counter: under the process-wide shared
         // cache it depends on what compiled before, so it stays out of the
         // deterministic counter snapshot.
@@ -324,7 +292,6 @@ impl std::fmt::Debug for Compiler {
         f.debug_struct("Compiler")
             .field("threads", &self.threads)
             .field("verify", &self.verify)
-            .field("optimize", &self.optimize)
             .field("passes", &self.pass_names())
             .finish_non_exhaustive()
     }
@@ -383,28 +350,6 @@ mod tests {
         let chrome = a.trace.chrome_trace_json();
         assert!(chrome.starts_with('[') && chrome.ends_with(']'));
         assert!(chrome.contains("\"ph\": \"X\""));
-    }
-
-    #[test]
-    fn optimize_knob_runs_the_verified_optimizer_and_records_outcomes() {
-        let target = gates::cnot().to_matrix::<f64>(&[]).unwrap();
-        let report = Compiler::with_cache(ExpressionCache::new())
-            .default_passes()
-            .optimize(OptimizeLevel::Full)
-            .compile(CompilationTask::new(target.clone(), SynthesisConfig::qubits(2)))
-            .unwrap();
-        assert_eq!(report.data.get("optimize.level").unwrap().to_string(), "full");
-        assert!(report.data.get_usize("optimize.instructions_before").is_some());
-        assert!(report.data.get("optimize.rejected").is_none(), "{:?}", report.data);
-        // The rejection counter exists (at zero) whenever the optimizer ran.
-        assert_eq!(report.metrics.get("analyze.optimize.rejected"), Some(&0));
-        assert_eq!(report.metrics.get("analyze.optimize.programs"), Some(&1));
-        // A per-task override beats the compiler's (off) level.
-        let mut task = CompilationTask::new(target, SynthesisConfig::qubits(2));
-        task.optimize = Some(OptimizeLevel::Instructions);
-        let report =
-            Compiler::with_cache(ExpressionCache::new()).default_passes().compile(task).unwrap();
-        assert_eq!(report.data.get("optimize.level").unwrap().to_string(), "instructions");
     }
 
     #[test]

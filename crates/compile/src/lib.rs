@@ -82,7 +82,6 @@
 pub mod cancel;
 pub mod compiler;
 pub mod error;
-pub mod optimize;
 pub mod partition;
 pub mod pass;
 pub mod passes;
@@ -92,11 +91,10 @@ pub mod verify;
 pub use cancel::{CancelReason, CancelToken};
 pub use compiler::{CompilationReport, Compiler};
 pub use error::CompileError;
-pub use optimize::optimize_task;
 pub use partition::{PartitionConfig, PartitionPass};
 pub use pass::{Pass, PassContext, PassTiming};
-pub use passes::{FoldPass, OptimizePass, RefinePass, SynthesisPass, VerifyPass};
-pub use qudit_analyze::{OptimizeLevel, VerifyLevel};
+pub use passes::{FoldPass, RefinePass, SynthesisPass, VerifyPass};
+pub use qudit_analyze::VerifyLevel;
 pub use qudit_synth::BackendKind;
 pub use task::{CompilationTask, PassData, PassValue};
 pub use verify::verify_task;

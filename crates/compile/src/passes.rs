@@ -7,11 +7,10 @@
 //! is supplied, so the default pipeline reproduces the legacy monolithic entry point
 //! byte for byte at the same seed.
 
-use qudit_analyze::{OptimizeLevel, VerifyLevel};
+use qudit_analyze::VerifyLevel;
 use qudit_synth::{fold_constants, refine_deletions, run_search, FoldConfig, RefineConfig};
 
 use crate::error::CompileError;
-use crate::optimize::optimize_task;
 use crate::pass::{Pass, PassContext};
 use crate::task::CompilationTask;
 use crate::verify::verify_task;
@@ -211,57 +210,6 @@ impl Pass for VerifyPass {
     ) -> Result<(), CompileError> {
         verify_task(task, self.level, ctx.trace())
             .map_err(|violation| CompileError::Verify { after: self.name().to_string(), violation })
-    }
-}
-
-/// The verified bytecode-optimization stage: runs `qudit-analyze`'s
-/// translation-validated optimizer over the circuit-in-progress's TNVM bytecode
-/// (see [`optimize_task`]).
-///
-/// Usually optimization is enabled pipeline-wide with the
-/// [`Compiler::optimize`](crate::Compiler::optimize) knob, which runs it once
-/// after the final pass. This explicit pass exists for custom pipelines that
-/// want the optimizer (and its counters/blackboard stats) at a specific point —
-/// e.g. between a synthesis front-end and an evaluation-heavy tail. A task with
-/// no result yet is a no-op, and a rejected candidate never fails the pass.
-#[derive(Debug, Clone, Copy)]
-pub struct OptimizePass {
-    level: OptimizeLevel,
-}
-
-impl OptimizePass {
-    /// An optimize pass at an explicit level ([`OptimizeLevel::Off`] makes it a
-    /// no-op).
-    pub fn new(level: OptimizeLevel) -> Self {
-        OptimizePass { level }
-    }
-
-    /// The level this pass optimizes at.
-    pub fn level(&self) -> OptimizeLevel {
-        self.level
-    }
-}
-
-impl Default for OptimizePass {
-    /// Defaults to [`OptimizeLevel::Full`]: adding the pass explicitly is the
-    /// opt-in, unlike the environment-driven pipeline knob.
-    fn default() -> Self {
-        OptimizePass { level: OptimizeLevel::Full }
-    }
-}
-
-impl Pass for OptimizePass {
-    fn name(&self) -> &str {
-        "optimize"
-    }
-
-    fn run(
-        &self,
-        task: &mut CompilationTask,
-        ctx: &mut PassContext<'_>,
-    ) -> Result<(), CompileError> {
-        optimize_task(task, self.level, ctx.cache(), ctx.trace())?;
-        Ok(())
     }
 }
 

@@ -3,7 +3,6 @@
 
 use std::collections::BTreeMap;
 
-use qudit_analyze::OptimizeLevel;
 use qudit_synth::{SynthesisConfig, SynthesisResult};
 use qudit_tensor::Matrix;
 
@@ -156,17 +155,12 @@ pub struct CompilationTask {
     pub result: Option<SynthesisResult>,
     /// The typed key/value blackboard (per-pass metrics, seeds, decisions).
     pub data: PassData,
-    /// Per-task override of the compiler's bytecode-optimization level
-    /// ([`Compiler::optimize`](crate::Compiler::optimize)). `None` keeps the
-    /// compiler's setting — this is how a serving front-end threads a
-    /// per-request level through a shared, process-wide compiler.
-    pub optimize: Option<OptimizeLevel>,
 }
 
 impl CompilationTask {
     /// A task for `target` under an explicit synthesis configuration.
     pub fn new(target: Matrix<f64>, config: SynthesisConfig) -> Self {
-        CompilationTask { target, config, result: None, data: PassData::new(), optimize: None }
+        CompilationTask { target, config, result: None, data: PassData::new() }
     }
 
     /// A task for `target` over qudits with the given radices, using the default

@@ -70,16 +70,15 @@ pub use qudit_trace as trace;
 /// The most commonly used types, re-exported for convenient glob import.
 pub mod prelude {
     pub use qudit_analyze::{
-        estimate_plan, optimize_program, verify_backend, verify_circuit, verify_gateset,
-        verify_plan, verify_program, AnalyzeError, OptimizeLevel, OptimizeOutcome, OptimizeStats,
-        PlanCostEstimate, VerifyLevel,
+        verify_backend, verify_circuit, verify_gateset, verify_plan, verify_program, AnalyzeError,
+        VerifyLevel,
     };
     pub use qudit_baseline::{BaselineCircuit, BaselineEvaluator};
     pub use qudit_circuit::{builders, gates, CircuitError, ExpressionRef, GateSet, QuditCircuit};
     pub use qudit_compile::{
-        optimize_task, CompilationReport, CompilationTask, CompileError, Compiler, FoldPass,
-        OptimizePass, PartitionConfig, PartitionPass, Pass, PassContext, PassData, PassTiming,
-        PassValue, RefinePass, SynthesisPass, VerifyPass,
+        CompilationReport, CompilationTask, CompileError, Compiler, FoldPass, PartitionConfig,
+        PartitionPass, Pass, PassContext, PassData, PassTiming, PassValue, RefinePass,
+        SynthesisPass, VerifyPass,
     };
     pub use qudit_egraph::simplify::{simplify, simplify_batch};
     pub use qudit_network::{

@@ -94,13 +94,6 @@ pub enum BytecodeError {
         /// The qudit missing from the target support.
         qudit: usize,
     },
-    /// The program carries an [`ArenaLayout`] that is structurally unsound (wrong
-    /// table length, a buffer range past the arena end, or an instruction whose
-    /// output range overlaps one of its input ranges).
-    BadLayout {
-        /// What is wrong with the layout.
-        detail: String,
-    },
 }
 
 impl std::fmt::Display for BytecodeError {
@@ -123,9 +116,6 @@ impl std::fmt::Display for BytecodeError {
             }
             BytecodeError::SupportMismatch { qudit } => {
                 write!(f, "expansion target omits qudit {qudit} of the current support")
-            }
-            BytecodeError::BadLayout { detail } => {
-                write!(f, "unsound arena layout: {detail}")
             }
         }
     }
@@ -233,36 +223,6 @@ impl BufferInfo {
     }
 }
 
-/// An explicit placement of every buffer in the TNVM value arena.
-///
-/// By default the VM lays buffers out back to back (prefix sums over
-/// [`BufferInfo::len`]); an optimizer may instead attach a coalesced layout that
-/// assigns non-interfering buffers to shared offsets, shrinking the arena. The
-/// layout is *advisory placement, mandatory safety*: [`TnvmProgram::validate`]
-/// rejects layouts that are structurally unsound (out-of-range or input/output
-/// overlap within one instruction), and the `qudit-analyze` verifier additionally
-/// proves no two simultaneously-live buffers share elements.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArenaLayout {
-    /// Arena offset (in complex elements) of each buffer, indexed by [`BufId`].
-    pub offsets: Vec<usize>,
-    /// Total arena length in complex elements.
-    pub arena_len: usize,
-}
-
-impl ArenaLayout {
-    /// The default back-to-back layout for `buffers`: prefix sums of buffer lengths.
-    pub fn dense(buffers: &[BufferInfo]) -> ArenaLayout {
-        let mut offsets = Vec::with_capacity(buffers.len());
-        let mut total = 0usize;
-        for info in buffers {
-            offsets.push(total);
-            total += info.len();
-        }
-        ArenaLayout { offsets, arena_len: total }
-    }
-}
-
 /// The compiled bytecode program for one parameterized quantum circuit.
 #[derive(Debug, Clone)]
 pub struct TnvmProgram {
@@ -283,9 +243,6 @@ pub struct TnvmProgram {
     pub radices: Vec<usize>,
     /// Number of TRANSPOSE instructions eliminated by fusing them into leaf expressions.
     pub fused_transposes: usize,
-    /// Optional coalesced arena placement (see [`ArenaLayout`]). `None` means the
-    /// default back-to-back layout.
-    pub layout: Option<ArenaLayout>,
 }
 
 impl TnvmProgram {
@@ -295,13 +252,9 @@ impl TnvmProgram {
     }
 
     /// Number of complex elements in the value arena the TNVM allocates (excluding
-    /// gradient storage): the coalesced [`ArenaLayout`] length when one is attached,
-    /// otherwise the sum of all buffer lengths.
+    /// gradient storage): the sum of all buffer lengths.
     pub fn arena_elements(&self) -> usize {
-        match &self.layout {
-            Some(layout) => layout.arena_len,
-            None => self.buffers.iter().map(BufferInfo::len).sum(),
-        }
+        self.buffers.iter().map(BufferInfo::len).sum()
     }
 
     /// Total instruction count across both sections.
@@ -354,59 +307,6 @@ impl TnvmProgram {
         }
         if !written[self.output] {
             return Err(BytecodeError::OutputNeverWritten { output: self.output });
-        }
-        self.validate_layout()
-    }
-
-    /// Structural soundness of an attached [`ArenaLayout`], if any: the offset table
-    /// covers every buffer, every buffer range fits inside the arena, and no
-    /// instruction's output range overlaps one of its input ranges (the VM's
-    /// disjoint-slice split requires this; inputs may alias each other freely).
-    ///
-    /// Liveness-level safety — no two simultaneously-live buffers sharing elements —
-    /// is beyond a structural walk and lives in the `qudit-analyze` verifier.
-    fn validate_layout(&self) -> Result<(), BytecodeError> {
-        let Some(layout) = &self.layout else { return Ok(()) };
-        if layout.offsets.len() != self.buffers.len() {
-            return Err(BytecodeError::BadLayout {
-                detail: format!(
-                    "offset table covers {} buffers but the program has {}",
-                    layout.offsets.len(),
-                    self.buffers.len()
-                ),
-            });
-        }
-        for (buf, info) in self.buffers.iter().enumerate() {
-            let end = layout.offsets[buf] + info.len();
-            if end > layout.arena_len {
-                return Err(BytecodeError::BadLayout {
-                    detail: format!(
-                        "buffer {buf} occupies {}..{end} past the arena end {}",
-                        layout.offsets[buf], layout.arena_len
-                    ),
-                });
-            }
-        }
-        let range = |buf: BufId| {
-            let start = layout.offsets[buf];
-            (start, start + self.buffers[buf].len())
-        };
-        for (constant, ops) in [(true, &self.constant_ops), (false, &self.dynamic_ops)] {
-            for (index, op) in ops.iter().enumerate() {
-                let (out_start, out_end) = range(op.out());
-                for input in op.inputs() {
-                    let (in_start, in_end) = range(input);
-                    if in_start < out_end && out_start < in_end {
-                        let at = InstrRef { constant, index };
-                        return Err(BytecodeError::BadLayout {
-                            detail: format!(
-                                "instruction {at} output buffer {} overlaps input buffer {input}",
-                                op.out()
-                            ),
-                        });
-                    }
-                }
-            }
         }
         Ok(())
     }
@@ -474,7 +374,6 @@ pub fn try_compile_network_with_tree(
         num_params: network.num_params(),
         radices: network.radices().to_vec(),
         fused_transposes: 0,
-        layout: None,
     };
     fuse_leaf_transposes(&mut program);
     program.validate()?;

@@ -25,7 +25,7 @@ pub mod path;
 
 pub use bytecode::{
     compile_network, compile_network_with_tree, try_compile_network, try_compile_network_with_tree,
-    ArenaLayout, BufId, BufferInfo, BytecodeError, InstrRef, TnvmOp, TnvmProgram,
+    BufId, BufferInfo, BytecodeError, InstrRef, TnvmOp, TnvmProgram,
 };
 pub use network::{GateNode, ParamBinding, TensorNetwork};
 pub use path::{

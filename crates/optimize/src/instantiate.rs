@@ -26,7 +26,7 @@ use qudit_tnvm::{BackendKind, KernelCounters, Tnvm};
 use qudit_trace::TraceRegistry;
 
 use crate::cost::hs_infidelity;
-use crate::lm::{minimize, GradientEvaluator, LmConfig, LmResult};
+use crate::lm::{minimize, GradientEvaluator, LmConfig, LmStats};
 
 /// The infidelity below which an instantiation is considered successful, matching the
 /// convention used for synthesis sub-calls.
@@ -39,8 +39,7 @@ pub struct InstantiateConfig {
     pub starts: usize,
     /// Infidelity threshold for declaring success (and short-circuiting restarts).
     pub success_threshold: f64,
-    /// LM settings shared by every start. The `panel_columns` field is re-derived
-    /// from [`Self::backend`] at run time — see [`Self::effective_lm`].
+    /// LM settings shared by every start.
     pub lm: LmConfig,
     /// RNG seed for the random starting parameters. Each start derives its own
     /// generator from `(seed, start index)`, so results are schedule-independent.
@@ -87,18 +86,6 @@ impl InstantiateConfig {
     /// The number of worker threads a multi-start run will actually use.
     pub fn effective_threads(&self) -> usize {
         resolve_threads(self.threads).min(self.starts.max(1))
-    }
-
-    /// The LM settings actually passed to the optimizer: [`Self::lm`] with its
-    /// `panel_columns` taken from the selected backend's target descriptor, so the
-    /// optimizer's normal-equations assembly follows the execution tier (the scalar
-    /// tier keeps the strictly serial reference loop; the blocked tier runs the
-    /// bit-identical panel-packed assembly).
-    pub fn effective_lm(&self) -> LmConfig {
-        LmConfig {
-            panel_columns: self.backend.instance().descriptor().panel_columns,
-            ..self.lm.clone()
-        }
     }
 }
 
@@ -151,6 +138,8 @@ pub struct InstantiationResult {
     /// parallel and serial runs of the same configuration report identical counts
     /// (at the same worker-pool size; construction counts scale with the pool).
     pub kernels: KernelCounters,
+    /// LM trial and stop-reason counts over the same starts as `total_iterations`.
+    pub lm: LmStats,
 }
 
 /// Records a finished instantiation into `trace` (no-op on a disabled handle).
@@ -161,6 +150,7 @@ fn record_instantiation(trace: &TraceRegistry, result: &InstantiationResult) {
     trace.incr("instantiate.calls");
     trace.add("instantiate.starts", result.starts_used as u64);
     trace.add("lm.iterations", result.total_iterations as u64);
+    result.lm.record_into(trace);
     if result.success {
         trace.incr("instantiate.successes");
     }
@@ -180,10 +170,10 @@ pub fn instantiate(
 ) -> InstantiationResult {
     assert!(config.starts >= 1, "at least one start is required");
     let n = evaluator.num_params();
-    let lm = config.effective_lm();
     let mut best: Option<(Vec<f64>, f64)> = None;
     let mut total_iterations = 0usize;
     let mut starts_used = 0usize;
+    let mut lm = LmStats::default();
     // Whatever the evaluator accumulated before this run (construction, a preceding
     // `load_program`) is attributed to this run — it is the work done on its behalf.
     let mut kernels = evaluator.take_kernel_counters();
@@ -191,9 +181,12 @@ pub fn instantiate(
     for start_idx in 0..config.starts {
         starts_used += 1;
         let x0 = start_point(n, config, start_idx);
-        let LmResult { params, iterations, .. } = minimize(evaluator, target, &x0, &lm);
-        total_iterations += iterations;
-        let (unitary, _) = evaluator.evaluate(&params);
+        let result = minimize(evaluator, target, &x0, &config.lm);
+        total_iterations += result.iterations;
+        lm.merge(&LmStats::of(&result));
+        let params = result.params;
+        // Only the unitary is needed: an evaluator that defers gradients skips it.
+        let (unitary, _) = evaluator.evaluate_trial(&params);
         let infidelity = hs_infidelity(target, &unitary);
         kernels.merge(&evaluator.take_kernel_counters());
         let better = best.as_ref().map(|(_, b)| infidelity < *b).unwrap_or(true);
@@ -213,13 +206,21 @@ pub fn instantiate(
         starts_used,
         total_iterations,
         kernels,
+        lm,
     };
     record_instantiation(&config.trace, &result);
     result
 }
 
-/// One finished start: `(start index, params, infidelity, LM iterations, kernel work)`.
-type CompletedStart = (usize, Vec<f64>, f64, usize, KernelCounters);
+/// One finished start of a parallel run.
+struct CompletedStart {
+    index: usize,
+    params: Vec<f64>,
+    infidelity: f64,
+    iterations: usize,
+    kernels: KernelCounters,
+    lm: LmStats,
+}
 
 /// Runs multi-start instantiation with the starts distributed over scoped worker
 /// threads. `make_evaluator` is called once per worker (inside the worker), so the
@@ -270,7 +271,6 @@ where
                     .unwrap_or_else(std::sync::PoisonError::into_inner)
                     .merge(&evaluator.take_kernel_counters());
                 let n = evaluator.num_params();
-                let lm = config.effective_lm();
                 loop {
                     // detlint: allow(thread-accumulation) — work-stealing ticket only;
                     // results are re-sorted by index at the deterministic join
@@ -280,9 +280,8 @@ where
                         break;
                     }
                     let x0 = start_point(n, config, start_idx);
-                    let LmResult { params, iterations, .. } =
-                        minimize(&mut evaluator, target, &x0, &lm);
-                    let (unitary, _) = evaluator.evaluate(&params);
+                    let result = minimize(&mut evaluator, target, &x0, &config.lm);
+                    let (unitary, _) = evaluator.evaluate_trial(&result.params);
                     let infidelity = hs_infidelity(target, &unitary);
                     let kernels = evaluator.take_kernel_counters();
                     if infidelity < config.success_threshold {
@@ -290,10 +289,16 @@ where
                         // every index below the final value is still evaluated
                         min_success.fetch_min(start_idx, Ordering::Relaxed);
                     }
-                    completed
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .push((start_idx, params, infidelity, iterations, kernels));
+                    completed.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(
+                        CompletedStart {
+                            index: start_idx,
+                            lm: LmStats::of(&result),
+                            params: result.params,
+                            infidelity,
+                            iterations: result.iterations,
+                            kernels,
+                        },
+                    );
                 }
             });
         }
@@ -304,24 +309,29 @@ where
     // not have completed depending on thread timing, so they must not influence the
     // result (neither its parameters nor its counters).
     let cutoff = min_success.load(Ordering::Relaxed);
-    runs.retain(|r| r.0 <= cutoff);
+    runs.retain(|r| r.index <= cutoff);
     // Deterministic tie-breaking: earlier start indices win among equal infidelities.
-    runs.sort_by_key(|r| r.0);
+    runs.sort_by_key(|r| r.index);
     let starts_used = runs.len();
-    let total_iterations = runs.iter().map(|r| r.3).sum();
+    let total_iterations = runs.iter().map(|r| r.iterations).sum();
     let mut kernels = construction.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut lm = LmStats::default();
     for r in &runs {
-        kernels.merge(&r.4);
+        kernels.merge(&r.kernels);
+        lm.merge(&r.lm);
     }
-    let (_, params, infidelity, _, _) =
-        runs.into_iter().min_by(|a, b| a.2.total_cmp(&b.2)).expect("at least one start ran");
+    let best = runs
+        .into_iter()
+        .min_by(|a, b| a.infidelity.total_cmp(&b.infidelity))
+        .expect("at least one start ran");
     let result = InstantiationResult {
-        params,
-        success: infidelity < config.success_threshold,
-        infidelity,
+        params: best.params,
+        success: best.infidelity < config.success_threshold,
+        infidelity: best.infidelity,
         starts_used,
         total_iterations,
         kernels,
+        lm,
     };
     record_instantiation(&config.trace, &result);
     result
@@ -402,6 +412,16 @@ impl GradientEvaluator for TnvmEvaluator {
     fn evaluate(&mut self, params: &[f64]) -> (Matrix<f64>, Vec<Matrix<f64>>) {
         let result = self.vm.evaluate(params);
         (result.unitary, result.gradient)
+    }
+
+    /// The value sweep only; [`GradientEvaluator::deferred_gradient`] runs the
+    /// gradient sweep over the values it leaves in the VM.
+    fn evaluate_trial(&mut self, params: &[f64]) -> (Matrix<f64>, Option<Vec<Matrix<f64>>>) {
+        (self.vm.evaluate_unitary(params), None)
+    }
+
+    fn deferred_gradient(&mut self) -> Vec<Matrix<f64>> {
+        self.vm.gradient()
     }
 
     fn take_kernel_counters(&mut self) -> qudit_tnvm::KernelCounters {
@@ -658,6 +678,8 @@ mod tests {
         assert_eq!(parallel.infidelity.to_bits(), serial.infidelity.to_bits());
         assert_eq!(parallel.starts_used, serial.starts_used);
         assert_eq!(parallel.total_iterations, serial.total_iterations);
+        assert_eq!(parallel.lm, serial.lm);
+        assert_eq!(parallel.lm.stops.iter().sum::<u64>(), parallel.starts_used as u64);
         // Evaluation counts come only from the retained start prefix (construction
         // performs no `evaluate`), so they agree across schedules too.
         assert_eq!(parallel.kernels.evaluations, serial.kernels.evaluations);
@@ -680,6 +702,8 @@ mod tests {
         assert_eq!(s1, s2, "same-seed counter snapshots must be byte-identical");
         assert!(s1.contains("\"instantiate.calls\": 1"), "snapshot: {s1}");
         assert!(s1.contains("lm.iterations"), "snapshot: {s1}");
+        assert!(s1.contains("lm.trials.rejected"), "snapshot: {s1}");
+        assert!(s1.contains("lm.stop."), "snapshot: {s1}");
         assert!(s1.contains("cache.misses"), "cold cache must report misses: {s1}");
         assert_eq!(r1.total_iterations, r2.total_iterations);
         assert!(r1.kernels.evaluations > 0, "evaluator work must be attributed");

@@ -30,7 +30,9 @@ pub use instantiate::{
     instantiate_parallel, reachable_target, resolve_threads, warm_start_from_mapping,
     InstantiateConfig, InstantiationResult, TnvmEvaluator, SUCCESS_THRESHOLD,
 };
-pub use lm::{minimize, solve_linear_system, GradientEvaluator, LmConfig, LmResult};
+pub use lm::{
+    minimize, solve_linear_system, GradientEvaluator, LmConfig, LmResult, LmStats, LmStop,
+};
 // Re-exported so higher layers (qudit-synth, qudit-compile) can thread backend
 // selection without depending on qudit-tnvm directly.
 pub use qudit_tnvm::BackendKind;

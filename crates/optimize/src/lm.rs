@@ -8,6 +8,7 @@
 
 use qudit_tensor::Matrix;
 use qudit_tnvm::KernelCounters;
+use qudit_trace::TraceRegistry;
 
 use crate::cost::{jacobian_column_into, residual_len, residuals_into, sum_of_squares};
 
@@ -15,6 +16,15 @@ use crate::cost::{jacobian_column_into, residual_len, residuals_into, sum_of_squ
 ///
 /// Implemented by the TNVM adapter (`qudit-optimize::tnvm_eval`) and by the baseline
 /// engine in `qudit-baseline`.
+///
+/// # Deferred gradients
+///
+/// [`minimize`] judges each trial step by its unitary alone and needs the gradient
+/// only at points it accepts. An evaluator that can split its work overrides
+/// [`GradientEvaluator::evaluate_trial`] to return `None` for the gradient, and
+/// [`GradientEvaluator::deferred_gradient`] to finish it later. The defaults evaluate
+/// eagerly, so an implementor that defines only [`GradientEvaluator::evaluate`] does
+/// exactly the work it always did.
 pub trait GradientEvaluator {
     /// Number of real parameters.
     fn num_params(&self) -> usize;
@@ -22,6 +32,22 @@ pub trait GradientEvaluator {
     fn dim(&self) -> usize;
     /// Evaluates the unitary and all partial derivatives at `params`.
     fn evaluate(&mut self, params: &[f64]) -> (Matrix<f64>, Vec<Matrix<f64>>);
+    /// Evaluates the unitary at `params`, and the gradient unless the evaluator
+    /// defers it. After a `None`, [`GradientEvaluator::deferred_gradient`] returns the
+    /// gradient at these parameters until the next evaluation.
+    fn evaluate_trial(&mut self, params: &[f64]) -> (Matrix<f64>, Option<Vec<Matrix<f64>>>) {
+        let (unitary, gradient) = self.evaluate(params);
+        (unitary, Some(gradient))
+    }
+    /// The gradient at the parameters of the last
+    /// [`GradientEvaluator::evaluate_trial`], which returned `None` for it.
+    ///
+    /// # Panics
+    ///
+    /// The default panics: an evaluator whose trials never defer is never asked.
+    fn deferred_gradient(&mut self) -> Vec<Matrix<f64>> {
+        panic!("this evaluator evaluates trials eagerly and defers no gradient")
+    }
     /// Returns and resets the evaluator's accumulated kernel-dispatch counters.
     ///
     /// The default (for evaluators without a TNVM underneath, like the baseline
@@ -46,13 +72,6 @@ pub struct LmConfig {
     pub cost_tolerance: f64,
     /// Stop when the step norm falls below this value.
     pub step_tolerance: f64,
-    /// Accumulator lanes for the normal-equations assembly: `1` selects the strictly
-    /// serial reference loop; any larger value selects the panel-packed assembly
-    /// (which runs [`NE_PANEL`] lanes wide, matching the blocked TNVM tier's SoA
-    /// panel). Both assemblies produce bit-identical `JᵀJ` and `Jᵀr`; instantiation
-    /// derives this from the selected backend's target descriptor so the optimizer's
-    /// inner loop follows the execution tier.
-    pub panel_columns: usize,
 }
 
 impl Default for LmConfig {
@@ -63,17 +82,28 @@ impl Default for LmConfig {
             lambda_factor: 10.0,
             cost_tolerance: 1e-16,
             step_tolerance: 1e-12,
-            panel_columns: 1,
         }
     }
 }
 
-/// Lane width of the panel-packed normal-equations assembly; matches the blocked
-/// TNVM tier's SoA panel width so one descriptor field governs both.
-pub const NE_PANEL: usize = 8;
+/// Column count from which the normal equations are assembled from packed panels
+/// rather than straight from the Jacobian's columns. Below it the packing costs more
+/// than its contiguous loads save.
+const PANEL_MIN_COLUMNS: usize = 32;
 
-/// Reference normal-equations assembly: textbook column dot products, each one a
-/// single strictly sequential accumulation chain.
+/// Lane width of the packed-panel assembly.
+const NE_PANEL: usize = 8;
+
+/// Assembles `JᵀJ` and `−Jᵀr` from the column-major `m × n` Jacobian.
+///
+/// Every dot product is **bit-identical** to a strictly serial `Iterator::sum` over its
+/// `m` terms (the `#[cfg(test)]` oracle below): each one accumulates in ascending index
+/// order through its own chain, which starts at `−0.0` like `sum` does. The speed comes
+/// from running up to eight *independent* chains side by side — one serial chain is
+/// add-latency bound, and strict floating-point semantics forbid splitting it. Small
+/// problems read the lanes straight from the Jacobian's columns; from
+/// [`PANEL_MIN_COLUMNS`] on, each run of eight columns is first interleaved into one
+/// row-major panel so the lanes load contiguously.
 fn assemble_normal_equations(
     jacobian: &[f64],
     residuals: &[f64],
@@ -81,31 +111,60 @@ fn assemble_normal_equations(
     n: usize,
     jtj: &mut [f64],
     jtr: &mut [f64],
+    packed: &mut Vec<f64>,
 ) {
+    if n >= PANEL_MIN_COLUMNS {
+        assemble_from_panels(jacobian, residuals, m, n, jtj, jtr, packed);
+        return;
+    }
     for a in 0..n {
-        let col_a = &jacobian[a * m..(a + 1) * m];
-        for b in a..n {
-            let col_b = &jacobian[b * m..(b + 1) * m];
-            let dot: f64 = col_a.iter().zip(col_b).map(|(x, y)| x * y).sum();
-            jtj[a * n + b] = dot;
-            jtj[b * n + a] = dot;
+        dot_columns(&jacobian[a * m..(a + 1) * m], jacobian, m, a, n, &mut jtj[a * n..(a + 1) * n]);
+        for b in a + 1..n {
+            jtj[b * n + a] = jtj[a * n + b];
         }
-        jtr[a] = -col_a.iter().zip(residuals.iter()).map(|(x, y)| x * y).sum::<f64>();
+    }
+    dot_columns(residuals, jacobian, m, 0, n, jtr);
+    for v in jtr.iter_mut() {
+        *v = -*v;
     }
 }
 
-/// Panel-packed normal-equations assembly for execution tiers whose descriptor
-/// reports more than one panel column.
-///
-/// Every dot product is **bit-identical** to [`assemble_normal_equations`]: each dot
-/// still accumulates its `m` terms in ascending index order through its own scalar
-/// chain. The speedup comes from running [`NE_PANEL`] *independent* chains side by
-/// side — the reference loop's single chain is FMA-latency-bound (each `acc += x*y`
-/// waits on the previous add), and strict FP semantics forbid the compiler from
-/// splitting it. Interleaving eight columns into one row-major panel turns the inner
-/// loop into eight independent accumulator lanes, which fills the FMA pipeline (and
-/// vectorizes) without reassociating anything.
-fn assemble_normal_equations_panel(
+/// Writes `out[b] = x · J[:, b]` for every column `b` in `first..n`, eight, four, two
+/// or one columns at a time.
+fn dot_columns(x: &[f64], jacobian: &[f64], m: usize, first: usize, n: usize, out: &mut [f64]) {
+    let mut b = first;
+    while b < n {
+        b += match n - b {
+            8.. => dot_lanes::<8>(x, jacobian, m, b, out),
+            4..=7 => dot_lanes::<4>(x, jacobian, m, b, out),
+            2 | 3 => dot_lanes::<2>(x, jacobian, m, b, out),
+            _ => dot_lanes::<1>(x, jacobian, m, b, out),
+        };
+    }
+}
+
+/// `L` independent dot-product chains of `x` against columns `b..b + L`.
+fn dot_lanes<const L: usize>(
+    x: &[f64],
+    jacobian: &[f64],
+    m: usize,
+    b: usize,
+    out: &mut [f64],
+) -> usize {
+    let columns: [&[f64]; L] =
+        std::array::from_fn(|lane| &jacobian[(b + lane) * m..(b + lane + 1) * m]);
+    let mut acc = [-0.0f64; L];
+    for (i, &xi) in x.iter().enumerate() {
+        for (acc, column) in acc.iter_mut().zip(&columns) {
+            *acc += xi * column[i];
+        }
+    }
+    out[b..b + L].copy_from_slice(&acc);
+    L
+}
+
+/// The packed-panel form of [`assemble_normal_equations`] for wide problems.
+fn assemble_from_panels(
     jacobian: &[f64],
     residuals: &[f64],
     m: usize,
@@ -134,7 +193,7 @@ fn assemble_normal_equations_panel(
         // computes (and discards) up to NE_PANEL−1 dots with b < a.
         for t in a / NE_PANEL..panels {
             let panel = &packed[t * m * NE_PANEL..(t + 1) * m * NE_PANEL];
-            let mut acc = [0.0f64; NE_PANEL];
+            let mut acc = [-0.0f64; NE_PANEL];
             for (i, &x) in col_a.iter().enumerate() {
                 let row = <&[f64; NE_PANEL]>::try_from(&panel[i * NE_PANEL..(i + 1) * NE_PANEL])
                     .expect("panel row width");
@@ -154,7 +213,7 @@ fn assemble_normal_equations_panel(
     // Jᵀr reuses the packed panels: lanes are still columns, the shared operand is r.
     for t in 0..panels {
         let panel = &packed[t * m * NE_PANEL..(t + 1) * m * NE_PANEL];
-        let mut acc = [0.0f64; NE_PANEL];
+        let mut acc = [-0.0f64; NE_PANEL];
         for (i, &r) in residuals.iter().enumerate() {
             let row = <&[f64; NE_PANEL]>::try_from(&panel[i * NE_PANEL..(i + 1) * NE_PANEL])
                 .expect("panel row width");
@@ -171,6 +230,35 @@ fn assemble_normal_equations_panel(
     }
 }
 
+/// Why a Levenberg–Marquardt run stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LmStop {
+    /// The sum of squared residuals fell below [`LmConfig::cost_tolerance`].
+    CostTolerance,
+    /// An accepted step was shorter than [`LmConfig::step_tolerance`].
+    StepTolerance,
+    /// No damping value produced a decrease.
+    Stalled,
+    /// [`LmConfig::max_iterations`] ran out.
+    IterationCap,
+}
+
+impl LmStop {
+    /// Every stop reason, in declaration order (which indexes [`LmStats::stops`]).
+    pub const ALL: [LmStop; 4] =
+        [LmStop::CostTolerance, LmStop::StepTolerance, LmStop::Stalled, LmStop::IterationCap];
+
+    /// Stable name used in the `lm.stop.<name>` counters.
+    pub fn name(self) -> &'static str {
+        match self {
+            LmStop::CostTolerance => "cost_tolerance",
+            LmStop::StepTolerance => "step_tolerance",
+            LmStop::Stalled => "stalled",
+            LmStop::IterationCap => "iteration_cap",
+        }
+    }
+}
+
 /// The outcome of one LM run.
 #[derive(Debug, Clone)]
 pub struct LmResult {
@@ -180,11 +268,63 @@ pub struct LmResult {
     pub cost: f64,
     /// Number of iterations executed.
     pub iterations: usize,
-    /// Whether a tolerance criterion was met (as opposed to exhausting iterations).
-    pub converged: bool,
+    /// Why the run stopped: a tolerance criterion, a stall, or the iteration cap.
+    pub stop: LmStop,
+    /// Trial steps evaluated (one per damped solve that produced a step).
+    pub trials: usize,
+    /// Trial steps that did not decrease the cost. None of them paid for a gradient
+    /// when the evaluator defers it.
+    pub rejected: usize,
+}
+
+/// Why-records of a set of LM runs: trial and rejection totals and stop reasons.
+/// Deterministic, so instantiation records them at its join points next to
+/// `lm.iterations`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LmStats {
+    /// Trial steps evaluated.
+    pub trials: u64,
+    /// Trial steps rejected.
+    pub rejected: u64,
+    /// Runs per stop reason, indexed like [`LmStop::ALL`].
+    pub stops: [u64; 4],
+}
+
+impl LmStats {
+    /// The stats of one run.
+    pub fn of(result: &LmResult) -> LmStats {
+        let mut stops = [0; 4];
+        stops[result.stop as usize] = 1;
+        LmStats { trials: result.trials as u64, rejected: result.rejected as u64, stops }
+    }
+
+    /// Adds `other`'s counts into `self`.
+    pub fn merge(&mut self, other: &LmStats) {
+        self.trials += other.trials;
+        self.rejected += other.rejected;
+        for (a, b) in self.stops.iter_mut().zip(other.stops) {
+            *a += b;
+        }
+    }
+
+    /// Records `lm.trials`, `lm.trials.rejected` and the nonzero `lm.stop.<reason>`
+    /// counts into `trace`.
+    pub fn record_into(&self, trace: &TraceRegistry) {
+        trace.add("lm.trials", self.trials);
+        trace.add("lm.trials.rejected", self.rejected);
+        for (stop, count) in LmStop::ALL.iter().zip(self.stops) {
+            if count > 0 {
+                trace.add(&format!("lm.stop.{}", stop.name()), count);
+            }
+        }
+    }
 }
 
 /// Minimizes `‖U(θ) − U_target‖²` (element-wise least squares) with Levenberg–Marquardt.
+///
+/// Trial steps go through [`GradientEvaluator::evaluate_trial`]. A deferred gradient
+/// is finished only when the next iteration needs it, so neither rejected trials nor
+/// the point a run stops at pay for one.
 pub fn minimize(
     evaluator: &mut dyn GradientEvaluator,
     target: &Matrix<f64>,
@@ -200,47 +340,32 @@ pub fn minimize(
     let mut residuals = vec![0.0; m];
     let mut jacobian = vec![0.0; m * n]; // column-major: column k at [k*m .. (k+1)*m]
     let mut lambda = config.initial_lambda;
-    // Below two panels' worth of columns the pack cost and boundary-panel waste eat
-    // the lane-parallel win (measured break-even: n ≈ 2·NE_PANEL), so small problems
-    // stay on the reference loop under every tier. Both paths are bit-identical, so
-    // the gate is free to flip per problem.
-    let use_panels = config.panel_columns > 1 && n >= 2 * NE_PANEL;
     let mut packed: Vec<f64> = Vec::new(); // panel-assembly scratch, reused across iterations
 
-    let (mut unitary, mut grads) = evaluator.evaluate(&params);
+    // `grads` is `None` while the evaluator holds a deferred gradient for `params`.
+    let (unitary, mut grads) = evaluator.evaluate_trial(&params);
     residuals_into(target, &unitary, &mut residuals);
     let mut cost = sum_of_squares(&residuals);
 
     let mut iterations = 0;
-    let mut converged = false;
+    let (mut trials, mut rejected) = (0, 0);
+    let mut stop = LmStop::IterationCap;
 
     while iterations < config.max_iterations {
         iterations += 1;
         if cost < config.cost_tolerance {
-            converged = true;
+            stop = LmStop::CostTolerance;
             break;
         }
         // Assemble the Jacobian at the current point.
-        for (k, g) in grads.iter().enumerate() {
+        let current = grads.take().unwrap_or_else(|| evaluator.deferred_gradient());
+        for (k, g) in current.iter().enumerate() {
             jacobian_column_into(g, &mut jacobian[k * m..(k + 1) * m]);
         }
-        // Normal equations: (JᵀJ + λ diag(JᵀJ)) δ = −Jᵀ r. Both assemblies are
-        // bit-identical; the tiers differ only in wall-clock.
+        // Normal equations: (JᵀJ + λ diag(JᵀJ)) δ = −Jᵀ r.
         let mut jtj = vec![0.0; n * n];
         let mut jtr = vec![0.0; n];
-        if use_panels {
-            assemble_normal_equations_panel(
-                &jacobian,
-                &residuals,
-                m,
-                n,
-                &mut jtj,
-                &mut jtr,
-                &mut packed,
-            );
-        } else {
-            assemble_normal_equations(&jacobian, &residuals, m, n, &mut jtj, &mut jtr);
-        }
+        assemble_normal_equations(&jacobian, &residuals, m, n, &mut jtj, &mut jtr, &mut packed);
 
         let mut improved = false;
         for _ in 0..8 {
@@ -255,36 +380,36 @@ pub fn minimize(
             };
             let step_norm: f64 = step.iter().map(|s| s * s).sum::<f64>().sqrt();
             let candidate: Vec<f64> = params.iter().zip(step.iter()).map(|(p, s)| p + s).collect();
-            let (cand_unitary, cand_grads) = evaluator.evaluate(&candidate);
+            trials += 1;
+            let (cand_unitary, cand_grads) = evaluator.evaluate_trial(&candidate);
             let mut cand_residuals = vec![0.0; m];
             residuals_into(target, &cand_unitary, &mut cand_residuals);
             let cand_cost = sum_of_squares(&cand_residuals);
             if cand_cost < cost {
                 params = candidate;
-                unitary = cand_unitary;
                 grads = cand_grads;
                 residuals = cand_residuals;
                 cost = cand_cost;
                 lambda = (lambda / config.lambda_factor).max(1e-12);
                 improved = true;
                 if step_norm < config.step_tolerance {
-                    converged = true;
+                    stop = LmStop::StepTolerance;
                 }
                 break;
             }
+            rejected += 1;
             lambda *= config.lambda_factor;
         }
         if !improved {
             // No damping value produced a decrease: treat as (local) convergence.
-            converged = true;
+            stop = LmStop::Stalled;
             break;
         }
-        if converged {
+        if stop == LmStop::StepTolerance {
             break;
         }
     }
-    let _ = unitary;
-    LmResult { params, cost, iterations, converged }
+    LmResult { params, cost, iterations, stop, trials, rejected }
 }
 
 /// Solves a dense symmetric positive-definite-ish system `A x = b` by Gaussian elimination
@@ -392,6 +517,70 @@ mod tests {
         }
     }
 
+    /// The [`ToyEvaluator`] with deferred trial gradients.
+    struct DeferringToy {
+        last: Vec<f64>,
+        deferred: usize,
+    }
+
+    impl GradientEvaluator for DeferringToy {
+        fn num_params(&self) -> usize {
+            2
+        }
+        fn dim(&self) -> usize {
+            2
+        }
+        fn evaluate(&mut self, params: &[f64]) -> (Matrix<f64>, Vec<Matrix<f64>>) {
+            ToyEvaluator.evaluate(params)
+        }
+        fn evaluate_trial(&mut self, params: &[f64]) -> (Matrix<f64>, Option<Vec<Matrix<f64>>>) {
+            self.last = params.to_vec();
+            (ToyEvaluator.evaluate(params).0, None)
+        }
+        fn deferred_gradient(&mut self) -> Vec<Matrix<f64>> {
+            self.deferred += 1;
+            ToyEvaluator.evaluate(&self.last).1
+        }
+    }
+
+    #[test]
+    fn deferred_trials_do_not_change_lm_results() {
+        let (target, _) = ToyEvaluator.evaluate(&[0.9, -1.3]);
+        for config in [LmConfig::default(), LmConfig { max_iterations: 3, ..LmConfig::default() }] {
+            let eager = minimize(&mut ToyEvaluator, &target, &[0.1, 0.1], &config);
+            let mut toy = DeferringToy { last: Vec::new(), deferred: 0 };
+            let deferred = minimize(&mut toy, &target, &[0.1, 0.1], &config);
+            let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&eager.params), bits(&deferred.params));
+            assert_eq!(eager.cost.to_bits(), deferred.cost.to_bits());
+            assert_eq!((eager.iterations, eager.stop), (deferred.iterations, deferred.stop));
+            assert_eq!((eager.trials, eager.rejected), (deferred.trials, deferred.rejected));
+            // One gradient per assembled Jacobian: rejected trials and the final point
+            // never pay for one.
+            let jacobians =
+                deferred.iterations - usize::from(deferred.stop == LmStop::CostTolerance);
+            assert_eq!(toy.deferred, jacobians);
+        }
+    }
+
+    #[test]
+    fn stop_reasons_and_trial_counts_are_reported() {
+        let (target, _) = ToyEvaluator.evaluate(&[0.9, -1.3]);
+        let capped = LmConfig { max_iterations: 1, ..LmConfig::default() };
+        let result = minimize(&mut ToyEvaluator, &target, &[0.1, 0.1], &capped);
+        assert_eq!(result.stop, LmStop::IterationCap);
+        let result = minimize(&mut ToyEvaluator, &target, &[0.1, 0.1], &LmConfig::default());
+        assert_ne!(result.stop, LmStop::IterationCap, "{result:?}");
+        assert!(result.rejected <= result.trials);
+        let stats = LmStats::of(&result);
+        assert_eq!(stats.stops.iter().sum::<u64>(), 1);
+        let trace = TraceRegistry::new();
+        stats.record_into(&trace);
+        let counters = trace.counters();
+        assert_eq!(counters["lm.trials"], result.trials as u64);
+        assert_eq!(counters[&format!("lm.stop.{}", result.stop.name())], 1);
+    }
+
     /// Deterministic pseudo-random values in (−0.5, 0.5) from a 64-bit LCG.
     fn lcg_values(count: usize, seed: u64) -> Vec<f64> {
         let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -403,46 +592,68 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn panel_assembly_is_bit_identical_to_reference() {
-        // Ragged n (not a multiple of NE_PANEL) exercises the zero-padded tail panel;
-        // n < NE_PANEL exercises a single all-padding panel.
-        for (m, n) in [(7usize, 3usize), (32, 8), (45, 13), (64, 21)] {
-            let jacobian = lcg_values(m * n, (m * 1000 + n) as u64);
-            let residuals = lcg_values(m, (m * 7 + n) as u64);
-            let (mut jtj_ref, mut jtr_ref) = (vec![0.0; n * n], vec![0.0; n]);
-            assemble_normal_equations(&jacobian, &residuals, m, n, &mut jtj_ref, &mut jtr_ref);
-            let (mut jtj_panel, mut jtr_panel) = (vec![0.0; n * n], vec![0.0; n]);
-            let mut packed = Vec::new();
-            assemble_normal_equations_panel(
-                &jacobian,
-                &residuals,
-                m,
-                n,
-                &mut jtj_panel,
-                &mut jtr_panel,
-                &mut packed,
-            );
-            for (i, (x, y)) in jtj_ref.iter().zip(&jtj_panel).enumerate() {
-                assert_eq!(x.to_bits(), y.to_bits(), "JᵀJ[{i}] differs at m={m} n={n}");
+    /// The serial oracle: textbook column dot products, each one a single strictly
+    /// sequential `Iterator::sum` chain.
+    fn reference_normal_equations(
+        jacobian: &[f64],
+        residuals: &[f64],
+        m: usize,
+        n: usize,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let (mut jtj, mut jtr) = (vec![0.0; n * n], vec![0.0; n]);
+        for a in 0..n {
+            let col_a = &jacobian[a * m..(a + 1) * m];
+            for b in a..n {
+                let col_b = &jacobian[b * m..(b + 1) * m];
+                let dot: f64 = col_a.iter().zip(col_b).map(|(x, y)| x * y).sum();
+                jtj[a * n + b] = dot;
+                jtj[b * n + a] = dot;
             }
-            for (i, (x, y)) in jtr_ref.iter().zip(&jtr_panel).enumerate() {
-                assert_eq!(x.to_bits(), y.to_bits(), "Jᵀr[{i}] differs at m={m} n={n}");
-            }
+            jtr[a] = -col_a.iter().zip(residuals.iter()).map(|(x, y)| x * y).sum::<f64>();
         }
+        (jtj, jtr)
     }
 
     #[test]
-    fn panel_lanes_do_not_change_lm_results() {
-        let mut evaluator = ToyEvaluator;
-        let (target, _) = evaluator.evaluate(&[0.9, -1.3]);
-        let reference = minimize(&mut evaluator, &target, &[0.1, 0.1], &LmConfig::default());
-        let panel_config = LmConfig { panel_columns: NE_PANEL, ..LmConfig::default() };
-        let panel = minimize(&mut evaluator, &target, &[0.1, 0.1], &panel_config);
-        assert_eq!(reference.iterations, panel.iterations);
-        assert_eq!(reference.cost.to_bits(), panel.cost.to_bits());
-        let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&reference.params), bits(&panel.params));
+    fn panel_assembly_is_bit_identical_to_reference() {
+        // Shapes on both sides of PANEL_MIN_COLUMNS, with ragged lane tails, plus an
+        // input whose dots are sums of −0.0 products only: an all-zero column against
+        // negative entries, where a chain that starts at +0.0 returns +0.0.
+        let mut inputs: Vec<(usize, usize, Vec<f64>, Vec<f64>)> = [
+            (7usize, 3usize),
+            (32, 1),
+            (32, 18),
+            (45, 13),
+            (64, 21),
+            (162, 24),
+            (512, 48),
+            (512, 84),
+        ]
+        .into_iter()
+        .map(|(m, n)| {
+            (m, n, lcg_values(m * n, (m * 1000 + n) as u64), lcg_values(m, (m * 7 + n) as u64))
+        })
+        .collect();
+        let (m, n) = (16, 40);
+        let mut signed_zero: Vec<f64> = (0..m * n).map(|k| -1.0 - k as f64).collect();
+        signed_zero[..m].fill(0.0);
+        inputs.push((m, n, signed_zero, vec![-0.5; m]));
+        for (m, n, jacobian, residuals) in inputs {
+            let (jtj_ref, jtr_ref) = reference_normal_equations(&jacobian, &residuals, m, n);
+            type Assembly = fn(&[f64], &[f64], usize, usize, &mut [f64], &mut [f64], &mut Vec<f64>);
+            let paths: [(&str, Assembly); 2] =
+                [("assembly", assemble_normal_equations), ("panels", assemble_from_panels)];
+            for (path, assemble) in paths {
+                let (mut jtj, mut jtr) = (vec![0.0; n * n], vec![0.0; n]);
+                assemble(&jacobian, &residuals, m, n, &mut jtj, &mut jtr, &mut Vec::new());
+                for (i, (x, y)) in jtj_ref.iter().zip(&jtj).enumerate() {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{path} JᵀJ[{i}] differs at m={m} n={n}");
+                }
+                for (i, (x, y)) in jtr_ref.iter().zip(&jtr).enumerate() {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{path} Jᵀr[{i}] differs at m={m} n={n}");
+                }
+            }
+        }
     }
 
     #[test]

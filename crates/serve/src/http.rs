@@ -15,6 +15,14 @@ pub const MAX_BODY_BYTES: usize = 64 * 1024 * 1024;
 /// half-open sockets from pinning connection threads across a shutdown.
 pub const READ_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// Longest request or header line accepted, line terminator included. The read
+/// timeout applies per read, so without a cap a client trickling one endless line
+/// would grow the server's memory without limit.
+pub const MAX_LINE_BYTES: usize = 8 * 1024;
+
+/// Most header lines accepted in one request.
+pub const MAX_HEADERS: usize = 100;
+
 /// One parsed HTTP request.
 #[derive(Debug)]
 pub struct Request {
@@ -30,24 +38,26 @@ pub struct Request {
 ///
 /// # Errors
 ///
-/// Returns a message for malformed request lines, unparsable or oversized
+/// Returns a message for malformed request lines, lines longer than
+/// [`MAX_LINE_BYTES`], more than [`MAX_HEADERS`] headers, unparsable or oversized
 /// `Content-Length`, timeouts, and short reads.
 pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
     stream.set_read_timeout(Some(READ_TIMEOUT)).map_err(|e| e.to_string())?;
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line).map_err(|e| format!("reading request line: {e}"))?;
+    let line = read_line_capped(&mut reader, "request line")?;
     let mut parts = line.split_whitespace();
     let method = parts.next().ok_or("empty request line")?.to_string();
     let path = parts.next().ok_or("request line missing path")?.to_string();
 
     let mut content_length = 0usize;
-    loop {
-        let mut header = String::new();
-        reader.read_line(&mut header).map_err(|e| format!("reading header: {e}"))?;
+    for count in 0.. {
+        let header = read_line_capped(&mut reader, "header")?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
+        }
+        if count == MAX_HEADERS {
+            return Err(format!("more than {MAX_HEADERS} headers"));
         }
         if let Some((name, value)) = header.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
@@ -64,6 +74,19 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body).map_err(|e| format!("reading body: {e}"))?;
     Ok(Request { method, path, body })
+}
+
+/// Reads one line of at most [`MAX_LINE_BYTES`] bytes; `what` names it in errors.
+fn read_line_capped(reader: &mut impl BufRead, what: &str) -> Result<String, String> {
+    let mut line = String::new();
+    let read = reader
+        .take(MAX_LINE_BYTES as u64)
+        .read_line(&mut line)
+        .map_err(|e| format!("reading {what}: {e}"))?;
+    if read == MAX_LINE_BYTES && !line.ends_with('\n') {
+        return Err(format!("{what} longer than {MAX_LINE_BYTES} bytes"));
+    }
+    Ok(line)
 }
 
 /// Writes one JSON response and flushes. `extra_headers` lets the server attach

@@ -6,7 +6,6 @@
 //!   "radices": [2, 2],
 //!   "seed": 0,
 //!   "backend": "scalar" | "blocked",
-//!   "optimize": "off" | "instructions" | "full",
 //!   "coupling": [[0, 1], [1, 2]],
 //!   "deadline_ms": 1000,
 //!   "omit_timings": true,
@@ -19,7 +18,6 @@
 //! otherwise its presence fails the request.
 
 use qudit_circuit::gates;
-use qudit_compile::OptimizeLevel;
 use qudit_synth::{BackendKind, CouplingGraph, SynthesisConfig};
 use qudit_tensor::{Complex, Matrix};
 
@@ -36,9 +34,6 @@ pub struct CompileRequest {
     pub seed: u64,
     /// Per-request TNVM tier override (`None` keeps the process default).
     pub backend: Option<BackendKind>,
-    /// Per-request verified bytecode-optimization level (`None` keeps the
-    /// process default, i.e. the compiler's `OPENQUDIT_OPTIMIZE`-derived level).
-    pub optimize: Option<OptimizeLevel>,
     /// Explicit coupling graph (`None` uses the default line).
     pub coupling: Option<CouplingGraph>,
     /// Per-request latency budget in milliseconds (`None` uses the server default).
@@ -84,12 +79,11 @@ pub fn parse_compile_request(
     let doc = json::parse(body).map_err(|e| format!("malformed JSON: {e}"))?;
     let obj = doc.as_obj().ok_or("request body must be a JSON object")?;
 
-    const KNOWN: [&str; 9] = [
+    const KNOWN: [&str; 8] = [
         "target",
         "radices",
         "seed",
         "backend",
-        "optimize",
         "coupling",
         "deadline_ms",
         "omit_timings",
@@ -128,15 +122,6 @@ pub fn parse_compile_request(
             })?)
         }
     };
-    let optimize = match doc.get("optimize") {
-        None => None,
-        Some(v) => {
-            let name = v.as_str().ok_or("\"optimize\" must be a string")?;
-            Some(OptimizeLevel::parse(name).ok_or_else(|| {
-                format!("unknown optimize level {name:?}; accepted values: off, instructions, full")
-            })?)
-        }
-    };
     let coupling = match doc.get("coupling") {
         None => None,
         Some(v) => Some(parse_coupling(v, radices.len())?),
@@ -171,7 +156,6 @@ pub fn parse_compile_request(
             radices,
             seed,
             backend,
-            optimize,
             coupling,
             deadline_ms,
             omit_timings,
@@ -315,8 +299,8 @@ mod tests {
                 "scalar, blocked",
             ),
             (
-                br#"{"target": {"gate": "CNOT"}, "radices": [2, 2], "optimize": "max"}"#,
-                "off, instructions, full",
+                br#"{"target": {"gate": "CNOT"}, "radices": [2, 2], "optimize": "full"}"#,
+                "unknown field",
             ),
             (br#"{"target": {"gate": "CNOT"}, "radices": [2], "seed": 0}"#, "imply"),
             (br#"{"target": {"gate": "CNOT"}, "radices": [2, 2], "bogus": 1}"#, "unknown field"),
@@ -326,16 +310,6 @@ mod tests {
             let err = parse_compile_request(body, false).unwrap_err();
             assert!(err.contains(needle), "expected {needle:?} in {err:?}");
         }
-    }
-
-    #[test]
-    fn optimize_level_parses_per_request() {
-        let body = br#"{"target": {"gate": "CNOT"}, "radices": [2, 2], "optimize": "full"}"#;
-        let (req, _) = parse_compile_request(body, false).unwrap();
-        assert_eq!(req.optimize, Some(OptimizeLevel::Full));
-        let body = br#"{"target": {"gate": "CNOT"}, "radices": [2, 2]}"#;
-        let (req, _) = parse_compile_request(body, false).unwrap();
-        assert_eq!(req.optimize, None);
     }
 
     #[test]

@@ -172,10 +172,6 @@ impl Server {
         let compiler =
             Compiler::with_cache(cache).partitioned_passes().threads(threads_per_compile);
         let registry = TraceRegistry::new();
-        // Pre-register the optimizer's rejection counter at zero: `/metrics`
-        // consumers alert on it, and "never rejected" must read as 0 — absence
-        // would be indistinguishable from "optimizer never wired in".
-        registry.add("analyze.optimize.rejected", 0);
         let shared = Arc::new(Shared {
             config,
             compiler,
@@ -399,10 +395,7 @@ fn run_job(job: &Job, shared: &Arc<Shared>) -> Outcome {
         std::thread::sleep(Duration::from_millis(job.request.debug_hold_ms));
     }
     let request = &job.request;
-    let mut task = CompilationTask::new(request.target.clone(), request.synthesis_config());
-    // Per-request optimize level rides the task: the compiler is process-wide
-    // and shared, so its own level must not be mutated per request.
-    task.optimize = request.optimize;
+    let task = CompilationTask::new(request.target.clone(), request.synthesis_config());
     let compiled = std::panic::catch_unwind(AssertUnwindSafe(|| {
         if request.debug_panic {
             panic!("debug panic requested");

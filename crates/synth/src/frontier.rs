@@ -10,7 +10,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use qudit_network::{compile_network, TensorNetwork};
-use qudit_optimize::{instantiate, instantiate_parallel, InstantiateConfig, TnvmEvaluator};
+use qudit_optimize::{
+    instantiate, instantiate_parallel, InstantiateConfig, LmStats, TnvmEvaluator,
+};
 use qudit_qvm::ExpressionCache;
 use qudit_tensor::Matrix;
 use qudit_tnvm::KernelCounters;
@@ -42,6 +44,8 @@ pub struct EvaluatedCandidate {
     pub starts: usize,
     /// Kernel-dispatch counters accumulated while instantiating this candidate.
     pub kernels: KernelCounters,
+    /// LM trial and stop-reason counts of this candidate's starts.
+    pub lm: LmStats,
 }
 
 /// Derives a per-candidate instantiation seed from the block sequence, so evaluation
@@ -151,6 +155,7 @@ pub fn evaluate_frontier(
                 iterations: outcome.total_iterations,
                 starts: outcome.starts_used,
                 kernels: outcome.kernels,
+                lm: outcome.lm,
             },
         ));
     };
@@ -183,11 +188,13 @@ pub fn evaluate_frontier(
     let trace = &instantiate_cfg.trace;
     if trace.enabled() {
         let mut kernels = KernelCounters::default();
+        let mut lm = LmStats::default();
         let mut iterations = 0u64;
         let mut starts = 0u64;
         let mut successes = 0u64;
         for candidate in &evaluated {
             kernels.merge(&candidate.kernels);
+            lm.merge(&candidate.lm);
             iterations += candidate.iterations as u64;
             starts += candidate.starts as u64;
             if candidate.infidelity < instantiate_cfg.success_threshold {
@@ -198,6 +205,7 @@ pub fn evaluate_frontier(
         trace.add("instantiate.calls", evaluated.len() as u64);
         trace.add("instantiate.starts", starts);
         trace.add("lm.iterations", iterations);
+        lm.record_into(trace);
         if successes > 0 {
             trace.add("instantiate.successes", successes);
         }

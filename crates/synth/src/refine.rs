@@ -561,8 +561,9 @@ pub fn fold_constants(
     if folded.folded == 0 {
         return Ok(refined);
     }
+    // Checks need only the unitary, so they run the TNVM's value sweep alone.
     let mut evaluator = TnvmEvaluator::new_with_backend(&result.circuit, cache, config.backend);
-    let (unitary, _) = evaluator.evaluate(&folded.params);
+    let (unitary, _) = evaluator.evaluate_trial(&folded.params);
     let snapped_infidelity = qudit_optimize::hs_infidelity(target, &unitary);
     if snapped_infidelity >= config.success_threshold {
         return Ok(refined);
@@ -605,7 +606,7 @@ pub fn fold_constants(
             // The constant path evaluates through a different (cheaper) kernel, so
             // re-verify before committing the rewritten circuit.
             let mut evaluator = TnvmEvaluator::new_with_backend(&circuit, cache, config.backend);
-            let (unitary, _) = evaluator.evaluate(&params);
+            let (unitary, _) = evaluator.evaluate_trial(&params);
             let const_infidelity = qudit_optimize::hs_infidelity(target, &unitary);
             if const_infidelity < config.success_threshold {
                 refined.circuit = circuit;

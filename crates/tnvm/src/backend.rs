@@ -136,10 +136,6 @@ impl std::fmt::Display for BackendKind {
 /// Describes a tier's capabilities: the knobs lowering uses to pick kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TargetDescriptor {
-    /// Columns packed per structure-of-arrays panel by the blocked gemm. Consumers
-    /// above the TNVM read this too: `qudit-optimize` runs its normal-equations
-    /// assembly this many accumulator lanes wide (1 = the serial reference loop).
-    pub panel_columns: usize,
     /// Minimum `m·n·k` flop volume for a MATMUL to lower to the blocked kernel.
     pub min_blocked_flops: usize,
     /// Minimum output element count for a KRON to lower to the blocked kernel.
@@ -150,11 +146,7 @@ impl TargetDescriptor {
     /// The scalar reference tier: thresholds at `usize::MAX` so nothing ever lowers to
     /// a blocked kernel.
     pub fn scalar() -> TargetDescriptor {
-        TargetDescriptor {
-            panel_columns: 1,
-            min_blocked_flops: usize::MAX,
-            min_blocked_kron: usize::MAX,
-        }
+        TargetDescriptor { min_blocked_flops: usize::MAX, min_blocked_kron: usize::MAX }
     }
 
     /// The blocked CPU tier. Thresholds were measured on the pinned `report_synthesis`
@@ -165,11 +157,7 @@ impl TargetDescriptor {
     /// (6-qubit) buffers — below that the scalar ikj kernel keeps output rows
     /// register-resident and is already optimal.
     pub fn blocked_cpu() -> TargetDescriptor {
-        TargetDescriptor {
-            panel_columns: gemm::SOA_PANEL,
-            min_blocked_flops: 64 * 64 * 64,
-            min_blocked_kron: 16,
-        }
+        TargetDescriptor { min_blocked_flops: 64 * 64 * 64, min_blocked_kron: 16 }
     }
 }
 
@@ -296,11 +284,7 @@ impl Default for BlockedCpuBackend {
 }
 
 static BLOCKED_CPU: BlockedCpuBackend = BlockedCpuBackend {
-    target: TargetDescriptor {
-        panel_columns: gemm::SOA_PANEL,
-        min_blocked_flops: 64 * 64 * 64,
-        min_blocked_kron: 16,
-    },
+    target: TargetDescriptor { min_blocked_flops: 64 * 64 * 64, min_blocked_kron: 16 },
 };
 
 impl Backend for BlockedCpuBackend {
@@ -366,7 +350,6 @@ mod tests {
     #[test]
     fn blocked_descriptor_thresholds() {
         let desc = BackendKind::Blocked.instance().descriptor();
-        assert_eq!(desc.panel_columns, gemm::SOA_PANEL);
         assert_eq!(desc, TargetDescriptor::blocked_cpu());
         assert!(desc.min_blocked_flops <= 64 * 64 * 64, "64-dim matmuls must lower blocked");
         assert!(

@@ -45,7 +45,8 @@ pub struct KernelCounters {
     /// Static flop estimate per kernel family (8·m·n·k per MATMUL call,
     /// 6·output-elements per KRON/HADAMARD call).
     pub flops: [u64; 2],
-    /// Full [`Tnvm::evaluate`](crate::Tnvm::evaluate) calls.
+    /// Value sweeps: [`Tnvm::evaluate`](crate::Tnvm::evaluate) and
+    /// [`Tnvm::evaluate_unitary`](crate::Tnvm::evaluate_unitary) calls.
     pub evaluations: u64,
     /// Expression-cache lookups satisfied from the cache during (re)initialization.
     pub cache_hits: u64,

@@ -12,6 +12,28 @@
 //! annotates each buffer with the circuit parameters it depends on, and each instruction
 //! is specialized accordingly (product rule on MATMUL/KRON/HADAMARD with overlapping
 //! parameter sets, plain linear maps on TRANSPOSE).
+//!
+//! # Two sweeps
+//!
+//! An evaluation walks the dynamic section twice:
+//!
+//! 1. the **value sweep** ([`Tnvm::evaluate_unitary`]) computes every buffer's value.
+//!    In gradient mode its WRITEs also run the gate's gradient program, so the
+//!    gate-level derivative blocks land in the gradient arena alongside the values;
+//! 2. the **gradient sweep** ([`Tnvm::gradient`]) then walks the same instructions in
+//!    program order and applies the product rule and the permutations to those blocks,
+//!    reading operand values from the arena the value sweep left behind.
+//!
+//! [`Tnvm::evaluate`] is the two sweeps in sequence. Splitting them lets a caller
+//! *defer* the gradient: a Levenberg–Marquardt trial step needs only the unitary to
+//! judge the step, and asks for the gradient only when it accepts it. The contract is
+//! that [`Tnvm::gradient`] belongs to the most recent [`Tnvm::evaluate_unitary`]; any
+//! later value sweep or [`Tnvm::load`] replaces the values it reads.
+//!
+//! Because the gradient sweep reads every operand's value after the *whole* value
+//! sweep has run, each buffer keeps its own arena storage: a placement that reused a
+//! dead buffer's storage for a later value would hand the gradient sweep the wrong
+//! operand. Buffers are therefore laid out back to back, never aliased.
 
 use std::sync::Arc;
 
@@ -66,6 +88,9 @@ pub struct Tnvm<T: Float> {
     /// Deterministic dispatch/flop/cache accounting, local to this VM (see
     /// [`crate::counters`] for why locality matters).
     counters: KernelCounters,
+    /// Whether the arena holds a value sweep of the current program, which
+    /// [`Tnvm::gradient`] requires.
+    swept: bool,
 }
 
 impl<T: Float> Tnvm<T> {
@@ -101,6 +126,7 @@ impl<T: Float> Tnvm<T> {
             transpose_staging: Vec::new(),
             kernel_ws: Vec::new(),
             counters: KernelCounters::default(),
+            swept: false,
         };
         vm.reinit(cache);
         vm
@@ -128,6 +154,7 @@ impl<T: Float> Tnvm<T> {
             DiffMode::Gradient => CompileOptions::with_gradient(),
         };
         let program = &self.program;
+        self.swept = false;
         self.compiled.clear();
         let mut hits = 0u64;
         let mut misses = 0u64;
@@ -143,24 +170,13 @@ impl<T: Float> Tnvm<T> {
         self.counters.cache_hits += hits;
         self.counters.cache_misses += misses;
 
-        // Value arena. A coalesced layout attached by the optimizer overrides the
-        // default back-to-back placement; `TnvmProgram::validate` and the analyze
-        // verifier guarantee it is sound before it reaches the VM.
+        // Value arena: buffers back to back, never aliased (see the module docs).
         self.value_offsets.clear();
-        let total = match &program.layout {
-            Some(layout) => {
-                self.value_offsets.extend_from_slice(&layout.offsets);
-                layout.arena_len
-            }
-            None => {
-                let mut total = 0usize;
-                for buf in &program.buffers {
-                    self.value_offsets.push(total);
-                    total += buf.len();
-                }
-                total
-            }
-        };
+        let mut total = 0usize;
+        for buf in &program.buffers {
+            self.value_offsets.push(total);
+            total += buf.len();
+        }
         self.values.clear();
         self.values.resize(total, Complex::zero());
 
@@ -204,8 +220,9 @@ impl<T: Float> Tnvm<T> {
         self.kernel_ws.clear();
         self.kernel_ws.resize(self.plan.workspace_scalars, T::zero());
 
-        // The constant section never reads circuit parameters.
-        self.run_section(true, &[]);
+        // The constant section never reads circuit parameters and carries no
+        // gradients.
+        self.run_values(true, &[]);
     }
 
     /// The differentiation mode the VM was instantiated with.
@@ -261,12 +278,30 @@ impl<T: Float> Tnvm<T> {
             + self.kernel_ws.len() * f
     }
 
-    /// Evaluates the circuit unitary (and gradient, when enabled) at `params`.
+    /// Evaluates the circuit unitary (and gradient, when enabled) at `params`: the
+    /// value sweep followed, in gradient mode, by the gradient sweep.
     ///
     /// # Panics
     ///
     /// Panics if `params.len()` differs from [`Tnvm::num_params`].
     pub fn evaluate(&mut self, params: &[T]) -> EvalResult<T> {
+        let unitary = self.evaluate_unitary(params);
+        let gradient =
+            if self.diff_mode == DiffMode::Gradient { self.gradient() } else { Vec::new() };
+        EvalResult { unitary, gradient }
+    }
+
+    /// Runs the value sweep at `params` and returns the circuit unitary.
+    ///
+    /// In gradient mode the sweep also leaves the gate-level derivative blocks of every
+    /// WRITE in the gradient arena, so a following [`Tnvm::gradient`] can finish the
+    /// gradient at these parameters without re-running the values. Counts as one
+    /// evaluation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.len()` differs from [`Tnvm::num_params`].
+    pub fn evaluate_unitary(&mut self, params: &[T]) -> Matrix<T> {
         assert_eq!(
             params.len(),
             self.program.num_params,
@@ -274,39 +309,65 @@ impl<T: Float> Tnvm<T> {
             self.program.num_params
         );
         self.counters.evaluations += 1;
-        self.run_section(false, params);
+        self.run_values(false, params);
+        self.swept = true;
 
         let out = self.program.output;
         let info = &self.program.buffers[out];
-        let dim = info.rows;
         let start = self.value_offsets[out];
-        let unitary =
-            Matrix::from_vec(dim, info.cols, self.values[start..start + info.len()].to_vec())
-                .expect("output buffer has matrix shape");
+        Matrix::from_vec(info.rows, info.cols, self.values[start..start + info.len()].to_vec())
+            .expect("output buffer has matrix shape")
+    }
 
-        let gradient = if self.diff_mode == DiffMode::Gradient {
-            let mut grads = vec![Matrix::zeros(dim, info.cols); self.program.num_params];
-            for &(param, offset) in &self.grad_slots[out] {
-                grads[param] = Matrix::from_vec(
-                    dim,
-                    info.cols,
-                    self.grads[offset..offset + info.len()].to_vec(),
-                )
-                .expect("gradient block has matrix shape");
+    /// Runs the gradient sweep and returns one ∂U/∂θᵢ per circuit parameter, at the
+    /// parameters of the most recent [`Tnvm::evaluate_unitary`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the VM was not built in [`DiffMode::Gradient`], or if no value sweep
+    /// has run since construction or the last [`Tnvm::load`].
+    pub fn gradient(&mut self) -> Vec<Matrix<T>> {
+        assert_eq!(self.diff_mode, DiffMode::Gradient, "gradient sweep needs gradient mode");
+        assert!(self.swept, "gradient sweep needs a preceding value sweep");
+        let ops = std::mem::take(&mut self.program.dynamic_ops);
+        let kernels = std::mem::take(&mut self.plan.dynamic_kernels);
+        for (op, &kernel) in ops.iter().zip(kernels.iter()) {
+            match *op {
+                // The value sweep already wrote the gate-level derivative blocks.
+                TnvmOp::Write { .. } => {}
+                TnvmOp::Matmul { a, b, out } => {
+                    self.bilinear_gradient(a, b, out, BilinearKind::Matmul, kernel)
+                }
+                TnvmOp::Kron { a, b, out } => {
+                    self.bilinear_gradient(a, b, out, BilinearKind::Kron, kernel)
+                }
+                TnvmOp::Hadamard { a, b, out } => {
+                    self.bilinear_gradient(a, b, out, BilinearKind::Hadamard, kernel)
+                }
+                TnvmOp::Transpose { input, ref shape, ref perm, out } => {
+                    self.transpose_gradient(input, shape, perm, out)
+                }
             }
-            grads
-        } else {
-            Vec::new()
-        };
-        EvalResult { unitary, gradient }
+        }
+        self.program.dynamic_ops = ops;
+        self.plan.dynamic_kernels = kernels;
+
+        let out = self.program.output;
+        let info = &self.program.buffers[out];
+        let mut grads = vec![Matrix::zeros(info.rows, info.cols); self.program.num_params];
+        for &(param, offset) in &self.grad_slots[out] {
+            grads[param] = Matrix::from_vec(
+                info.rows,
+                info.cols,
+                self.grads[offset..offset + info.len()].to_vec(),
+            )
+            .expect("gradient block has matrix shape");
+        }
+        grads
     }
 
-    /// Evaluates only the unitary (valid in any differentiation mode).
-    pub fn evaluate_unitary(&mut self, params: &[T]) -> Matrix<T> {
-        self.evaluate(params).unitary
-    }
-
-    fn run_section(&mut self, constant: bool, params: &[T]) {
+    /// The value sweep over one section.
+    fn run_values(&mut self, constant: bool, params: &[T]) {
         let ops = if constant {
             std::mem::take(&mut self.program.constant_ops)
         } else {
@@ -319,7 +380,23 @@ impl<T: Float> Tnvm<T> {
         };
         debug_assert_eq!(ops.len(), kernels.len(), "plan out of sync with program section");
         for (op, &kernel) in ops.iter().zip(kernels.iter()) {
-            self.execute(op, kernel, params);
+            match *op {
+                TnvmOp::Write { expr_index, ref bindings, out } => {
+                    self.exec_write(expr_index, bindings, out, params)
+                }
+                TnvmOp::Matmul { a, b, out } => {
+                    self.bilinear_value(a, b, out, BilinearKind::Matmul, kernel)
+                }
+                TnvmOp::Kron { a, b, out } => {
+                    self.bilinear_value(a, b, out, BilinearKind::Kron, kernel)
+                }
+                TnvmOp::Hadamard { a, b, out } => {
+                    self.bilinear_value(a, b, out, BilinearKind::Hadamard, kernel)
+                }
+                TnvmOp::Transpose { input, ref shape, ref perm, out } => {
+                    self.transpose_value(input, shape, perm, out)
+                }
+            }
         }
         if constant {
             self.program.constant_ops = ops;
@@ -337,26 +414,6 @@ impl<T: Float> Tnvm<T> {
 
     fn grad_offset(&self, buf: BufId, param: usize) -> Option<usize> {
         self.grad_slots[buf].iter().find(|(p, _)| *p == param).map(|(_, o)| *o)
-    }
-
-    fn execute(&mut self, op: &TnvmOp, kernel: KernelSel, params: &[T]) {
-        match op {
-            TnvmOp::Write { expr_index, bindings, out } => {
-                self.exec_write(*expr_index, bindings, *out, params)
-            }
-            TnvmOp::Matmul { a, b, out } => {
-                self.exec_bilinear(*a, *b, *out, BilinearKind::Matmul, kernel)
-            }
-            TnvmOp::Kron { a, b, out } => {
-                self.exec_bilinear(*a, *b, *out, BilinearKind::Kron, kernel)
-            }
-            TnvmOp::Hadamard { a, b, out } => {
-                self.exec_bilinear(*a, *b, *out, BilinearKind::Hadamard, kernel)
-            }
-            TnvmOp::Transpose { input, shape, perm, out } => {
-                self.exec_transpose(*input, shape, perm, *out)
-            }
-        }
     }
 
     fn exec_write(
@@ -408,7 +465,26 @@ impl<T: Float> Tnvm<T> {
         }
     }
 
-    fn exec_bilinear(
+    fn bilinear_value(
+        &mut self,
+        a: BufId,
+        b: BufId,
+        out: BufId,
+        kind: BilinearKind,
+        kernel: KernelSel,
+    ) {
+        let (ar, ac) = (self.program.buffers[a].rows, self.program.buffers[a].cols);
+        let (br, bc) = (self.program.buffers[b].rows, self.program.buffers[b].cols);
+        let ranges = (self.value_range(a), self.value_range(b), self.value_range(out));
+        let (a_vals, b_vals, out_vals) =
+            three_slices(&mut self.values, ranges.0, ranges.1, ranges.2);
+        kind.apply(a_vals, ar, ac, b_vals, br, bc, out_vals, false, kernel, &mut self.kernel_ws);
+        self.tally(a, b, out, kind, kernel, 1);
+    }
+
+    /// The product rule for one bilinear instruction: d(out) = d(a)∘b + a∘d(b), with
+    /// terms dropped when the operand does not depend on the parameter.
+    fn bilinear_gradient(
         &mut self,
         a: BufId,
         b: BufId,
@@ -420,88 +496,71 @@ impl<T: Float> Tnvm<T> {
         let (br, bc) = (self.program.buffers[b].rows, self.program.buffers[b].cols);
         let (a_start, a_end) = self.value_range(a);
         let (b_start, b_end) = self.value_range(b);
-        let (o_start, o_end) = self.value_range(out);
-        // Kernel invocations this instruction makes: the value call plus one
-        // product-rule call per surviving gradient term (counted below).
-        let mut calls = 1u64;
-
-        // Value.
-        {
-            // Split borrows: copy input slices is avoided by unsafe-free split via
-            // indices — use temporary pointers through split_at_mut on a single arena.
-            let (a_vals, b_vals, out_vals) = three_slices(
-                &mut self.values,
-                (a_start, a_end),
-                (b_start, b_end),
-                (o_start, o_end),
-            );
-            kind.apply(
-                a_vals,
-                ar,
-                ac,
-                b_vals,
-                br,
-                bc,
-                out_vals,
-                false,
-                kernel,
-                &mut self.kernel_ws,
-            );
-        }
-
-        // Gradients: d(out) = d(a)∘b + a∘d(b), with terms dropped when the operand does
-        // not depend on the parameter.
-        if self.diff_mode == DiffMode::Gradient {
-            let out_slots = self.grad_slots[out].clone();
-            for (param, out_offset) in out_slots {
-                let n = o_end - o_start;
-                for v in &mut self.grads[out_offset..out_offset + n] {
-                    *v = Complex::zero();
-                }
-                // d(a) * b
-                if let Some(a_goff) = self.grad_offset(a, param) {
-                    calls += 1;
-                    let (da, bv, dout) = grad_value_out(
-                        &mut self.grads,
-                        &self.values,
-                        (a_goff, a_goff + (a_end - a_start)),
-                        (b_start, b_end),
-                        (out_offset, out_offset + n),
-                    );
-                    kind.apply(da, ar, ac, bv, br, bc, dout, true, kernel, &mut self.kernel_ws);
-                }
-                // a * d(b)
-                if let Some(b_goff) = self.grad_offset(b, param) {
-                    calls += 1;
-                    let (db, av, dout) = grad_value_out(
-                        &mut self.grads,
-                        &self.values,
-                        (b_goff, b_goff + (b_end - b_start)),
-                        (a_start, a_end),
-                        (out_offset, out_offset + n),
-                    );
-                    // Note operand order: value(a) ∘ grad(b).
-                    kind.apply(av, ar, ac, db, br, bc, dout, true, kernel, &mut self.kernel_ws);
-                }
+        let n = self.program.buffers[out].len();
+        let mut calls = 0u64;
+        let out_slots = self.grad_slots[out].clone();
+        for (param, out_offset) in out_slots {
+            for v in &mut self.grads[out_offset..out_offset + n] {
+                *v = Complex::zero();
+            }
+            // d(a) * b
+            if let Some(a_goff) = self.grad_offset(a, param) {
+                calls += 1;
+                let (da, bv, dout) = grad_value_out(
+                    &mut self.grads,
+                    &self.values,
+                    (a_goff, a_goff + (a_end - a_start)),
+                    (b_start, b_end),
+                    (out_offset, out_offset + n),
+                );
+                kind.apply(da, ar, ac, bv, br, bc, dout, true, kernel, &mut self.kernel_ws);
+            }
+            // a * d(b)
+            if let Some(b_goff) = self.grad_offset(b, param) {
+                calls += 1;
+                let (db, av, dout) = grad_value_out(
+                    &mut self.grads,
+                    &self.values,
+                    (b_goff, b_goff + (b_end - b_start)),
+                    (a_start, a_end),
+                    (out_offset, out_offset + n),
+                );
+                // Note operand order: value(a) ∘ grad(b).
+                kind.apply(av, ar, ac, db, br, bc, dout, true, kernel, &mut self.kernel_ws);
             }
         }
+        self.tally(a, b, out, kind, kernel, calls);
+    }
 
-        // Static flop estimate: 8 real flops per complex multiply-add for MATMUL
-        // (m·n·k of them), 6 per output element for the multiply-only KRON/HADAMARD.
+    /// Counts `calls` kernel invocations of one bilinear instruction with a static flop
+    /// estimate: 8 real flops per complex multiply-add for MATMUL (m·n·k of them), 6 per
+    /// output element for the multiply-only KRON/HADAMARD.
+    fn tally(
+        &mut self,
+        a: BufId,
+        b: BufId,
+        out: BufId,
+        kind: BilinearKind,
+        kernel: KernelSel,
+        calls: u64,
+    ) {
+        let buffers = &self.program.buffers;
         let (tally, flops_per_call) = match kind {
-            BilinearKind::Matmul => (BilinearTally::Matmul, 8 * (ar * bc * ac) as u64),
-            BilinearKind::Kron => (BilinearTally::Kron, 6 * (o_end - o_start) as u64),
-            BilinearKind::Hadamard => (BilinearTally::Hadamard, 6 * (o_end - o_start) as u64),
+            BilinearKind::Matmul => (
+                BilinearTally::Matmul,
+                8 * (buffers[a].rows * buffers[b].cols * buffers[a].cols) as u64,
+            ),
+            BilinearKind::Kron => (BilinearTally::Kron, 6 * buffers[out].len() as u64),
+            BilinearKind::Hadamard => (BilinearTally::Hadamard, 6 * buffers[out].len() as u64),
         };
         self.counters.tally(tally, kernel, calls, flops_per_call);
     }
 
-    fn exec_transpose(&mut self, input: BufId, shape: &[usize], perm: &[usize], out: BufId) {
+    fn transpose_value(&mut self, input: BufId, shape: &[usize], perm: &[usize], out: BufId) {
         let (i_start, i_end) = self.value_range(input);
         let (o_start, o_end) = self.value_range(out);
         let n = i_end - i_start;
         self.counters.transposes += 1;
-        // Value.
         self.transpose_staging[..n].copy_from_slice(&self.values[i_start..i_end]);
         permute::permute_into(
             &self.transpose_staging[..n],
@@ -509,23 +568,24 @@ impl<T: Float> Tnvm<T> {
             perm,
             &mut self.values[o_start..o_end],
         );
-        // Gradient blocks (a permutation is linear, so each block is permuted alike).
-        if self.diff_mode == DiffMode::Gradient {
-            let out_slots = self.grad_slots[out].clone();
-            for (param, out_offset) in out_slots {
-                if let Some(in_offset) = self.grad_offset(input, param) {
-                    self.transpose_staging[..n]
-                        .copy_from_slice(&self.grads[in_offset..in_offset + n]);
-                    permute::permute_into(
-                        &self.transpose_staging[..n],
-                        shape,
-                        perm,
-                        &mut self.grads[out_offset..out_offset + n],
-                    );
-                } else {
-                    for v in &mut self.grads[out_offset..out_offset + n] {
-                        *v = Complex::zero();
-                    }
+    }
+
+    /// A permutation is linear, so each gradient block is permuted like the value.
+    fn transpose_gradient(&mut self, input: BufId, shape: &[usize], perm: &[usize], out: BufId) {
+        let n = self.program.buffers[input].len();
+        let out_slots = self.grad_slots[out].clone();
+        for (param, out_offset) in out_slots {
+            if let Some(in_offset) = self.grad_offset(input, param) {
+                self.transpose_staging[..n].copy_from_slice(&self.grads[in_offset..in_offset + n]);
+                permute::permute_into(
+                    &self.transpose_staging[..n],
+                    shape,
+                    perm,
+                    &mut self.grads[out_offset..out_offset + n],
+                );
+            } else {
+                for v in &mut self.grads[out_offset..out_offset + n] {
+                    *v = Complex::zero();
                 }
             }
         }
@@ -881,6 +941,84 @@ mod tests {
         vm.load(&small_prog, &cache);
         let again = vm.evaluate(&p_small);
         assert!(again.unitary.max_elementwise_distance(&before.unitary) < 1e-14);
+    }
+
+    fn assert_bits_equal<T: Float>(a: &Matrix<T>, b: &Matrix<T>, what: &str) {
+        let bits = |m: &Matrix<T>| -> Vec<(u64, u64)> {
+            m.as_slice()
+                .iter()
+                .map(|z| (z.re.to_f64().to_bits(), z.im.to_f64().to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(a), bits(b), "{what}");
+    }
+
+    /// Runs every registered radix mix through one VM re-targeted with `load` (after a
+    /// discarded value sweep at other parameters, like a rejected LM trial) and checks
+    /// `evaluate_unitary` + `gradient` against a fresh VM's `evaluate`, bit for bit.
+    fn check_split_sweeps<T: Float>(to_t: fn(f64) -> T) {
+        let cache = ExpressionCache::new();
+        let mut split: Option<Tnvm<T>> = None;
+        for radices in
+            [vec![2, 2], vec![3, 3], vec![4, 4], vec![2, 3], vec![2, 4], vec![3, 4], vec![2, 3, 4]]
+        {
+            let edges: Vec<(usize, usize)> = (0..radices.len() - 1).map(|q| (q, q + 1)).collect();
+            let circuit = builders::pqc_template(&radices, &edges).unwrap();
+            let program = compile_network(&TensorNetwork::from_circuit(&circuit));
+            let vm = match split.as_mut() {
+                Some(vm) => {
+                    vm.load(&program, &cache);
+                    vm
+                }
+                None => split.insert(Tnvm::new(&program, DiffMode::Gradient, &cache)),
+            };
+            let params: Vec<T> =
+                random_params(circuit.num_params(), 41).into_iter().map(to_t).collect();
+            let other: Vec<T> =
+                random_params(circuit.num_params(), 42).into_iter().map(to_t).collect();
+            let full = Tnvm::<T>::new(&program, DiffMode::Gradient, &cache).evaluate(&params);
+            let _rejected = vm.evaluate_unitary(&other);
+            let unitary = vm.evaluate_unitary(&params);
+            let gradient = vm.gradient();
+            assert_bits_equal(&unitary, &full.unitary, &format!("{radices:?} unitary"));
+            assert_eq!(gradient.len(), full.gradient.len());
+            for (k, (g, f)) in gradient.iter().zip(&full.gradient).enumerate() {
+                assert_bits_equal(g, f, &format!("{radices:?} gradient {k}"));
+            }
+        }
+    }
+
+    #[test]
+    fn split_sweeps_are_bit_identical_to_evaluate() {
+        check_split_sweeps::<f64>(|x| x);
+        check_split_sweeps::<f32>(|x| x as f32);
+    }
+
+    #[test]
+    fn value_sweep_counts_one_evaluation_and_full_evaluate_tallies_both_sweeps() {
+        let c = builders::pqc_qubit_ladder(3, 2).unwrap();
+        let program = compile_network(&TensorNetwork::from_circuit(&c));
+        let cache = ExpressionCache::new();
+        let params = random_params(c.num_params(), 9);
+        let mut split: Tnvm<f64> = Tnvm::new(&program, DiffMode::Gradient, &cache);
+        let mut full: Tnvm<f64> = Tnvm::new(&program, DiffMode::Gradient, &cache);
+        split.take_counters();
+        full.take_counters();
+        let _ = split.evaluate_unitary(&params);
+        let values_only = *split.counters();
+        assert_eq!(values_only.evaluations, 1);
+        let _ = split.gradient();
+        let _ = full.evaluate(&params);
+        assert_eq!(split.counters(), full.counters(), "the two sweeps tally like one evaluate");
+        assert!(values_only.flops[0] < full.counters().flops[0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "preceding value sweep")]
+    fn gradient_sweep_requires_a_value_sweep() {
+        let c = builders::pqc_qubit_ladder(2, 1).unwrap();
+        let mut vm = vm_for(&c, DiffMode::Gradient);
+        let _ = vm.gradient();
     }
 
     #[test]

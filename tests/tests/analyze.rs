@@ -121,8 +121,7 @@ fn workspace_overflow_is_rejected() {
     let plan = all_blocked_matmuls_no_workspace(&program);
     // A descriptor permissive enough to bless every blocked selection, so the only
     // remaining defect is the missing GEMM workspace.
-    let permissive =
-        TargetDescriptor { panel_columns: 8, min_blocked_flops: 1, min_blocked_kron: 1 };
+    let permissive = TargetDescriptor { min_blocked_flops: 1, min_blocked_kron: 1 };
     let err = verify_plan(&program, &plan, &permissive, "blocked-cpu").unwrap_err();
     match err {
         AnalyzeError::Plan(PlanViolation::WorkspaceOverflow { required, provided, .. }) => {

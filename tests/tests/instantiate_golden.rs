@@ -48,10 +48,13 @@ const GOLDEN: &[(&str, u64, usize, usize)] = &[
     ("baseline.3q", 0xa60f29c50a24473a, 1, 20),
 ];
 
+/// Entangling blocks of a `pqc_template`.
+type Blocks = &'static [(usize, usize)];
+
 /// `(name, radices, ansatz blocks, target template blocks, seed)`: the target is a
 /// reachable unitary of the (sometimes deeper) target template, so some cases
 /// succeed on the first start and others run every start.
-const TEMPLATES: &[(&str, &[usize], &[(usize, usize)], &[(usize, usize)], u64)] = &[
+const TEMPLATES: &[(&str, &[usize], Blocks, Blocks, u64)] = &[
     ("2q", &[2, 2], &[(0, 1), (0, 1)], &[(0, 1), (0, 1)], 11),
     ("2q_short", &[2, 2], &[(0, 1)], &[(0, 1), (0, 1), (0, 1)], 12),
     ("3q", &[2, 2, 2], &[(0, 1), (1, 2)], &[(0, 1), (1, 2)], 13),
@@ -94,7 +97,7 @@ fn cases() -> Vec<(String, u64, usize, usize)> {
 }
 
 /// The partitioned compile's `(hash of params and infidelity, blocks)`.
-const GOLDEN_COMPILE: (u64, &[(usize, usize)]) = (0x73e4540847d22eb1, &[(0, 1), (2, 3), (1, 2)]);
+const GOLDEN_COMPILE: (u64, Blocks) = (0x73e4540847d22eb1, &[(0, 1), (2, 3), (1, 2)]);
 
 fn partitioned_compile() -> (u64, Vec<(usize, usize)>) {
     let template = builders::pqc_template(&[2, 2, 2, 2], &[(0, 1), (2, 3), (1, 2)]).unwrap();

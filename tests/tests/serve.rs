@@ -243,6 +243,50 @@ fn overflowing_radix_product_is_a_400_and_the_server_keeps_serving() {
     server.shutdown();
 }
 
+/// Sends raw request bytes from a writer thread (the server may reject and close
+/// before reading them all, so write errors are expected) and returns the status of
+/// whatever response arrived.
+fn raw_request_status(addr: SocketAddr, request: Vec<u8>) -> Option<u16> {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let sender = std::thread::spawn(move || {
+        let _ = writer.write_all(&request);
+        let _ = writer.shutdown(std::net::Shutdown::Write);
+    });
+    let mut raw = Vec::new();
+    let _ = stream.read_to_end(&mut raw);
+    sender.join().expect("writer thread");
+    let text = String::from_utf8_lossy(&raw);
+    text.split_whitespace().nth(1)?.parse().ok()
+}
+
+#[test]
+fn oversized_header_line_is_a_400_and_the_server_keeps_serving() {
+    let server = start(ServeConfig::default());
+    let addr = server.addr();
+    // A health check is otherwise always a 200, so only the cap can reject it.
+    let mut request = b"GET /healthz HTTP/1.1\r\nx-filler: ".to_vec();
+    request.resize(request.len() + (1 << 20), b'a');
+    request.extend_from_slice(b"\r\n\r\n");
+    assert_eq!(raw_request_status(addr, request), Some(400));
+    assert_eq!(post_compile(addr, CNOT_SEED7).status, 200);
+    server.shutdown();
+}
+
+#[test]
+fn too_many_headers_is_a_400_and_the_server_keeps_serving() {
+    let server = start(ServeConfig::default());
+    let addr = server.addr();
+    let mut request = b"GET /healthz HTTP/1.1\r\n".to_vec();
+    for i in 0..10_000 {
+        request.extend_from_slice(format!("x-header-{i}: v\r\n").as_bytes());
+    }
+    request.extend_from_slice(b"\r\n");
+    assert_eq!(raw_request_status(addr, request), Some(400));
+    assert_eq!(post_compile(addr, CNOT_SEED7).status, 200);
+    server.shutdown();
+}
+
 /// Removes the tier-variant parts of a 200 body — the `backend` name and the
 /// `kernel_metrics` object — mirroring the CI determinism diff's scrub.
 fn scrub_tier(body: &str) -> String {
@@ -287,33 +331,31 @@ fn same_seed_responses_are_byte_identical_across_tnvm_tiers() {
 }
 
 #[test]
-fn metrics_expose_the_analyze_counter_family() {
+fn metrics_expose_the_lm_why_counters() {
     let server = start(ServeConfig::default());
     let addr = server.addr();
-    // The optimizer's rejection counter is pre-registered: present at zero
-    // before any compile, so "never rejected" is distinguishable from "not wired".
-    let metrics = http(addr, "GET", "/metrics", "").body;
-    assert!(metrics.contains("\"analyze.optimize.rejected\""), "{metrics}");
-    assert_eq!(counter(addr, "analyze.optimize.rejected"), 0);
-    // A request opting into per-request optimization surfaces the whole
-    // analyze.optimize.* family in the response metrics and process-wide.
-    let body = r#"{"target": {"gate": "CNOT"}, "radices": [2, 2], "seed": 7, "omit_timings": true, "optimize": "full"}"#;
-    let response = post_compile(addr, body);
+    let response = post_compile(addr, CNOT_SEED7);
     assert_eq!(response.status, 200, "{}", response.body);
-    assert!(response.body.contains("\"analyze.optimize.programs\""), "{}", response.body);
+    // Why the optimizer stopped, and how many trial steps it threw away, ride the
+    // deterministic counters into the response and the process-wide /metrics.
     let metrics = http(addr, "GET", "/metrics", "").body;
-    assert_eq!(counter(addr, "analyze.optimize.programs"), 1, "{metrics}");
-    assert_eq!(counter(addr, "analyze.optimize.rejected"), 0, "{metrics}");
-    for key in ["analyze.optimize.dce_removed", "analyze.optimize.cse_removed"] {
+    for key in ["lm.trials", "lm.trials.rejected"] {
+        assert!(response.body.contains(&format!("\"{key}\"")), "{}", response.body);
         assert!(metrics.contains(&format!("\"{key}\"")), "{metrics}");
     }
-    // An invalid per-request level is a 400 naming the accepted set.
+    let stops: u64 = ["cost_tolerance", "step_tolerance", "stalled", "iteration_cap"]
+        .iter()
+        .map(|reason| counter(addr, &format!("lm.stop.{reason}")))
+        .sum();
+    assert_eq!(stops, counter(addr, "instantiate.starts"), "{metrics}");
+    assert!(counter(addr, "lm.trials.rejected") <= counter(addr, "lm.trials"));
+    // The bytecode optimizer and its per-request level are gone.
     let bad = post_compile(
         addr,
-        r#"{"target": {"gate": "CNOT"}, "radices": [2, 2], "optimize": "aggressive"}"#,
+        r#"{"target": {"gate": "CNOT"}, "radices": [2, 2], "optimize": "full"}"#,
     );
     assert_eq!(bad.status, 400, "{}", bad.body);
-    assert!(bad.body.contains("off, instructions, full"), "{}", bad.body);
+    assert!(bad.body.contains("unknown field"), "{}", bad.body);
     server.shutdown();
 }
 

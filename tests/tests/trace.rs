@@ -5,6 +5,13 @@
 
 use openqudit::prelude::*;
 
+/// Asserts that every instantiation start recorded exactly one LM stop reason.
+fn assert_one_stop_per_start(report: &CompilationReport) {
+    let stops: u64 =
+        report.metrics.iter().filter(|(k, _)| k.starts_with("lm.stop.")).map(|(_, v)| v).sum();
+    assert_eq!(Some(&stops), report.metrics.get("instantiate.starts"), "{:?}", report.metrics);
+}
+
 /// Compiles the CNOT workload through the default pipeline with a fresh cache and
 /// the given tier, returning the report.
 fn compile_cnot(backend: BackendKind) -> CompilationReport {
@@ -29,11 +36,14 @@ fn same_seed_counter_snapshots_are_byte_identical() {
         "instantiate.calls",
         "instantiate.starts",
         "lm.iterations",
+        "lm.trials",
+        "lm.trials.rejected",
         "cache.misses",
         "tnvm.evaluations",
     ] {
         assert!(a.metrics.contains_key(key), "missing {key} in {:?}", a.metrics);
     }
+    assert_one_stop_per_start(&a);
     assert!(a.metrics.keys().any(|k| k.starts_with("tnvm.dispatch.")), "{:?}", a.metrics);
 }
 
@@ -86,6 +96,7 @@ fn partitioned_run_emits_chrome_trace_and_counters() {
     for key in ["search.nodes_expanded", "lm.iterations", "cache.hits", "instantiate.calls"] {
         assert!(report.metrics.contains_key(key), "missing {key} in {:?}", report.metrics);
     }
+    assert_one_stop_per_start(&report);
     assert!(report.metrics.keys().any(|k| k.starts_with("tnvm.dispatch.")));
     // Every pipeline stage shows up in the span log, nested sanely.
     let events = report.trace.span_events();
