@@ -8,8 +8,8 @@
 //! * an **exit edge** keeping the program's output buffer live past the last
 //!   instruction (the VM reads it after every evaluation), and
 //! * a **back edge** from the end of the dynamic section to its start, modeling
-//!   that [`Tnvm::evaluate`](qudit_tnvm::Tnvm) re-runs the dynamic section on
-//!   every call while the constant section ran exactly once. Any buffer a dynamic
+//!   that every evaluation re-runs the dynamic section while the constant
+//!   section ran exactly once. Any buffer a dynamic
 //!   instruction reads that was written in the constant section is therefore live
 //!   across the *entire* dynamic region, every iteration.
 //!
@@ -17,14 +17,24 @@
 //! (`live_in(i) = (live_out(i) \ def(i)) ∪ use(i)`); because the bytecode is
 //! single-assignment over a small buffer set, the iteration converges in two
 //! passes. [`Liveness::is_fixed_point`] re-applies one transfer round and checks
-//! nothing changes — the property the proptest campaign pins.
+//! nothing changes.
 //!
 //! The [`InterferenceGraph`] derives from liveness: two buffers interfere when
 //! some instruction has both *occupied* (live-in, live-out, or being defined
 //! there). Defining an instruction's output as occupied alongside its live-in
 //! set also encodes the VM's disjoint-slice rule — an output may never share
-//! storage with that instruction's inputs — so a coloring of this graph is
-//! exactly an arena layout the VM can execute.
+//! storage with that instruction's inputs.
+//!
+//! # The value sweep only
+//!
+//! These facts describe the TNVM's **value sweep**
+//! ([`Tnvm::evaluate_unitary`](qudit_tnvm::Tnvm::evaluate_unitary)): every
+//! evaluation without gradients, and the first half of one with them. The
+//! gradient sweep ([`Tnvm::gradient`](qudit_tnvm::Tnvm::gradient)) reads every
+//! dynamic instruction's operand values once more, after the whole value sweep,
+//! so under gradient evaluation those buffers stay live to the end of the
+//! dynamic section: two buffers this graph lets share storage could still
+//! clobber each other. That is why the VM gives every buffer its own storage.
 
 use std::collections::BTreeSet;
 
@@ -63,8 +73,8 @@ impl DefUseChains {
         DefUseChains { buffers }
     }
 
-    /// Buffers that are written but never read and are not the program output —
-    /// the seeds of dead-instruction elimination.
+    /// Buffers that are written but never read and are not the program output:
+    /// the instructions writing them are dead.
     pub fn dead_buffers(&self, program: &TnvmProgram) -> Vec<BufId> {
         self.buffers
             .iter()
@@ -163,8 +173,7 @@ impl Liveness {
     }
 
     /// Whether these sets are a fixed point of the transfer function: one more
-    /// backward round over `program` must change nothing. The proptest campaign
-    /// asserts this on random well-formed programs.
+    /// backward round over `program` must change nothing.
     pub fn is_fixed_point(&self, program: &TnvmProgram) -> bool {
         let ops = linearize(program);
         if ops.len() != self.live_in.len() || program.constant_ops.len() != self.constant_len {
@@ -264,11 +273,22 @@ mod tests {
 
     #[test]
     fn liveness_is_a_fixed_point_and_output_is_live_at_exit() {
-        let p = program();
-        let live = Liveness::compute(&p);
-        assert!(live.is_fixed_point(&p));
-        assert_eq!(live.len(), p.len());
-        assert!(live.live_out(p.len() - 1).contains(&p.output));
+        // The ladder, plus two-layer templates over qutrit and mixed radices.
+        let templates = [
+            (vec![3usize, 3], vec![(0usize, 1usize); 2]),
+            (vec![2, 3, 2], vec![(0, 1), (1, 2), (0, 1), (1, 2)]),
+        ];
+        let mut programs = vec![program()];
+        for (radices, edges) in templates {
+            let circuit = builders::pqc_template(&radices, &edges).unwrap();
+            programs.push(compile_network(&TensorNetwork::from_circuit(&circuit)));
+        }
+        for p in programs {
+            let live = Liveness::compute(&p);
+            assert!(live.is_fixed_point(&p));
+            assert_eq!(live.len(), p.len());
+            assert!(live.live_out(p.len() - 1).contains(&p.output));
+        }
     }
 
     #[test]

@@ -331,6 +331,21 @@ pub fn minimize(
     x0: &[f64],
     config: &LmConfig,
 ) -> LmResult {
+    minimize_with(evaluator, target, x0, config, assemble_normal_equations)
+}
+
+/// The shape of a normal-equations assembly: `(J, r, m, n, JᵀJ, −Jᵀr, scratch)`.
+type Assembly = fn(&[f64], &[f64], usize, usize, &mut [f64], &mut [f64], &mut Vec<f64>);
+
+/// [`minimize`] with the normal-equations assembly as a parameter, so the tests can
+/// run the serial oracle through the same loop.
+fn minimize_with(
+    evaluator: &mut dyn GradientEvaluator,
+    target: &Matrix<f64>,
+    x0: &[f64],
+    config: &LmConfig,
+    assemble: Assembly,
+) -> LmResult {
     let n = evaluator.num_params();
     assert_eq!(x0.len(), n, "initial guess has wrong length");
     let dim = evaluator.dim();
@@ -365,7 +380,7 @@ pub fn minimize(
         // Normal equations: (JᵀJ + λ diag(JᵀJ)) δ = −Jᵀ r.
         let mut jtj = vec![0.0; n * n];
         let mut jtr = vec![0.0; n];
-        assemble_normal_equations(&jacobian, &residuals, m, n, &mut jtj, &mut jtr, &mut packed);
+        assemble(&jacobian, &residuals, m, n, &mut jtj, &mut jtr, &mut packed);
 
         let mut improved = false;
         for _ in 0..8 {
@@ -469,6 +484,9 @@ pub fn solve_linear_system(a: &[f64], b: &[f64], n: usize) -> Option<Vec<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instantiate::TnvmEvaluator;
+    use qudit_circuit::builders;
+    use qudit_qvm::ExpressionCache;
     use qudit_tensor::{Matrix, C64};
 
     #[test]
@@ -599,8 +617,10 @@ mod tests {
         residuals: &[f64],
         m: usize,
         n: usize,
-    ) -> (Vec<f64>, Vec<f64>) {
-        let (mut jtj, mut jtr) = (vec![0.0; n * n], vec![0.0; n]);
+        jtj: &mut [f64],
+        jtr: &mut [f64],
+        _scratch: &mut Vec<f64>,
+    ) {
         for a in 0..n {
             let col_a = &jacobian[a * m..(a + 1) * m];
             for b in a..n {
@@ -611,7 +631,6 @@ mod tests {
             }
             jtr[a] = -col_a.iter().zip(residuals.iter()).map(|(x, y)| x * y).sum::<f64>();
         }
-        (jtj, jtr)
     }
 
     #[test]
@@ -639,8 +658,16 @@ mod tests {
         signed_zero[..m].fill(0.0);
         inputs.push((m, n, signed_zero, vec![-0.5; m]));
         for (m, n, jacobian, residuals) in inputs {
-            let (jtj_ref, jtr_ref) = reference_normal_equations(&jacobian, &residuals, m, n);
-            type Assembly = fn(&[f64], &[f64], usize, usize, &mut [f64], &mut [f64], &mut Vec<f64>);
+            let (mut jtj_ref, mut jtr_ref) = (vec![0.0; n * n], vec![0.0; n]);
+            reference_normal_equations(
+                &jacobian,
+                &residuals,
+                m,
+                n,
+                &mut jtj_ref,
+                &mut jtr_ref,
+                &mut Vec::new(),
+            );
             let paths: [(&str, Assembly); 2] =
                 [("assembly", assemble_normal_equations), ("panels", assemble_from_panels)];
             for (path, assemble) in paths {
@@ -653,6 +680,38 @@ mod tests {
                     assert_eq!(x.to_bits(), y.to_bits(), "{path} Jᵀr[{i}] differs at m={m} n={n}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn panel_lanes_do_not_change_lm_results() {
+        // Whole LM runs with the lane-parallel assembly against the serial oracle:
+        // two parameters (one- and two-lane chains), a 12-parameter ladder (eight-
+        // and four-lane chains) and a 36-parameter ladder (packed panels).
+        let cache = ExpressionCache::new();
+        let ladder = |qubits, depth| {
+            let circuit = builders::pqc_qubit_ladder(qubits, depth).unwrap();
+            TnvmEvaluator::new(&circuit, &cache)
+        };
+        let evaluators: Vec<Box<dyn GradientEvaluator>> =
+            vec![Box::new(ToyEvaluator), Box::new(ladder(2, 1)), Box::new(ladder(2, 5))];
+        assert_eq!(evaluators[1].num_params(), 12);
+        assert_eq!(evaluators[2].num_params(), 36);
+        assert!(evaluators[2].num_params() >= PANEL_MIN_COLUMNS);
+        let config = LmConfig { max_iterations: 12, ..LmConfig::default() };
+        let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for mut evaluator in evaluators {
+            let n = evaluator.num_params();
+            let (target, _) = evaluator.evaluate(&lcg_values(n, 5));
+            let x0 = lcg_values(n, 9);
+            let lanes =
+                minimize_with(&mut *evaluator, &target, &x0, &config, assemble_normal_equations);
+            let serial =
+                minimize_with(&mut *evaluator, &target, &x0, &config, reference_normal_equations);
+            assert_eq!((lanes.iterations, lanes.stop), (serial.iterations, serial.stop), "n={n}");
+            assert_eq!((lanes.trials, lanes.rejected), (serial.trials, serial.rejected), "n={n}");
+            assert_eq!(lanes.cost.to_bits(), serial.cost.to_bits(), "n={n}");
+            assert_eq!(bits(&lanes.params), bits(&serial.params), "n={n}");
         }
     }
 

@@ -1,18 +1,13 @@
-//! Optimizer conformance suite: the verified-bytecode-optimization contract.
+//! Static cost-model conformance: the figures an optimization decision weighs.
 //!
-//! Every program the optimizer returns must be *provably* interchangeable with its
-//! input: `verify_program` accepts it, every registered tier lowers it, and a
-//! differential check pins the evaluation bit for bit — values **and** gradients,
-//! both `DiffMode`s, both tiers. The static cost model must agree *exactly* with the
-//! runtime `KernelCounters`, and the dataflow facts the optimizer builds on
-//! (liveness, interference) must hold on random well-formed programs.
+//! `estimate_plan` predicts the TNVM's kernel counters from a lowered program
+//! alone. It must agree *exactly* with the runtime `KernelCounters` of a full
+//! evaluation (value sweep plus gradient sweep) on every registered radix mix,
+//! both tiers and both `DiffMode`s.
 
-use std::sync::OnceLock;
-
-use openqudit::analyze::{InterferenceGraph, Liveness, OPTIMIZE_ENV_VAR};
+use openqudit::analyze::estimate_plan;
 use openqudit::circuit::builders;
 use openqudit::prelude::*;
-use proptest::prelude::*;
 
 /// The radix mixes of the analyze conformance suite: qubit pair, qutrit pair, the
 /// mixed pair, and a three-qubit chain.
@@ -29,124 +24,30 @@ fn param_vector(count: usize, seed: u64) -> Vec<f64> {
         .collect()
 }
 
-fn assert_matrices_bit_identical(a: &Matrix<f64>, b: &Matrix<f64>, what: &str) {
-    assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()), "{what}: shape");
-    for (i, (x, y)) in a.as_slice().iter().zip(b.as_slice().iter()).enumerate() {
-        assert_eq!(x.re.to_bits(), y.re.to_bits(), "{what}: re differs at element {i}");
-        assert_eq!(x.im.to_bits(), y.im.to_bits(), "{what}: im differs at element {i}");
-    }
-}
-
-/// Compiles a PQC template over `radices` (nearest-neighbour couplings) down to
-/// TNVM bytecode.
-fn compiled_program(radices: &[usize]) -> TnvmProgram {
-    let couplings: Vec<(usize, usize)> = (0..radices.len() - 1).map(|i| (i, i + 1)).collect();
-    let circuit = builders::pqc_template(radices, &couplings).unwrap();
+/// Compiles a PQC template over `radices` with `layers` rounds of
+/// nearest-neighbour couplings down to TNVM bytecode.
+fn compiled_program(radices: &[usize], layers: usize) -> TnvmProgram {
+    let chain: Vec<(usize, usize)> = (0..radices.len() - 1).map(|i| (i, i + 1)).collect();
+    let edges: Vec<(usize, usize)> =
+        chain.iter().cycle().take(chain.len() * layers).copied().collect();
+    let circuit = builders::pqc_template(radices, &edges).unwrap();
     try_compile_network(&TensorNetwork::from_circuit(&circuit)).unwrap()
-}
-
-/// One compiled program per radix mix, shared across tests and proptest cases.
-fn programs() -> &'static Vec<TnvmProgram> {
-    static PROGRAMS: OnceLock<Vec<TnvmProgram>> = OnceLock::new();
-    PROGRAMS.get_or_init(|| RADIX_MIXES.iter().map(|mix| compiled_program(mix)).collect())
-}
-
-/// Evaluates `original` and `optimized` under `diff` on both tiers and asserts
-/// bitwise agreement of the unitary and every gradient block.
-fn assert_programs_agree(
-    original: &TnvmProgram,
-    optimized: &TnvmProgram,
-    cache: &ExpressionCache,
-    diff: DiffMode,
-    seed: u64,
-    what: &str,
-) {
-    let params = param_vector(original.num_params, seed);
-    for kind in BackendKind::all() {
-        let label = format!("{what} {diff:?} {kind}");
-        let mut reference: Tnvm<f64> = Tnvm::with_backend(original, diff, cache, kind);
-        let mut candidate: Tnvm<f64> = Tnvm::with_backend(optimized, diff, cache, kind);
-        let expected = reference.evaluate(&params);
-        let actual = candidate.evaluate(&params);
-        assert_matrices_bit_identical(&expected.unitary, &actual.unitary, &label);
-        assert_eq!(expected.gradient.len(), actual.gradient.len(), "{label}: gradient count");
-        for (k, (ge, ga)) in expected.gradient.iter().zip(actual.gradient.iter()).enumerate() {
-            assert_matrices_bit_identical(ge, ga, &format!("{label}: gradient {k}"));
-        }
-    }
-}
-
-#[test]
-fn optimized_programs_are_bit_identical_on_every_radix_mix() {
-    let cache = ExpressionCache::new();
-    for (mix, program) in RADIX_MIXES.iter().zip(programs()) {
-        let out = optimize_program(program, OptimizeLevel::Full, &cache);
-        assert!(
-            out.stats.rejected.is_none(),
-            "optimizer rejected its own output on {mix:?}: {:?}",
-            out.stats.rejected
-        );
-        // The optimized program must satisfy the full static contract on its own.
-        verify_program(&out.program)
-            .unwrap_or_else(|e| panic!("optimized program for {mix:?} rejected: {e}"));
-        for kind in BackendKind::all() {
-            verify_backend(&out.program, kind).unwrap_or_else(|e| {
-                panic!("optimized {} plan for {mix:?} rejected: {e}", kind.name())
-            });
-        }
-        for diff in [DiffMode::None, DiffMode::Gradient] {
-            for seed in [7, 23] {
-                assert_programs_agree(
-                    program,
-                    &out.program,
-                    &cache,
-                    diff,
-                    seed,
-                    &format!("{mix:?}"),
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn optimizer_reduces_the_three_qubit_chain() {
-    // Codegen pads each two-qudit block into the full register with fresh identity
-    // writes; on a three-qubit chain the duplicated paddings are CSE fodder, so the
-    // acceptance criterion "at least one workload shrinks" is pinned here.
-    let program = &programs()[3];
-    let cache = ExpressionCache::new();
-    let out = optimize_program(program, OptimizeLevel::Full, &cache);
-    assert!(out.stats.rejected.is_none());
-    assert!(
-        out.stats.instructions_after < out.stats.instructions_before,
-        "no instruction was eliminated on [2,2,2]: {:?}",
-        out.stats
-    );
-    assert!(out.stats.cse_removed > 0, "expected CSE merges on [2,2,2]: {:?}", out.stats);
-    assert!(
-        out.stats.arena_after <= out.stats.arena_before,
-        "optimization must never grow the arena: {:?}",
-        out.stats
-    );
-    assert_eq!(out.program.len(), out.stats.instructions_after);
-    assert_eq!(out.program.arena_elements(), out.stats.arena_after);
 }
 
 #[test]
 fn static_estimate_matches_runtime_counters_exactly() {
     // The cost model and the runtime tally must be the same arithmetic: exact
-    // equality, no tolerance — on the original *and* the optimized program.
+    // equality, no tolerance — on one- and two-layer templates of every mix.
     let cache = ExpressionCache::new();
-    for (mix, program) in RADIX_MIXES.iter().zip(programs()) {
-        let optimized = optimize_program(program, OptimizeLevel::Full, &cache).program;
-        for (label, p) in [("original", program), ("optimized", &optimized)] {
+    for mix in RADIX_MIXES {
+        for layers in [1, 2] {
+            let p = compiled_program(mix, layers);
             for kind in BackendKind::all() {
-                let plan = kind.instance().lower(p);
+                let plan = kind.instance().lower(&p);
                 for mode in [DiffMode::None, DiffMode::Gradient] {
-                    let what = format!("{mix:?} {label} {kind} {mode:?}");
-                    let estimate = estimate_plan(p, &plan, mode);
-                    let mut vm: Tnvm<f64> = Tnvm::with_backend(p, mode, &cache, kind);
+                    let what = format!("{mix:?} x{layers} {kind} {mode:?}");
+                    let estimate = estimate_plan(&p, &plan, mode);
+                    let mut vm: Tnvm<f64> = Tnvm::with_backend(&p, mode, &cache, kind);
                     let mut init = vm.take_counters();
                     // Cache outcomes depend on what earlier constructions warmed;
                     // the static model deliberately leaves them at zero.
@@ -161,103 +62,6 @@ fn static_estimate_matches_runtime_counters_exactly() {
                     );
                 }
             }
-        }
-    }
-}
-
-#[test]
-fn optimize_env_var_name_is_stable() {
-    // CI's optimizer conformance step sets this variable; renaming it must be a
-    // conscious act.
-    assert_eq!(OPTIMIZE_ENV_VAR, "OPENQUDIT_OPTIMIZE");
-    assert_eq!(OptimizeLevel::parse("off"), Some(OptimizeLevel::Off));
-    assert_eq!(OptimizeLevel::parse("instructions"), Some(OptimizeLevel::Instructions));
-    assert_eq!(OptimizeLevel::parse("full"), Some(OptimizeLevel::Full));
-    assert_eq!(OptimizeLevel::parse("aggressive"), None);
-}
-
-#[test]
-fn explicit_optimize_pass_is_a_timed_pipeline_stage() {
-    let target = openqudit::circuit::gates::cnot().to_matrix::<f64>(&[]).unwrap();
-    let report = Compiler::with_cache(ExpressionCache::new())
-        .default_passes()
-        .add_pass(OptimizePass::default())
-        .compile(CompilationTask::new(target, SynthesisConfig::qubits(2)))
-        .unwrap();
-    assert!(report.result.success);
-    let names: Vec<&str> = report.timings.iter().map(|t| t.pass.as_str()).collect();
-    assert_eq!(names, ["synthesis", "refine", "fold", "optimize"]);
-    assert_eq!(report.data.get("optimize.level").unwrap().to_string(), "full");
-    assert!(report.data.get("optimize.rejected").is_none());
-    assert!(report.metrics.get("analyze.optimize.programs").copied().unwrap_or(0) >= 1);
-    assert_eq!(report.metrics.get("analyze.optimize.rejected").copied(), Some(0));
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Random well-formed programs: the dataflow facts hold, coalescing never maps
-    /// two simultaneously-live buffers onto overlapping arena ranges, and the
-    /// optimized program evaluates bit-identically to the original on random
-    /// parameter vectors across both tiers.
-    #[test]
-    fn random_programs_optimize_soundly(
-        radices in prop_oneof![
-            Just(vec![2usize, 2]), Just(vec![3, 3]), Just(vec![2, 3]),
-            Just(vec![2, 2, 2]), Just(vec![2, 3, 2]),
-        ],
-        layers in 1usize..3,
-        seed in 0u64..1000,
-    ) {
-        let chain: Vec<(usize, usize)> = (0..radices.len() - 1).map(|q| (q, q + 1)).collect();
-        let edges: Vec<(usize, usize)> =
-            chain.iter().cycle().take(chain.len() * layers).copied().collect();
-        let circuit = builders::pqc_template(&radices, &edges).unwrap();
-        let program = try_compile_network(&TensorNetwork::from_circuit(&circuit)).unwrap();
-
-        // (a) Liveness is a fixed point of its own transfer function.
-        let liveness = Liveness::compute(&program);
-        prop_assert!(liveness.is_fixed_point(&program));
-        let interference = InterferenceGraph::build(&program, &liveness);
-        for buf in 0..program.buffers.len() {
-            prop_assert!(!interference.interferes(buf, buf), "interference is irreflexive");
-        }
-
-        // (b) + (c) Full optimization stays sound end to end.
-        let cache = ExpressionCache::new();
-        let out = optimize_program(&program, OptimizeLevel::Full, &cache);
-        prop_assert!(out.stats.rejected.is_none(), "rejected: {:?}", out.stats.rejected);
-        prop_assert!(verify_program(&out.program).is_ok());
-        if let Some(layout) = &out.program.layout {
-            let live = Liveness::compute(&out.program);
-            let graph = InterferenceGraph::build(&out.program, &live);
-            for a in 0..out.program.buffers.len() {
-                for b in graph.neighbors(a) {
-                    if b <= a {
-                        continue;
-                    }
-                    let (sa, sb) = (layout.offsets[a], layout.offsets[b]);
-                    let (ea, eb) = (
-                        sa + out.program.buffers[a].len(),
-                        sb + out.program.buffers[b].len(),
-                    );
-                    prop_assert!(
-                        ea <= sb || eb <= sa,
-                        "interfering buffers {a} and {b} share arena range \
-                         [{sa},{ea}) vs [{sb},{eb})"
-                    );
-                }
-            }
-        }
-        for diff in [DiffMode::None, DiffMode::Gradient] {
-            assert_programs_agree(
-                &program,
-                &out.program,
-                &cache,
-                diff,
-                seed,
-                &format!("{radices:?} x{layers}"),
-            );
         }
     }
 }

@@ -6,7 +6,9 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
+use openqudit::analyze::{VerifyLevel, VERIFY_ENV_VAR};
 use openqudit::serve::{ServeConfig, Server, ServerHandle};
+use openqudit::tnvm::BackendKind;
 
 /// One parsed HTTP response.
 struct Response {
@@ -328,6 +330,48 @@ fn same_seed_responses_are_byte_identical_across_tnvm_tiers() {
     // And a same-tier repeat at the same seed is byte-identical even unscrubbed.
     let again = compile_fresh("scalar");
     assert_eq!(scalar.body, again.body);
+}
+
+#[test]
+fn metrics_expose_the_analyze_counter_family() {
+    // The server's compiler reads its verification level from the environment.
+    // Without full verification here, rerun just this test in a child process
+    // that has it.
+    if VerifyLevel::from_env() != VerifyLevel::Full {
+        let output = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args(["metrics_expose_the_analyze_counter_family", "--exact", "--test-threads=1"])
+            .env(VERIFY_ENV_VAR, "full")
+            .output()
+            .expect("rerun under full verification");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(output.status.success(), "{stdout}{stderr}");
+        assert!(stdout.contains("1 passed"), "{stdout}");
+        return;
+    }
+    let server = start(ServeConfig::default());
+    let addr = server.addr();
+    let response = post_compile(addr, CNOT_SEED7);
+    assert_eq!(response.status, 200, "{}", response.body);
+    // Full verification checks the circuit, its program and one plan per tier
+    // after every pass; each check counts under analyze.*, in the response
+    // metrics and process-wide.
+    let metrics = http(addr, "GET", "/metrics", "").body;
+    let family = [
+        "analyze.circuits_verified",
+        "analyze.programs_verified",
+        "analyze.plans_verified",
+        "analyze.instructions_checked",
+    ];
+    for key in family {
+        assert!(response.body.contains(&format!("\"{key}\"")), "{}", response.body);
+        assert!(counter(addr, key) >= 1, "{key}: {metrics}");
+    }
+    let programs = counter(addr, "analyze.programs_verified");
+    assert_eq!(counter(addr, "analyze.circuits_verified"), programs, "{metrics}");
+    let tiers = BackendKind::all().len() as u64;
+    assert_eq!(counter(addr, "analyze.plans_verified"), programs * tiers, "{metrics}");
+    server.shutdown();
 }
 
 #[test]
