@@ -244,9 +244,42 @@ mod tests {
             .collect()
     }
 
+    /// Every KRON operand shape `(ar, ac, br, bc)` the PQC templates over the
+    /// registered radix mixes lower to (qubit, qutrit and ququart pairs and chains).
+    const CIRCUIT_SHAPES: [(usize, usize, usize, usize); 16] = [
+        (2, 2, 2, 2),
+        (2, 2, 3, 3),
+        (2, 2, 4, 4),
+        (3, 3, 2, 2),
+        (3, 3, 3, 3),
+        (3, 3, 4, 4),
+        (3, 3, 9, 9),
+        (4, 4, 2, 2),
+        (4, 4, 3, 3),
+        (4, 4, 4, 4),
+        (4, 4, 6, 6),
+        (6, 6, 4, 4),
+        (8, 8, 2, 2),
+        (8, 8, 3, 3),
+        (9, 9, 3, 3),
+        (12, 12, 2, 2),
+    ];
+
+    /// Shapes with fewer than 16 output elements, and rectangular operands.
+    const SMALL_AND_RECTANGULAR_SHAPES: [(usize, usize, usize, usize); 8] = [
+        (1, 1, 1, 1),
+        (1, 1, 2, 2),
+        (2, 2, 1, 1),
+        (1, 2, 3, 1),
+        (2, 1, 1, 3),
+        (3, 1, 1, 5),
+        (1, 3, 2, 2),
+        (3, 5, 4, 2),
+    ];
+
     #[test]
     fn blocked_kron_matches_scalar_bitwise() {
-        for (ar, ac, br, bc) in [(1, 1, 1, 1), (2, 2, 3, 3), (4, 4, 2, 2), (3, 5, 4, 2)] {
+        for (ar, ac, br, bc) in CIRCUIT_SHAPES.into_iter().chain(SMALL_AND_RECTANGULAR_SHAPES) {
             let a = lcg_matrix(ar, ac, (ar * 7 + ac) as u64);
             let b = lcg_matrix(br, bc, (br * 7 + bc) as u64);
             let n = ar * br * ac * bc;

@@ -1029,28 +1029,36 @@ mod tests {
         let _ = vm.evaluate(&[0.0]);
     }
 
+    /// 64-bit FNV-1a over the bits of the unitary, then of every gradient block.
+    fn result_hash(result: &EvalResult<f64>) -> u64 {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for m in std::iter::once(&result.unitary).chain(&result.gradient) {
+            for z in m.as_slice() {
+                for byte in
+                    z.re.to_bits().to_le_bytes().into_iter().chain(z.im.to_bits().to_le_bytes())
+                {
+                    hash ^= u64::from(byte);
+                    hash = hash.wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        hash
+    }
+
     #[test]
     fn blocked_backend_is_bit_identical_to_scalar() {
-        // 3 qubits so every KRON (and its gradient accumulation) lowers blocked.
+        // The 3-qubit 2-layer ladder at seed 11, pinned in both differentiation modes.
         let c = builders::pqc_qubit_ladder(3, 2).unwrap();
         let program = compile_network(&TensorNetwork::from_circuit(&c));
         let cache = ExpressionCache::new();
-        let mut scalar =
-            Tnvm::<f64>::with_backend(&program, DiffMode::Gradient, &cache, BackendKind::Scalar);
-        let mut blocked =
-            Tnvm::<f64>::with_backend(&program, DiffMode::Gradient, &cache, BackendKind::Blocked);
-        assert!(blocked.plan().uses_blocked(), "3-qubit program must lower blocked kernels");
         let params = random_params(c.num_params(), 11);
-        let rs = scalar.evaluate(&params);
-        let rb = blocked.evaluate(&params);
-        for (x, y) in rs.unitary.as_slice().iter().zip(rb.unitary.as_slice()) {
-            assert_eq!(x.re.to_bits(), y.re.to_bits());
-            assert_eq!(x.im.to_bits(), y.im.to_bits());
-        }
-        for (gs, gb) in rs.gradient.iter().zip(rb.gradient.iter()) {
-            for (x, y) in gs.as_slice().iter().zip(gb.as_slice()) {
-                assert_eq!(x.re.to_bits(), y.re.to_bits());
-                assert_eq!(x.im.to_bits(), y.im.to_bits());
+        for (diff, pin) in
+            [(DiffMode::None, 0x4b9e_7cbd_cd06_9433), (DiffMode::Gradient, 0xa5ee_0e65_623e_68b5)]
+        {
+            for kind in BackendKind::all() {
+                let mut vm = Tnvm::<f64>::with_backend(&program, diff, &cache, kind);
+                let hash = result_hash(&vm.evaluate(&params));
+                assert_eq!(hash, pin, "{diff:?} [{kind}]: fingerprint {hash:#018x}");
             }
         }
     }
@@ -1075,65 +1083,67 @@ mod tests {
 
     #[test]
     fn tiers_split_identical_dispatch_totals_differently() {
+        // One gradient evaluation of the 3-qubit 2-layer ladder: MATMUL and KRON
+        // dispatches and the flop estimate, pinned.
         let c = builders::pqc_qubit_ladder(3, 2).unwrap();
         let program = compile_network(&TensorNetwork::from_circuit(&c));
         let cache = ExpressionCache::new();
-        let mut scalar =
-            Tnvm::<f64>::with_backend(&program, DiffMode::Gradient, &cache, BackendKind::Scalar);
-        let mut blocked =
-            Tnvm::<f64>::with_backend(&program, DiffMode::Gradient, &cache, BackendKind::Blocked);
-        scalar.take_counters();
-        blocked.take_counters();
         let params = random_params(c.num_params(), 17);
-        let _ = scalar.evaluate(&params);
-        let _ = blocked.evaluate(&params);
-        let s = *scalar.counters();
-        let b = *blocked.counters();
-        assert_eq!(s.matmul[0] + s.matmul[1], b.matmul[0] + b.matmul[1]);
-        assert_eq!(s.kron[0] + s.kron[1], b.kron[0] + b.kron[1]);
-        assert_eq!(s.matmul[1] + s.kron[1], 0, "scalar tier never dispatches blocked");
-        assert!(b.kron[1] > 0, "3-qubit KRON outputs must lower blocked");
-        assert_eq!(s.writes, b.writes);
-        assert_eq!(s.transposes, b.transposes);
+        for kind in BackendKind::all() {
+            let mut vm = Tnvm::<f64>::with_backend(&program, DiffMode::Gradient, &cache, kind);
+            vm.take_counters();
+            let _ = vm.evaluate(&params);
+            let counters = vm.take_counters();
+            let totals = (
+                counters.matmul.iter().sum::<u64>(),
+                counters.kron.iter().sum::<u64>(),
+                counters.flops.iter().sum::<u64>(),
+            );
+            assert_eq!(totals, (52, 45, 174_048), "[{kind}] (matmul, kron, flops)");
+            assert_eq!((counters.writes, counters.transposes), (7, 1), "[{kind}]");
+        }
     }
 
     #[test]
     fn memory_bytes_accounts_for_kernel_workspace() {
-        // 6 qubits: 64-dim operands, so the MATMULs lower to the panel-packed gemm
-        // and the plan requests a real workspace.
-        let c = builders::pqc_qubit_ladder(6, 1).unwrap();
-        let program = compile_network(&TensorNetwork::from_circuit(&c));
+        // Value arena, gradient arena and staging on the 3-qubit gradient ladder and
+        // the 6-qubit value-only ladder, in bytes.
         let cache = ExpressionCache::new();
-        let scalar =
-            Tnvm::<f64>::with_backend(&program, DiffMode::None, &cache, BackendKind::Scalar);
-        let blocked =
-            Tnvm::<f64>::with_backend(&program, DiffMode::None, &cache, BackendKind::Blocked);
-        assert_eq!(scalar.plan().workspace_scalars, 0);
-        assert!(blocked.plan().workspace_scalars > 0);
-        assert!(
-            blocked.memory_bytes()
-                == scalar.memory_bytes()
-                    + blocked.plan().workspace_scalars * std::mem::size_of::<f64>(),
-            "memory report must include the tier workspace"
-        );
+        for (n, layers, diff, pin) in
+            [(3usize, 2usize, DiffMode::Gradient, 83_664usize), (6, 1, DiffMode::None, 338_912)]
+        {
+            let c = builders::pqc_qubit_ladder(n, layers).unwrap();
+            let program = compile_network(&TensorNetwork::from_circuit(&c));
+            let vm = Tnvm::<f64>::with_backend(&program, diff, &cache, BackendKind::Scalar);
+            assert_eq!(vm.memory_bytes(), pin, "{n}-qubit ladder");
+        }
     }
 
     #[test]
     fn load_keeps_backend_and_relowers() {
+        // A VM re-targeted with `load` up to a larger program and back reproduces
+        // fresh VMs of each program bit for bit.
         let cache = ExpressionCache::new();
         let small = builders::pqc_qubit_ladder(2, 1).unwrap();
         let big = builders::pqc_qubit_ladder(3, 2).unwrap();
         let small_prog = compile_network(&TensorNetwork::from_circuit(&small));
         let big_prog = compile_network(&TensorNetwork::from_circuit(&big));
-        let mut vm =
-            Tnvm::<f64>::with_backend(&small_prog, DiffMode::None, &cache, BackendKind::Blocked);
-        assert_eq!(vm.backend(), BackendKind::Blocked);
-        vm.load(&big_prog, &cache);
-        assert_eq!(vm.backend(), BackendKind::Blocked);
-        assert!(vm.plan().uses_blocked(), "re-lowering must pick up the larger shapes");
-        let params = random_params(big.num_params(), 3);
-        let u = vm.evaluate_unitary(&params);
-        let reference = big.unitary::<f64>(&params).unwrap();
-        assert!(u.max_elementwise_distance(&reference) < 1e-10);
+        let p_small = random_params(small.num_params(), 2);
+        let p_big = random_params(big.num_params(), 3);
+        for kind in BackendKind::all() {
+            let fresh = |program: &TnvmProgram, params: &[f64]| {
+                Tnvm::<f64>::with_backend(program, DiffMode::Gradient, &cache, kind)
+                    .evaluate(params)
+            };
+            let mut vm = Tnvm::<f64>::with_backend(&small_prog, DiffMode::Gradient, &cache, kind);
+            let _ = vm.evaluate(&p_small);
+            vm.load(&big_prog, &cache);
+            assert_eq!(result_hash(&vm.evaluate(&p_big)), result_hash(&fresh(&big_prog, &p_big)));
+            vm.load(&small_prog, &cache);
+            assert_eq!(
+                result_hash(&vm.evaluate(&p_small)),
+                result_hash(&fresh(&small_prog, &p_small))
+            );
+        }
     }
 }

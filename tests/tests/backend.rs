@@ -1,13 +1,14 @@
-//! Backend conformance suite: the multi-tier lowering contract.
+//! TNVM conformance suite: the evaluation results the VM must reproduce bit for bit.
 //!
-//! The TNVM's execution tiers must be interchangeable: `BlockedCpuBackend` is pinned
-//! to the `ScalarBackend` reference **bit for bit** (its kernels are
-//! reassociation-free — same per-element accumulation order, zero-skip, and
-//! complex-multiply expansion — so not even a 1e-12 tolerance is needed; that budget
-//! is reserved for future reassociating tiers, per `crates/tnvm/README.md`). The
-//! suite drives both tiers over every registered-gate-set radix mix (pure qubit,
-//! qutrit, ququart, and all mixed pairs), in both differentiation modes, through
-//! `evaluate` and `evaluate_unitary`, plus a proptest sweep over random templates.
+//! Every registered-gate-set radix mix (pure qubit, qutrit, ququart, and all mixed
+//! pairs) and two deep qubit ladders are evaluated in both differentiation modes, and
+//! an FNV-1a fingerprint over the bits of the unitary and every gradient block is
+//! compared with a pinned table. `evaluate_unitary` must equal `evaluate().unitary`
+//! bit for bit. A proptest sweep checks random templates against the circuit's
+//! reference unitary and central finite differences, and the compile pin fixes the
+//! CNOT compile's parameters, infidelity and blocks. A kernel change that moves one
+//! bit of any result fails here; a deliberate numerical change regenerates the pins
+//! from the failure messages.
 
 use openqudit::circuit::builders;
 use openqudit::prelude::*;
@@ -25,6 +26,28 @@ fn param_vector(count: usize, seed: u64) -> Vec<f64> {
         .collect()
 }
 
+/// 64-bit FNV-1a over the little-endian bytes of `words`. Written out here because
+/// `DefaultHasher`'s output may change between Rust releases.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for word in words {
+        for byte in word.to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// Fingerprint of one evaluation: the unitary's bits, then every gradient block's.
+fn result_hash(result: &EvalResult<f64>) -> u64 {
+    fnv1a(
+        std::iter::once(&result.unitary)
+            .chain(&result.gradient)
+            .flat_map(|m| m.as_slice().iter().flat_map(|z| [z.re.to_bits(), z.im.to_bits()])),
+    )
+}
+
 fn assert_matrices_bit_identical(a: &Matrix<f64>, b: &Matrix<f64>, what: &str) {
     assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()), "{what}: shape");
     for (i, (x, y)) in a.as_slice().iter().zip(b.as_slice().iter()).enumerate() {
@@ -33,53 +56,57 @@ fn assert_matrices_bit_identical(a: &Matrix<f64>, b: &Matrix<f64>, what: &str) {
     }
 }
 
-/// Evaluates `circuit` under both tiers and asserts bitwise agreement of the unitary
-/// and (in gradient mode) every gradient block.
-fn assert_backends_agree(circuit: &QuditCircuit, diff: DiffMode, seed: u64, what: &str) {
+/// Evaluates `circuit` at the seeded parameters and asserts the result's fingerprint
+/// equals `pin`, and that `evaluate_unitary` reproduces `evaluate().unitary`.
+fn assert_pinned(circuit: &QuditCircuit, diff: DiffMode, seed: u64, pin: u64, what: &str) {
     let program = compile_network(&TensorNetwork::from_circuit(circuit));
     let cache = ExpressionCache::new();
-    let mut scalar = Tnvm::<f64>::with_backend(&program, diff, &cache, BackendKind::Scalar);
-    let mut blocked = Tnvm::<f64>::with_backend(&program, diff, &cache, BackendKind::Blocked);
     let params = param_vector(circuit.num_params(), seed);
-    let rs = scalar.evaluate(&params);
-    let rb = blocked.evaluate(&params);
-    assert_matrices_bit_identical(&rs.unitary, &rb.unitary, what);
-    assert_eq!(rs.gradient.len(), rb.gradient.len(), "{what}: gradient count");
-    for (k, (gs, gb)) in rs.gradient.iter().zip(rb.gradient.iter()).enumerate() {
-        assert_matrices_bit_identical(gs, gb, &format!("{what}: gradient {k}"));
+    for kind in BackendKind::all() {
+        let mut vm = Tnvm::<f64>::with_backend(&program, diff, &cache, kind);
+        let result = vm.evaluate(&params);
+        let hash = result_hash(&result);
+        assert_eq!(hash, pin, "{what} [{kind}]: fingerprint {hash:#018x}");
+        let unitary = vm.evaluate_unitary(&params);
+        assert_matrices_bit_identical(&unitary, &result.unitary, &format!("{what}: unitary"));
     }
-    // `evaluate_unitary` goes through the same lowered plan; pin it explicitly.
-    let us = scalar.evaluate_unitary(&params);
-    let ub = blocked.evaluate_unitary(&params);
-    assert_matrices_bit_identical(&us, &ub, &format!("{what}: evaluate_unitary"));
 }
+
+/// Every radix mix the default gate set registers, with the fingerprints of its
+/// `DiffMode::None` and `DiffMode::Gradient` evaluations at seed 7.
+const RADIX_MIX_PINS: [(&[usize], u64, u64); 7] = [
+    (&[2, 2], 0x34f6_45ae_92d3_80da, 0x37b0_2a75_2b8b_a5dc),
+    (&[3, 3], 0xabbd_2b79_7e0f_cc2f, 0x8329_f1ba_1174_b3e2),
+    (&[4, 4], 0x4021_e635_bff9_e9a6, 0x6e77_8410_2308_1ec1),
+    (&[2, 3], 0x9404_3c8e_446f_5052, 0x4df9_daef_0e2b_6906),
+    (&[2, 4], 0xd718_bb79_2a95_721d, 0x3deb_2d93_972e_7357),
+    (&[3, 4], 0x6c54_6e11_e5e3_e2c7, 0xb10f_083c_2510_3633),
+    (&[2, 3, 4], 0x7095_54a4_e2d0_28da, 0xddc8_8c7f_0e75_3089),
+];
 
 #[test]
 fn tiers_agree_bitwise_on_every_registered_radix_mix() {
-    // Every radix pair the default gate set registers, under both diff modes. Each
-    // mix lowers its KRONs (and gradient accumulations) to the blocked kernels while
-    // the MATMULs pin the scalar-fallback path below the gemm threshold.
-    for radices in
-        [vec![2, 2], vec![3, 3], vec![4, 4], vec![2, 3], vec![2, 4], vec![3, 4], vec![2, 3, 4]]
-    {
+    for (radices, none_pin, gradient_pin) in RADIX_MIX_PINS {
         let edges: Vec<(usize, usize)> = (0..radices.len() - 1).map(|q| (q, q + 1)).collect();
-        let circuit = builders::pqc_template(&radices, &edges).unwrap();
-        for diff in [DiffMode::None, DiffMode::Gradient] {
-            assert_backends_agree(&circuit, diff, 7, &format!("{radices:?} {diff:?}"));
+        let circuit = builders::pqc_template(radices, &edges).unwrap();
+        for (diff, pin) in [(DiffMode::None, none_pin), (DiffMode::Gradient, gradient_pin)] {
+            assert_pinned(&circuit, diff, 7, pin, &format!("{radices:?} {diff:?}"));
         }
     }
 }
 
 #[test]
 fn tiers_agree_bitwise_on_deep_qubit_ladders() {
-    // Deeper programs chain many MATMUL/KRON ops, so selection mistakes accumulate
-    // loudly; 3 and 4 qubits put every KRON firmly in blocked territory.
-    for (n, layers) in [(3usize, 3usize), (4, 2)] {
+    // Deeper programs chain many MATMUL/KRON ops, so a one-bit kernel drift
+    // compounds loudly.
+    for (n, layers, pin) in [(3usize, 3usize, 0x0685_fbb1_7df9_a6e0), (4, 2, 0x0948_11e5_c214_deef)]
+    {
         let circuit = builders::pqc_qubit_ladder(n, layers).unwrap();
-        assert_backends_agree(
+        assert_pinned(
             &circuit,
             DiffMode::Gradient,
             (n * 10 + layers) as u64,
+            pin,
             &format!("{n}-qubit {layers}-layer ladder"),
         );
     }
@@ -87,60 +114,47 @@ fn tiers_agree_bitwise_on_deep_qubit_ladders() {
 
 #[test]
 fn blocked_tier_reports_workspace_and_larger_memory() {
-    // Small programs lower blocked KRONs but no panel-packed MATMUL (workspace-free);
-    // 6-qubit operands clear the gemm threshold and must surface their workspace in
-    // the memory report.
-    let small = builders::pqc_qubit_ladder(3, 2).unwrap();
-    let program = compile_network(&TensorNetwork::from_circuit(&small));
+    // The VM's numerical storage on the 3-qubit gradient ladder and the 6-qubit
+    // value-only ladder, in bytes.
     let cache = ExpressionCache::new();
-    let scalar =
-        Tnvm::<f64>::with_backend(&program, DiffMode::Gradient, &cache, BackendKind::Scalar);
-    let blocked =
-        Tnvm::<f64>::with_backend(&program, DiffMode::Gradient, &cache, BackendKind::Blocked);
-    assert!(!scalar.plan().uses_blocked());
-    assert!(blocked.plan().uses_blocked());
-    assert_eq!(blocked.plan().workspace_scalars, 0);
-    assert_eq!(blocked.memory_bytes(), scalar.memory_bytes());
-
-    let wide = builders::pqc_qubit_ladder(6, 1).unwrap();
-    let program = compile_network(&TensorNetwork::from_circuit(&wide));
-    let scalar = Tnvm::<f64>::with_backend(&program, DiffMode::None, &cache, BackendKind::Scalar);
-    let blocked = Tnvm::<f64>::with_backend(&program, DiffMode::None, &cache, BackendKind::Blocked);
-    assert!(blocked.plan().workspace_scalars > 0);
-    assert!(
-        blocked.memory_bytes() > scalar.memory_bytes(),
-        "the blocked tier's workspace must show up in the memory report"
-    );
+    for (n, layers, diff, pin) in
+        [(3usize, 2usize, DiffMode::Gradient, 83_664usize), (6, 1, DiffMode::None, 338_912)]
+    {
+        let circuit = builders::pqc_qubit_ladder(n, layers).unwrap();
+        let program = compile_network(&TensorNetwork::from_circuit(&circuit));
+        let scalar = Tnvm::<f64>::with_backend(&program, diff, &cache, BackendKind::Scalar);
+        assert_eq!(scalar.memory_bytes(), pin, "{n}-qubit ladder");
+        let blocked = Tnvm::<f64>::with_backend(&program, diff, &cache, BackendKind::Blocked);
+        assert_eq!(
+            blocked.memory_bytes(),
+            pin + blocked.plan().workspace_scalars * std::mem::size_of::<f64>(),
+            "{n}-qubit ladder"
+        );
+    }
 }
 
 #[test]
 fn backend_threads_through_the_whole_stack() {
-    // One knob at the top (SynthesisConfig::backend) must reach the frontier
-    // evaluators, refinement, and folding — and both tiers must compile the same
-    // target to byte-identical results at the same seed (the per-tier determinism
-    // contract; the tiers are additionally bit-identical to each other today).
+    // The CNOT compile at the default seed, pinned: parameter and infidelity bits
+    // and the chosen blocks.
+    const PARAMS_PIN: u64 = 0x1822_dc7f_9414_9480;
+    const INFIDELITY_BITS: u64 = 0x3cb0_0000_0000_0000;
+    const BLOCKS: &[(usize, usize)] = &[(0, 1)];
     let target = openqudit::circuit::gates::cnot().to_matrix::<f64>(&[]).unwrap();
-    let mut results = Vec::new();
     for backend in BackendKind::all() {
         let mut config = SynthesisConfig::qubits(2);
         config.backend = backend;
-        assert_eq!(config.frontier_instantiate_config().backend, backend);
-        assert_eq!(config.fold_config().backend, backend);
         let report = Compiler::with_cache(ExpressionCache::new())
             .default_passes()
             .compile(CompilationTask::new(target.clone(), config))
             .unwrap();
-        assert!(report.result.success);
-        for timing in &report.timings {
-            assert_eq!(timing.backend, backend.name(), "pass {}", timing.pass);
-        }
-        results.push(report.result);
+        let result = report.result;
+        assert!(result.success);
+        let params = fnv1a(result.params.iter().map(|p| p.to_bits()));
+        assert_eq!(params, PARAMS_PIN, "[{backend}] params {params:#018x}");
+        assert_eq!(result.infidelity.to_bits(), INFIDELITY_BITS, "[{backend}] {result:?}");
+        assert_eq!(result.blocks, BLOCKS, "[{backend}]");
     }
-    let bits = |r: &SynthesisResult| {
-        (r.params.iter().map(|p| p.to_bits()).collect::<Vec<_>>(), r.infidelity.to_bits())
-    };
-    assert_eq!(bits(&results[0]), bits(&results[1]), "tiers diverged on a compiled result");
-    assert_eq!(results[0].blocks, results[1].blocks);
 }
 
 #[test]
@@ -164,12 +178,27 @@ fn env_var_name_is_stable() {
     assert_eq!(BackendKind::parse("blocked"), Some(BackendKind::Blocked));
 }
 
+/// Central finite difference of `circuit`'s reference unitary in parameter `k`.
+fn finite_difference(circuit: &QuditCircuit, params: &[f64], k: usize) -> Matrix<f64> {
+    let h = 1e-6;
+    let mut plus = params.to_vec();
+    let mut minus = params.to_vec();
+    plus[k] += h;
+    minus[k] -= h;
+    circuit
+        .unitary::<f64>(&plus)
+        .unwrap()
+        .sub(&circuit.unitary::<f64>(&minus).unwrap())
+        .unwrap()
+        .scale(C64::from_real(1.0 / (2.0 * h)))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Random programs over radices 2/3/4 and mixed shapes: the tiers agree bitwise
-    /// on `evaluate` + `evaluate_unitary` in both `DiffMode`s (gradient mode also
-    /// compares every gradient block).
+    /// Random programs over radices 2/3/4 and mixed shapes: the unitary matches the
+    /// circuit's reference unitary, every gradient block matches central finite
+    /// differences, and `evaluate_unitary` equals `evaluate().unitary` bit for bit.
     #[test]
     fn tiers_agree_on_random_programs(
         radices in prop_oneof![
@@ -184,8 +213,26 @@ proptest! {
         let edges: Vec<(usize, usize)> =
             chain.iter().cycle().take(chain.len() * layers).copied().collect();
         let circuit = builders::pqc_template(&radices, &edges).unwrap();
-        for diff in [DiffMode::None, DiffMode::Gradient] {
-            assert_backends_agree(&circuit, diff, seed, &format!("{radices:?} x{layers} {diff:?}"));
+        let program = compile_network(&TensorNetwork::from_circuit(&circuit));
+        let cache = ExpressionCache::new();
+        let params = param_vector(circuit.num_params(), seed);
+        let reference = circuit.unitary::<f64>(&params).unwrap();
+        let fds: Vec<Matrix<f64>> =
+            (0..params.len()).map(|k| finite_difference(&circuit, &params, k)).collect();
+        for kind in BackendKind::all() {
+            for diff in [DiffMode::None, DiffMode::Gradient] {
+                let what = format!("{radices:?} x{layers} {diff:?} [{kind}]");
+                let mut vm = Tnvm::<f64>::with_backend(&program, diff, &cache, kind);
+                let result = vm.evaluate(&params);
+                let distance = result.unitary.max_elementwise_distance(&reference);
+                prop_assert!(distance <= 1e-10, "{}: unitary off by {}", what, distance);
+                for (k, (gradient, fd)) in result.gradient.iter().zip(&fds).enumerate() {
+                    let distance = gradient.max_elementwise_distance(fd);
+                    prop_assert!(distance <= 1e-5, "{}: gradient {} off by {}", what, k, distance);
+                }
+                let unitary = vm.evaluate_unitary(&params);
+                assert_matrices_bit_identical(&unitary, &result.unitary, &what);
+            }
         }
     }
 }
