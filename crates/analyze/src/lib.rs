@@ -6,12 +6,9 @@
 //! hazard patterns at the source instead of hoping a schedule reveals them. Three
 //! layers:
 //!
-//! 1. **TNVM bytecode / [`ExecPlan`](qudit_tnvm::ExecPlan) verifier**
-//!    ([`program`]): per-instruction shape/arity/radix typing, buffer
-//!    def-before-use, output-aliasing and workspace-bounds checks, and
-//!    [`KernelSel`](qudit_tnvm::KernelSel) legality against a tier's
-//!    [`TargetDescriptor`](qudit_tnvm::TargetDescriptor), over both the constant and
-//!    dynamic sections.
+//! 1. **TNVM bytecode verifier** ([`program`]): per-instruction
+//!    shape/arity/radix typing, buffer def-before-use and output-aliasing checks,
+//!    over both the constant and dynamic sections.
 //! 2. **Circuit / gate-set structural validator** ([`circuit`]): wire/radix
 //!    consistency, parameter-offset packing, constant-application arity, and
 //!    [`GateSet`](qudit_circuit::GateSet) membership.
@@ -41,9 +38,7 @@ pub mod program;
 pub use circuit::{verify_circuit, verify_gateset, CircuitReport, CircuitViolation};
 pub use dataflow::{DefUse, DefUseChains, InterferenceGraph, Liveness};
 pub use optimize::{estimate_plan, PlanCostEstimate};
-pub use program::{
-    verify_backend, verify_plan, verify_program, PlanViolation, ProgramReport, ProgramViolation,
-};
+pub use program::{verify_program, ProgramReport, ProgramViolation};
 
 use qudit_network::BytecodeError;
 
@@ -61,11 +56,10 @@ pub enum VerifyLevel {
     /// No verification.
     #[default]
     Off,
-    /// Verify the compiled TNVM program and the execution plan of the task's own
-    /// tier after every pass.
+    /// Verify the compiled TNVM program after every pass.
     Program,
-    /// [`VerifyLevel::Program`] plus the circuit structural validator, gate-set
-    /// membership, and plan legality for *every* registered tier.
+    /// [`VerifyLevel::Program`] plus the circuit structural validator and gate-set
+    /// membership.
     Full,
 }
 
@@ -159,8 +153,6 @@ pub enum AnalyzeError {
     Bytecode(BytecodeError),
     /// The per-instruction typing verifier rejected the program.
     Program(ProgramViolation),
-    /// The execution-plan verifier rejected a plan against its tier's descriptor.
-    Plan(PlanViolation),
     /// The circuit structural validator rejected the circuit.
     Circuit(CircuitViolation),
 }
@@ -170,7 +162,6 @@ impl std::fmt::Display for AnalyzeError {
         match self {
             AnalyzeError::Bytecode(e) => write!(f, "bytecode dataflow violation: {e}"),
             AnalyzeError::Program(v) => write!(f, "program typing violation: {v}"),
-            AnalyzeError::Plan(v) => write!(f, "execution-plan violation: {v}"),
             AnalyzeError::Circuit(v) => write!(f, "circuit structure violation: {v}"),
         }
     }
@@ -194,12 +185,6 @@ impl From<BytecodeError> for AnalyzeError {
 impl From<ProgramViolation> for AnalyzeError {
     fn from(v: ProgramViolation) -> Self {
         AnalyzeError::Program(v)
-    }
-}
-
-impl From<PlanViolation> for AnalyzeError {
-    fn from(v: PlanViolation) -> Self {
-        AnalyzeError::Plan(v)
     }
 }
 

@@ -1,6 +1,5 @@
 //! The static cost model that optimization decisions weigh: [`estimate_plan`]
-//! predicts, from a lowered program alone, the kernel counters the TNVM will
-//! tally.
+//! predicts, from a program alone, the kernel counters the TNVM will tally.
 //!
 //! The prediction uses the VM's own dispatch and flop formulas, so it is exact,
 //! not approximate: the tests compare it with the runtime `tnvm.*` counters by
@@ -12,15 +11,15 @@
 use qudit_network::{BufId, TnvmOp, TnvmProgram};
 use qudit_qvm::DiffMode;
 use qudit_tnvm::counters::BilinearTally;
-use qudit_tnvm::{ExecPlan, KernelCounters, KernelSel};
+use qudit_tnvm::KernelCounters;
 
-/// The static cost model's prediction for one lowered program: the kernel
+/// The static cost model's prediction for one program: the kernel
 /// counters the VM will accumulate at initialization and per evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanCostEstimate {
     /// Counters from executing the constant section once at construction.
     /// `cache_hits`/`cache_misses` are left at zero — cache outcomes depend on
-    /// process history, not on the plan.
+    /// process history, not on the program.
     pub init: KernelCounters,
     /// Counters from one [`Tnvm::evaluate`](qudit_tnvm::Tnvm::evaluate) call (the
     /// dynamic section; `evaluations` is 1).
@@ -45,14 +44,9 @@ fn bilinear_calls(program: &TnvmProgram, a: BufId, b: BufId, out: BufId, mode: D
     calls
 }
 
-fn section_counters(
-    program: &TnvmProgram,
-    ops: &[TnvmOp],
-    kernels: &[KernelSel],
-    mode: DiffMode,
-) -> KernelCounters {
+fn section_counters(program: &TnvmProgram, ops: &[TnvmOp], mode: DiffMode) -> KernelCounters {
     let mut counters = KernelCounters::default();
-    for (op, &sel) in ops.iter().zip(kernels.iter()) {
+    for op in ops {
         match op {
             TnvmOp::Write { .. } => counters.writes += 1,
             TnvmOp::Transpose { .. } => counters.transposes += 1,
@@ -60,17 +54,17 @@ fn section_counters(
                 let (m, k) = (program.buffers[*a].rows, program.buffers[*a].cols);
                 let n = program.buffers[*b].cols;
                 let calls = bilinear_calls(program, *a, *b, *out, mode);
-                counters.tally(BilinearTally::Matmul, sel, calls, 8 * (m * n * k) as u64);
+                counters.tally(BilinearTally::Matmul, calls, 8 * (m * n * k) as u64);
             }
             TnvmOp::Kron { a, b, out } => {
                 let calls = bilinear_calls(program, *a, *b, *out, mode);
                 let flops = 6 * program.buffers[*out].len() as u64;
-                counters.tally(BilinearTally::Kron, sel, calls, flops);
+                counters.tally(BilinearTally::Kron, calls, flops);
             }
             TnvmOp::Hadamard { a, b, out } => {
                 let calls = bilinear_calls(program, *a, *b, *out, mode);
                 let flops = 6 * program.buffers[*out].len() as u64;
-                counters.tally(BilinearTally::Hadamard, sel, calls, flops);
+                counters.tally(BilinearTally::Hadamard, calls, flops);
             }
         }
     }
@@ -78,30 +72,12 @@ fn section_counters(
 }
 
 /// Predicts the [`KernelCounters`] a [`Tnvm`](qudit_tnvm::Tnvm) running `program`
-/// under `plan` in `mode` will accumulate, using the same dispatch and flop
-/// formulas as the VM's tallying — the conformance suite cross-checks the
-/// prediction *exactly* against the runtime `tnvm.*` counters, keeping the
-/// counters and the lowering honest as new tiers land.
-///
-/// # Panics
-///
-/// Panics when `plan`'s kernel-selection vectors are not index-aligned with the
-/// program's sections (use [`verify_plan`](crate::verify_plan) for a typed
-/// rejection first).
-pub fn estimate_plan(program: &TnvmProgram, plan: &ExecPlan, mode: DiffMode) -> PlanCostEstimate {
-    assert_eq!(
-        plan.constant_kernels.len(),
-        program.constant_ops.len(),
-        "plan constant section out of sync with program"
-    );
-    assert_eq!(
-        plan.dynamic_kernels.len(),
-        program.dynamic_ops.len(),
-        "plan dynamic section out of sync with program"
-    );
-    let init = section_counters(program, &program.constant_ops, &plan.constant_kernels, mode);
-    let mut per_evaluation =
-        section_counters(program, &program.dynamic_ops, &plan.dynamic_kernels, mode);
+/// in `mode` will accumulate, using the same dispatch and flop formulas as the VM's
+/// tallying — the conformance suite cross-checks the prediction *exactly* against
+/// the runtime `tnvm.*` counters.
+pub fn estimate_plan(program: &TnvmProgram, mode: DiffMode) -> PlanCostEstimate {
+    let init = section_counters(program, &program.constant_ops, mode);
+    let mut per_evaluation = section_counters(program, &program.dynamic_ops, mode);
     per_evaluation.evaluations = 1;
     PlanCostEstimate { init, per_evaluation }
 }
@@ -112,7 +88,7 @@ mod tests {
     use qudit_circuit::builders;
     use qudit_network::{compile_network, TensorNetwork};
     use qudit_qvm::ExpressionCache;
-    use qudit_tnvm::{BackendKind, Tnvm};
+    use qudit_tnvm::Tnvm;
 
     #[test]
     fn estimate_matches_runtime_counters_exactly() {
@@ -120,18 +96,15 @@ mod tests {
         let p = compile_network(&TensorNetwork::from_circuit(&circuit));
         let params: Vec<f64> = (0..p.num_params).map(|i| 0.3 * i as f64 - 1.1).collect();
         let cache = ExpressionCache::new();
-        for kind in BackendKind::all() {
-            let plan = kind.instance().lower(&p);
-            for mode in [DiffMode::None, DiffMode::Gradient] {
-                let estimate = estimate_plan(&p, &plan, mode);
-                let mut vm: Tnvm<f64> = Tnvm::with_backend(&p, mode, &cache, kind);
-                let mut init = vm.take_counters();
-                init.cache_hits = 0;
-                init.cache_misses = 0;
-                assert_eq!(init, estimate.init, "{kind} {mode:?} init");
-                vm.evaluate(&params);
-                assert_eq!(vm.take_counters(), estimate.per_evaluation, "{kind} {mode:?} eval");
-            }
+        for mode in [DiffMode::None, DiffMode::Gradient] {
+            let estimate = estimate_plan(&p, mode);
+            let mut vm: Tnvm<f64> = Tnvm::new(&p, mode, &cache);
+            let mut init = vm.take_counters();
+            init.cache_hits = 0;
+            init.cache_misses = 0;
+            assert_eq!(init, estimate.init, "{mode:?} init");
+            vm.evaluate(&params);
+            assert_eq!(vm.take_counters(), estimate.per_evaluation, "{mode:?} eval");
         }
     }
 }

@@ -1,18 +1,11 @@
-//! Layer 1: the TNVM bytecode / [`ExecPlan`] verifier.
+//! Layer 1: the TNVM bytecode verifier.
 //!
 //! [`verify_program`] runs the full per-instruction typing discipline over both
 //! bytecode sections — shapes, arities, radices, parameter-dependence annotations,
 //! output aliasing — on top of the dataflow check
-//! ([`TnvmProgram::validate`]). [`verify_plan`] then checks a lowered [`ExecPlan`]
-//! against the tier's [`TargetDescriptor`]: section alignment, [`KernelSel`]
-//! legality (blocked kernels only where the descriptor's thresholds are met, and
-//! only on instructions that have a blocked implementation), and workspace bounds
-//! for every blocked GEMM. [`verify_backend`] combines lowering and plan
-//! verification for one registered tier.
+//! ([`TnvmProgram::validate`]).
 
 use qudit_network::{InstrRef, TnvmOp, TnvmProgram};
-use qudit_tensor::gemm;
-use qudit_tnvm::{BackendKind, ExecPlan, KernelSel, TargetDescriptor};
 
 use crate::AnalyzeError;
 
@@ -145,58 +138,6 @@ impl std::fmt::Display for ProgramViolation {
             ProgramViolation::ConstantSectionParams { at, buf } => write!(
                 f,
                 "constant-section instruction {at} writes parameter-dependent buffer {buf}"
-            ),
-        }
-    }
-}
-
-/// A legality violation in an [`ExecPlan`] against its tier's descriptor.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PlanViolation {
-    /// A kernel-selection vector is not index-aligned with its bytecode section.
-    SectionLength {
-        /// `"constant"` or `"dynamic"`.
-        section: &'static str,
-        /// The section's instruction count.
-        expected: usize,
-        /// The plan's selection count.
-        found: usize,
-    },
-    /// A blocked kernel was selected where the tier's descriptor forbids it.
-    IllegalKernel {
-        /// The offending instruction.
-        at: InstrRef,
-        /// The tier whose descriptor was violated.
-        tier: String,
-        /// Why the selection is illegal.
-        detail: String,
-    },
-    /// The plan's workspace is too small for a blocked GEMM it schedules.
-    WorkspaceOverflow {
-        /// The offending instruction.
-        at: InstrRef,
-        /// The workspace length the blocked kernel needs.
-        required: usize,
-        /// The workspace length the plan provides.
-        provided: usize,
-    },
-}
-
-impl std::fmt::Display for PlanViolation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PlanViolation::SectionLength { section, expected, found } => write!(
-                f,
-                "{section} kernel selections ({found}) are not aligned with the \
-                 {section} section ({expected} instruction(s))"
-            ),
-            PlanViolation::IllegalKernel { at, tier, detail } => {
-                write!(f, "instruction {at} has an illegal kernel for tier '{tier}': {detail}")
-            }
-            PlanViolation::WorkspaceOverflow { at, required, provided } => write!(
-                f,
-                "instruction {at} needs a {required}-scalar workspace but the plan \
-                 provides {provided}"
             ),
         }
     }
@@ -474,119 +415,6 @@ fn check_union_params(
     Ok(())
 }
 
-/// Verifies an [`ExecPlan`]'s legality against a tier's [`TargetDescriptor`].
-///
-/// Checks that both kernel-selection vectors are index-aligned with the bytecode
-/// sections, that every [`KernelSel::Blocked`] selection lands on an instruction
-/// family with a blocked implementation (MATMUL, KRON) *and* clears the descriptor's
-/// threshold for it, and that the plan's workspace covers every blocked GEMM it
-/// schedules. Scalar selections are always legal — a tier may lower conservatively,
-/// never aggressively.
-///
-/// # Errors
-///
-/// Returns the first [`AnalyzeError`] violated, naming the offending instruction.
-pub fn verify_plan(
-    program: &TnvmProgram,
-    plan: &ExecPlan,
-    descriptor: &TargetDescriptor,
-    tier: &str,
-) -> Result<(), AnalyzeError> {
-    if plan.constant_kernels.len() != program.constant_ops.len() {
-        return Err(PlanViolation::SectionLength {
-            section: "constant",
-            expected: program.constant_ops.len(),
-            found: plan.constant_kernels.len(),
-        }
-        .into());
-    }
-    if plan.dynamic_kernels.len() != program.dynamic_ops.len() {
-        return Err(PlanViolation::SectionLength {
-            section: "dynamic",
-            expected: program.dynamic_ops.len(),
-            found: plan.dynamic_kernels.len(),
-        }
-        .into());
-    }
-    let sections = [
-        (true, &program.constant_ops, &plan.constant_kernels),
-        (false, &program.dynamic_ops, &plan.dynamic_kernels),
-    ];
-    for (constant, ops, kernels) in sections {
-        for (index, (op, sel)) in ops.iter().zip(kernels.iter()).enumerate() {
-            if *sel != KernelSel::Blocked {
-                continue;
-            }
-            let at = InstrRef { constant, index };
-            match op {
-                TnvmOp::Matmul { a, b, .. } => {
-                    let m = program.buffers[*a].rows;
-                    let k = program.buffers[*a].cols;
-                    let n = program.buffers[*b].cols;
-                    if m * n * k < descriptor.min_blocked_flops {
-                        return Err(PlanViolation::IllegalKernel {
-                            at,
-                            tier: tier.to_string(),
-                            detail: format!(
-                                "blocked matmul below the flop threshold \
-                                 ({m}*{n}*{k} < {})",
-                                descriptor.min_blocked_flops
-                            ),
-                        }
-                        .into());
-                    }
-                    let required = gemm::blocked_workspace_len(k);
-                    if required > plan.workspace_scalars {
-                        return Err(PlanViolation::WorkspaceOverflow {
-                            at,
-                            required,
-                            provided: plan.workspace_scalars,
-                        }
-                        .into());
-                    }
-                }
-                TnvmOp::Kron { out, .. } => {
-                    let len = program.buffers[*out].len();
-                    if len < descriptor.min_blocked_kron {
-                        return Err(PlanViolation::IllegalKernel {
-                            at,
-                            tier: tier.to_string(),
-                            detail: format!(
-                                "blocked kron below the output threshold ({len} < {})",
-                                descriptor.min_blocked_kron
-                            ),
-                        }
-                        .into());
-                    }
-                }
-                _ => {
-                    return Err(PlanViolation::IllegalKernel {
-                        at,
-                        tier: tier.to_string(),
-                        detail: "only MATMUL and KRON have blocked kernels".to_string(),
-                    }
-                    .into());
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Lowers `program` through one registered tier and verifies the resulting plan
-/// against that tier's own descriptor.
-///
-/// # Errors
-///
-/// Returns the first [`AnalyzeError`] violated (program typing is *not* re-checked
-/// here — run [`verify_program`] first).
-pub fn verify_backend(program: &TnvmProgram, kind: BackendKind) -> Result<ExecPlan, AnalyzeError> {
-    let backend = kind.instance();
-    let plan = backend.lower(program);
-    verify_plan(program, &plan, &backend.descriptor(), kind.name())?;
-    Ok(plan)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -605,9 +433,6 @@ mod tests {
             let program = program_for(&radices);
             let report = verify_program(&program).unwrap();
             assert!(report.instructions >= program.len());
-            for kind in BackendKind::all() {
-                verify_backend(&program, kind).unwrap();
-            }
         }
     }
 
@@ -628,62 +453,6 @@ mod tests {
             "{err:?}"
         );
         assert!(msg.contains("dynamic[0]") || msg.contains("output buffer"), "{msg}");
-    }
-
-    #[test]
-    fn scalar_tier_plan_with_blocked_kernel_is_illegal() {
-        let program = program_for(&[2, 2]);
-        let mut plan = BackendKind::Scalar.instance().lower(&program);
-        // Force a blocked selection the scalar descriptor forbids.
-        let idx = program
-            .dynamic_ops
-            .iter()
-            .position(|op| matches!(op, TnvmOp::Matmul { .. } | TnvmOp::Kron { .. }))
-            .expect("pqc template contracts at least once dynamically");
-        plan.dynamic_kernels[idx] = KernelSel::Blocked;
-        let err = verify_plan(&program, &plan, &TargetDescriptor::scalar(), "scalar").unwrap_err();
-        match &err {
-            AnalyzeError::Plan(PlanViolation::IllegalKernel { at, tier, .. }) => {
-                assert!(!at.constant);
-                assert_eq!(at.index, idx);
-                assert_eq!(tier, "scalar");
-            }
-            other => panic!("expected IllegalKernel, got {other:?}"),
-        }
-        assert!(err.to_string().contains(&format!("dynamic[{idx}]")));
-    }
-
-    #[test]
-    fn workspace_overflow_is_rejected() {
-        let program = program_for(&[2, 2]);
-        let idx = program
-            .dynamic_ops
-            .iter()
-            .position(|op| matches!(op, TnvmOp::Matmul { .. }))
-            .expect("pqc template multiplies overlapping supports");
-        // A permissive descriptor makes the blocked selection legal, so the
-        // too-small workspace is the first violation.
-        let permissive = TargetDescriptor { min_blocked_flops: 1, min_blocked_kron: 1 };
-        let mut plan = ExecPlan {
-            constant_kernels: vec![KernelSel::Scalar; program.constant_ops.len()],
-            dynamic_kernels: vec![KernelSel::Scalar; program.dynamic_ops.len()],
-            workspace_scalars: 0,
-        };
-        plan.dynamic_kernels[idx] = KernelSel::Blocked;
-        let err = verify_plan(&program, &plan, &permissive, "custom").unwrap_err();
-        assert!(
-            matches!(err, AnalyzeError::Plan(PlanViolation::WorkspaceOverflow { .. })),
-            "{err:?}"
-        );
-    }
-
-    #[test]
-    fn section_misalignment_is_rejected() {
-        let program = program_for(&[2, 2]);
-        let mut plan = BackendKind::Scalar.instance().lower(&program);
-        plan.dynamic_kernels.pop();
-        let err = verify_plan(&program, &plan, &TargetDescriptor::scalar(), "scalar").unwrap_err();
-        assert!(matches!(err, AnalyzeError::Plan(PlanViolation::SectionLength { .. })), "{err:?}");
     }
 
     #[test]

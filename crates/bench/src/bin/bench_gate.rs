@@ -1,12 +1,12 @@
 //! CI perf-regression gate: compares a freshly generated `report_synthesis` JSON
 //! against the committed baseline (`BENCH_synthesis.json`) and fails when any
-//! (workload, backend) pair's median wall-clock regressed by more than the allowed
-//! fraction (default 25%, override with `OPENQUDIT_PERF_GATE_MAX_REGRESSION=<frac>`).
+//! workload's median wall-clock regressed by more than the allowed fraction (default
+//! 25%, override with `OPENQUDIT_PERF_GATE_MAX_REGRESSION=<frac>`).
 //!
 //! Usage: `bench_gate <baseline.json> <fresh.json>`
 //!
 //! Both files are the `report_synthesis` output format: a JSON array with one row
-//! per (workload, backend), each row carrying a `"workload_seconds"` median. The
+//! per workload, each row carrying a `"workload_seconds"` median. The
 //! parser is deliberately minimal (field extraction by key, no JSON dependency) —
 //! exactly dual to how the report writer hand-rolls its output. Workloads present
 //! in only one file are reported but do not fail the gate, so adding or retiring a
@@ -15,8 +15,8 @@
 
 use std::process::ExitCode;
 
-/// One `(workload, backend) -> median seconds` measurement.
-type Row = ((String, String), f64);
+/// One `workload -> median seconds` measurement.
+type Row = (String, f64);
 
 /// The smallest baseline median the gate compares against (seconds).
 fn min_gated_seconds() -> f64 {
@@ -27,7 +27,7 @@ fn min_gated_seconds() -> f64 {
 }
 
 /// Extracts the string value of `"key": "..."` from a row. No unescaping — workload
-/// names and backend names are plain identifiers in practice.
+/// names are plain identifiers in practice.
 fn field_str(row: &str, key: &str) -> Option<String> {
     let pattern = format!("\"{key}\": \"");
     let start = row.find(&pattern)? + pattern.len();
@@ -46,21 +46,20 @@ fn field_f64(row: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// Parses the report into `(workload, backend) -> workload_seconds` rows. Rows
-/// without a timing field are skipped (they cannot be gated).
+/// Parses the report into `workload -> workload_seconds` rows. Rows without a
+/// timing field are skipped (they cannot be gated).
 fn parse_report(text: &str) -> Vec<Row> {
     text.lines()
         .filter_map(|line| {
             let workload = field_str(line, "workload")?;
-            let backend = field_str(line, "backend")?;
             let seconds = field_f64(line, "workload_seconds")?;
-            Some(((workload, backend), seconds))
+            Some((workload, seconds))
         })
         .collect()
 }
 
 /// The regressions exceeding `max_regression` (a fraction: 0.25 allows +25%), as
-/// human-readable descriptions. Pairs missing from either side are ignored.
+/// human-readable descriptions. Workloads missing from either side are ignored.
 fn regressions(baseline: &[Row], fresh: &[Row], max_regression: f64) -> Vec<String> {
     let mut failures = Vec::new();
     for (key, base) in baseline {
@@ -74,9 +73,7 @@ fn regressions(baseline: &[Row], fresh: &[Row], max_regression: f64) -> Vec<Stri
         let limit = base * (1.0 + max_regression);
         if *new > limit {
             failures.push(format!(
-                "{} [{}]: {:.6}s -> {:.6}s (+{:.1}%, limit +{:.1}%)",
-                key.0,
-                key.1,
+                "{key}: {:.6}s -> {:.6}s (+{:.1}%, limit +{:.1}%)",
                 base,
                 new,
                 (new / base - 1.0) * 100.0,
@@ -108,7 +105,7 @@ fn main() -> ExitCode {
     let fresh = parse_report(&read(fresh_path));
     if baseline.is_empty() {
         eprintln!(
-            "{baseline_path} has no (workload, backend, workload_seconds) rows — was it \
+            "{baseline_path} has no (workload, workload_seconds) rows — was it \
              generated with OPENQUDIT_SYNTH_OMIT_TIMING set?"
         );
         return ExitCode::FAILURE;
@@ -118,12 +115,12 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     for (key, _) in baseline.iter().filter(|(k, _)| !fresh.iter().any(|(fk, _)| fk == k)) {
-        eprintln!("note: baseline pair {} [{}] missing from fresh report", key.0, key.1);
+        eprintln!("note: baseline workload {key} missing from fresh report");
     }
     let failures = regressions(&baseline, &fresh, max_regression);
     if failures.is_empty() {
         println!(
-            "perf gate passed: {} measured pair(s) within +{:.1}% of baseline",
+            "perf gate passed: {} measured workload(s) within +{:.1}% of baseline",
             fresh.len(),
             max_regression * 100.0
         );
@@ -142,19 +139,18 @@ mod tests {
     use super::*;
 
     const SAMPLE: &str = r#"[
-  {"workload": "cnot", "backend": "scalar", "trials": 3, "metrics": {"lm.iterations": 42}, "workload_seconds": 0.100000, "infidelity": 1.0e-12, "success": true},
-  {"workload": "cnot", "backend": "blocked", "trials": 3, "workload_seconds": 0.080000, "success": true},
-  {"workload": "tiny", "backend": "scalar", "workload_seconds": 0.000200, "success": true}
+  {"workload": "cnot", "trials": 3, "metrics": {"lm.iterations": 42}, "workload_seconds": 0.100000, "infidelity": 1.0e-12, "success": true},
+  {"workload": "ladder", "trials": 3, "workload_seconds": 0.080000, "success": true},
+  {"workload": "tiny", "workload_seconds": 0.000200, "success": true}
 ]"#;
 
     #[test]
     fn parses_rows_and_skips_untimed_ones() {
         let rows = parse_report(SAMPLE);
         assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].0, ("cnot".to_string(), "scalar".to_string()));
+        assert_eq!(rows[0].0, "cnot");
         assert!((rows[0].1 - 0.1).abs() < 1e-12);
-        let untimed =
-            "[\n  {\"workload\": \"cnot\", \"backend\": \"scalar\", \"success\": true}\n]";
+        let untimed = "[\n  {\"workload\": \"cnot\", \"success\": true}\n]";
         assert!(parse_report(untimed).is_empty());
     }
 
@@ -164,13 +160,13 @@ mod tests {
         // +20% everywhere: inside the 25% budget.
         let fresh: Vec<Row> = baseline.iter().map(|(k, v)| (k.clone(), v * 1.2)).collect();
         assert!(regressions(&baseline, &fresh, 0.25).is_empty());
-        // +30% on one pair: flagged, and the message names it.
+        // +30% on one workload: flagged, and the message names it.
         let mut worse = fresh.clone();
         worse[0].1 = baseline[0].1 * 1.3;
         let failures = regressions(&baseline, &worse, 0.25);
         assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("cnot [scalar]"), "{failures:?}");
-        // Sub-millisecond pairs never gate, no matter the ratio.
+        assert!(failures[0].starts_with("cnot:"), "{failures:?}");
+        // Sub-millisecond workloads never gate, no matter the ratio.
         let mut noisy = fresh;
         noisy[2].1 = baseline[2].1 * 10.0;
         assert!(regressions(&baseline, &noisy, 0.25).is_empty());

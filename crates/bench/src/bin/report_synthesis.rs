@@ -1,17 +1,13 @@
 //! Reports the synthesis workloads through the compiler-pass pipeline: nodes
 //! expanded, per-pass wall-clock timings (partition, search, refinement, folding),
 //! pre/post-refine entangling-block depths, and fold metrics per workload — emitted
-//! as JSON, one row per (workload, TNVM backend) pair.
+//! as JSON, one row per workload.
 //!
 //! Every workload runs through [`Compiler::partitioned_passes`]: narrow targets skip
 //! the partition pass and behave exactly like the legacy monolithic entry point
 //! (pinned byte-for-byte by the integration tests), while the 4-qubit workload
-//! exercises the partitioning front-end the monolith never had.
-//!
-//! By default every workload runs under **both** execution tiers (`scalar` and
-//! `blocked`), so the report doubles as the backend benchmark committed as
-//! `BENCH_synthesis.json`. Set `OPENQUDIT_TNVM_BACKEND=scalar|blocked` to pin a
-//! single tier — the CI determinism check runs the report once per tier this way.
+//! exercises the partitioning front-end the monolith never had. The output is
+//! committed as `BENCH_synthesis.json`.
 //!
 //! Run with `cargo run --release -p qudit-bench --bin report_synthesis`.
 //! Set `OPENQUDIT_SYNTH_TRIALS=<n>` to repeat each workload (default 1; the report
@@ -22,22 +18,19 @@
 //! (`workload_seconds`, `median_pass_seconds`) in one gate — the single timing
 //! switch, shared via [`openqudit::trace::omit_timing`]: every remaining field is
 //! deterministic for a fixed seed, so two runs must produce byte-identical output —
-//! the CI determinism check diffs exactly this (including the partitioned workload),
-//! once per backend. The per-row `"metrics"` object (tier-invariant counters) and
-//! `"kernel_metrics"` object (`tnvm.*` tier-variant counters) are deterministic and
-//! stay in the pinned output; span *timings* never reach stdout at all — they only
-//! go to the optional Chrome trace file.
+//! the CI determinism check diffs exactly this (including the partitioned workload).
+//! The per-row `"metrics"` object (algorithm, cache and `tnvm.*` kernel counters) is
+//! deterministic and stays in the pinned output; span *timings* never reach stdout
+//! at all — they only go to the optional Chrome trace file.
 //!
 //! Set `OPENQUDIT_SYNTH_TRACE=<path>` to also write a Chrome `trace_event` JSON
 //! profile (loadable in `about://tracing` or <https://ui.perfetto.dev>) of the first
-//! trial of the widest workload — the 4-qudit partitioned run — on the first
-//! reported tier.
+//! trial of the widest workload — the 4-qudit partitioned run.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
 
 use openqudit::prelude::*;
-use openqudit::tnvm::BACKEND_ENV_VAR;
 use openqudit::trace::counters_to_json;
 use qudit_bench::{synthesis_config, synthesis_workloads};
 
@@ -70,164 +63,105 @@ fn main() {
     let omit_timing = openqudit::trace::omit_timing();
     let trace_path = std::env::var(TRACE_ENV_VAR).ok();
     let mut trace_export: Option<(usize, TraceRegistry)> = None;
-    // Pinned tier when the env var is set (the CI per-backend determinism diff);
-    // otherwise report both tiers side by side for the committed benchmark.
-    let backends: Vec<BackendKind> = match std::env::var(BACKEND_ENV_VAR) {
-        Ok(_) => vec![BackendKind::from_env()],
-        Err(_) => BackendKind::all().to_vec(),
-    };
 
     let mut entries: Vec<String> = Vec::new();
     for workload in synthesis_workloads() {
         let config = synthesis_config(&workload);
-        // One fresh cache per (workload, backend): trials after the first measure a
-        // warm cache, matching how a compiler would amortize gate compilation across
-        // tasks, while the tiers never share compilation work. Trials are *paired* —
-        // every trial runs each tier back to back — so slow machine drift (frequency
-        // scaling, co-tenancy) cancels out of the tier comparison.
-        struct TierRun {
-            backend: openqudit::prelude::BackendKind,
-            compiler: Compiler,
-            pass_seconds: BTreeMap<String, Vec<f64>>,
-            pass_order: Vec<String>,
-            workload_seconds: Vec<f64>,
-            // Result fields are taken from the *worst* trial (by final infidelity),
-            // so the row always describes one run that actually happened.
-            worst: Option<SynthesisResult>,
-            partition_rounds: Option<usize>,
-            success: bool,
-            // Counter snapshot of the *first* trial (cold fresh cache — the only
-            // trial whose cache.hits/misses are reproducible across processes).
-            metrics: BTreeMap<String, u64>,
-        }
-        let mut runs: Vec<TierRun> = backends
-            .iter()
-            .map(|&backend| TierRun {
-                backend,
-                compiler: Compiler::with_cache(ExpressionCache::new())
-                    .backend(backend)
-                    .partitioned_passes(),
-                pass_seconds: BTreeMap::new(),
-                pass_order: Vec::new(),
-                workload_seconds: Vec::new(),
-                worst: None,
-                partition_rounds: None,
-                success: true,
-                metrics: BTreeMap::new(),
-            })
-            .collect();
+        // One fresh cache per workload: trials after the first measure a warm cache,
+        // matching how a compiler would amortize gate compilation across tasks.
+        let compiler = Compiler::with_cache(ExpressionCache::new()).partitioned_passes();
+        let mut pass_seconds: BTreeMap<String, Vec<f64>> = BTreeMap::new();
+        let mut pass_order: Vec<String> = Vec::new();
+        let mut workload_seconds: Vec<f64> = Vec::new();
+        // Result fields are taken from the *worst* trial (by final infidelity), so the
+        // row always describes one run that actually happened.
+        let mut worst: Option<SynthesisResult> = None;
+        let mut partition_rounds: Option<usize> = None;
+        let mut success = true;
+        // Counter snapshot of the *first* trial (cold fresh cache — the only trial
+        // whose cache.hits/misses are reproducible across processes).
+        let mut metrics: BTreeMap<String, u64> = BTreeMap::new();
         for trial in 0..trials {
-            for (tier, run) in runs.iter_mut().enumerate() {
-                let task = CompilationTask::new(workload.target.clone(), config.clone());
-                // detlint: allow(wall-clock) — timing medians are the report's product
-                // and are withheld from the byte-diffed artifact by the omit-timing gate
-                let started = Instant::now();
-                let report = match run.compiler.compile(task) {
-                    Ok(report) => report,
-                    Err(e) => {
-                        eprintln!("workload '{}' [{}] failed: {e}", workload.name, run.backend);
-                        std::process::exit(1);
-                    }
-                };
-                run.workload_seconds.push(started.elapsed().as_secs_f64());
-                if trial == 0 {
-                    run.metrics = report.metrics.clone();
-                    if tier == 0 && trace_path.is_some() {
-                        // Keep the widest workload's registry for the Chrome export.
-                        let width = workload.radices.len();
-                        if trace_export.as_ref().map(|(w, _)| width > *w).unwrap_or(true) {
-                            trace_export = Some((width, report.trace.clone()));
-                        }
-                    }
+            let task = CompilationTask::new(workload.target.clone(), config.clone());
+            // detlint: allow(wall-clock) — timing medians are the report's product
+            // and are withheld from the byte-diffed artifact by the omit-timing gate
+            let started = Instant::now();
+            let report = match compiler.compile(task) {
+                Ok(report) => report,
+                Err(e) => {
+                    eprintln!("workload '{}' failed: {e}", workload.name);
+                    std::process::exit(1);
                 }
-                for timing in &report.timings {
-                    if !run.pass_seconds.contains_key(&timing.pass) {
-                        run.pass_order.push(timing.pass.clone());
+            };
+            workload_seconds.push(started.elapsed().as_secs_f64());
+            if trial == 0 {
+                metrics = report.metrics.clone();
+                if trace_path.is_some() {
+                    // Keep the widest workload's registry for the Chrome export.
+                    let width = workload.radices.len();
+                    if trace_export.as_ref().map(|(w, _)| width > *w).unwrap_or(true) {
+                        trace_export = Some((width, report.trace.clone()));
                     }
-                    run.pass_seconds
-                        .entry(timing.pass.clone())
-                        .or_default()
-                        .push(timing.duration.as_secs_f64());
-                }
-                run.partition_rounds = report.data.get_usize("partition.rounds");
-                run.success &= report.result.success;
-                let worse = run
-                    .worst
-                    .as_ref()
-                    .map(|w| report.result.infidelity > w.infidelity)
-                    .unwrap_or(true);
-                if worse {
-                    run.worst = Some(report.result);
                 }
             }
+            for timing in &report.timings {
+                if !pass_seconds.contains_key(&timing.pass) {
+                    pass_order.push(timing.pass.clone());
+                }
+                pass_seconds
+                    .entry(timing.pass.clone())
+                    .or_default()
+                    .push(timing.duration.as_secs_f64());
+            }
+            partition_rounds = report.data.get_usize("partition.rounds");
+            success &= report.result.success;
+            let worse =
+                worst.as_ref().map(|w| report.result.infidelity > w.infidelity).unwrap_or(true);
+            if worse {
+                worst = Some(report.result);
+            }
         }
-        for run in runs {
-            let TierRun {
-                backend,
-                compiler: _,
-                pass_seconds,
-                pass_order,
-                workload_seconds,
-                worst,
-                partition_rounds,
-                success,
-                metrics,
-            } = run;
-            let worst = worst.expect("at least one trial ran");
-            let timing = if omit_timing {
-                String::new()
-            } else {
-                let per_pass: Vec<String> = pass_order
-                    .iter()
-                    .map(|pass| {
-                        format!("\"{}\": {:.6}", json_escape(pass), median(&pass_seconds[pass]))
-                    })
-                    .collect();
-                format!(
-                    "\"workload_seconds\": {:.6}, \"median_pass_seconds\": {{{}}}, ",
-                    median(&workload_seconds),
-                    per_pass.join(", ")
-                )
-            };
-            let partition = match partition_rounds {
-                Some(rounds) => format!("\"partition_rounds\": {rounds}, "),
-                None => String::new(),
-            };
-            // Tier-invariant counters (identical across `scalar` and `blocked` at the
-            // same seed — the cross-tier determinism diff covers them) vs. `tnvm.*`
-            // kernel counters, which legitimately differ per tier (the diff scrubs
-            // the `kernel_metrics` field instead).
-            let (invariant, kernel): (Vec<_>, Vec<_>) =
-                metrics.into_iter().partition(|(k, _)| !k.starts_with("tnvm."));
-            let metrics_json = format!(
-                "\"metrics\": {}, \"kernel_metrics\": {}, ",
-                counters_to_json(&invariant.into_iter().collect()),
-                counters_to_json(&kernel.into_iter().collect()),
-            );
-            entries.push(format!(
-                concat!(
-                    "  {{\"workload\": \"{}\", \"backend\": \"{}\", \"radices\": {:?}, ",
-                    "\"trials\": {}, ",
-                    "\"nodes_expanded\": {}, \"blocks_pre_refine\": {}, \"blocks\": {}, ",
-                    "\"params_folded\": {}, \"gates_constified\": {}, {}{}{}",
-                    "\"infidelity\": {:.3e}, \"success\": {}}}"
-                ),
-                json_escape(workload.name),
-                backend.name(),
-                workload.radices,
-                trials,
-                worst.nodes_expanded,
-                worst.blocks.len() + worst.blocks_deleted,
-                worst.blocks.len(),
-                worst.params_folded,
-                worst.gates_constified,
-                partition,
-                metrics_json,
-                timing,
-                worst.infidelity,
-                success,
-            ));
-        }
+        let worst = worst.expect("at least one trial ran");
+        let timing = if omit_timing {
+            String::new()
+        } else {
+            let per_pass: Vec<String> = pass_order
+                .iter()
+                .map(|pass| {
+                    format!("\"{}\": {:.6}", json_escape(pass), median(&pass_seconds[pass]))
+                })
+                .collect();
+            format!(
+                "\"workload_seconds\": {:.6}, \"median_pass_seconds\": {{{}}}, ",
+                median(&workload_seconds),
+                per_pass.join(", ")
+            )
+        };
+        let partition = match partition_rounds {
+            Some(rounds) => format!("\"partition_rounds\": {rounds}, "),
+            None => String::new(),
+        };
+        entries.push(format!(
+            concat!(
+                "  {{\"workload\": \"{}\", \"radices\": {:?}, \"trials\": {}, ",
+                "\"nodes_expanded\": {}, \"blocks_pre_refine\": {}, \"blocks\": {}, ",
+                "\"params_folded\": {}, \"gates_constified\": {}, {}\"metrics\": {}, {}",
+                "\"infidelity\": {:.3e}, \"success\": {}}}"
+            ),
+            json_escape(workload.name),
+            workload.radices,
+            trials,
+            worst.nodes_expanded,
+            worst.blocks.len() + worst.blocks_deleted,
+            worst.blocks.len(),
+            worst.params_folded,
+            worst.gates_constified,
+            partition,
+            counters_to_json(&metrics),
+            timing,
+            worst.infidelity,
+            success,
+        ));
     }
     println!("[\n{}\n]", entries.join(",\n"));
 

@@ -5,7 +5,7 @@ use std::time::Instant;
 
 use qudit_analyze::VerifyLevel;
 use qudit_qvm::ExpressionCache;
-use qudit_synth::{BackendKind, SynthesisResult};
+use qudit_synth::SynthesisResult;
 use qudit_trace::TraceRegistry;
 
 use crate::cancel::CancelToken;
@@ -28,7 +28,6 @@ pub struct CompilationReport {
     pub data: PassData,
     /// Final snapshot of the compilation's deterministic counters (same seed, same
     /// machine-independent counts — see `qudit-trace` for the determinism contract).
-    /// `tnvm.*` keys are execution-tier-variant; everything else is tier-invariant.
     pub metrics: BTreeMap<String, u64>,
     /// The observability registry the compilation recorded into: counters (the
     /// `metrics` snapshot above), gauges, and hierarchical spans exportable as a
@@ -59,7 +58,6 @@ pub struct CompilationReport {
 pub struct Compiler {
     cache: ExpressionCache,
     threads: usize,
-    backend: Option<BackendKind>,
     trace: Option<TraceRegistry>,
     verify: VerifyLevel,
     passes: Vec<Box<dyn Pass>>,
@@ -90,7 +88,6 @@ impl Compiler {
         Compiler {
             cache,
             threads: 0,
-            backend: None,
             trace: None,
             verify: VerifyLevel::from_env(),
             passes: Vec::new(),
@@ -138,16 +135,6 @@ impl Compiler {
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Overrides the TNVM execution tier of every pass (by default each task keeps
-    /// the tier its `SynthesisConfig` carries — the process-wide
-    /// `OPENQUDIT_TNVM_BACKEND` default unless set explicitly). Applied by writing the
-    /// task configuration's backend fields before the first pass runs.
-    #[must_use]
-    pub fn backend(mut self, backend: BackendKind) -> Self {
-        self.backend = Some(backend);
         self
     }
 
@@ -223,10 +210,6 @@ impl Compiler {
             task.config.threads = self.threads;
             task.config.instantiate.threads = self.threads;
         }
-        if let Some(backend) = self.backend {
-            task.config.backend = backend;
-            task.config.instantiate.backend = backend;
-        }
         // Install the observability registry everywhere the pipeline can reach:
         // the synthesis config (search, frontier, refine derive from it), the
         // instantiate config (direct instantiation paths), and each PassContext.
@@ -238,7 +221,6 @@ impl Compiler {
         };
         task.config.trace = trace.clone();
         task.config.instantiate.trace = trace.clone();
-        let backend = task.config.backend;
         let mut timings = Vec::with_capacity(self.passes.len());
         // The boundary checkpoints: cancellation observed before any pass reports
         // "start"; between passes it reports the last completed pass.
@@ -248,21 +230,15 @@ impl Compiler {
                 after: last_checkpoint.clone(),
                 reason,
             })?;
-            let mut ctx = PassContext::new(&self.cache)
-                .with_backend(backend)
-                .with_trace(trace.clone())
-                .with_cancel(cancel.clone());
+            let mut ctx =
+                PassContext::new(&self.cache).with_trace(trace.clone()).with_cancel(cancel.clone());
             // detlint: allow(wall-clock) — pass timings land only in the report's
             // timing block, which the determinism diff scrubs via the omit-timing gate
             let started = Instant::now();
             let span = trace.span(pass.name());
             pass.run(&mut task, &mut ctx)?;
             drop(span);
-            timings.push(PassTiming {
-                pass: pass.name().to_string(),
-                duration: started.elapsed(),
-                backend: backend.name(),
-            });
+            timings.push(PassTiming { pass: pass.name().to_string(), duration: started.elapsed() });
             // Interleaved verification: every pass output is untrusted until the
             // static verifier accepts it. Deliberately outside the timed region and
             // without a timings entry, so enabling it never shifts pass timings.

@@ -95,6 +95,5 @@ pub use partition::{PartitionConfig, PartitionPass};
 pub use pass::{Pass, PassContext, PassTiming};
 pub use passes::{FoldPass, RefinePass, SynthesisPass, VerifyPass};
 pub use qudit_analyze::VerifyLevel;
-pub use qudit_synth::BackendKind;
 pub use task::{CompilationTask, PassData, PassValue};
 pub use verify::verify_task;

@@ -1,7 +1,6 @@
 //! The [`Pass`] trait and the [`PassContext`] handed to every pass invocation.
 
 use qudit_qvm::ExpressionCache;
-use qudit_synth::BackendKind;
 use qudit_trace::TraceRegistry;
 
 use crate::cancel::CancelToken;
@@ -43,29 +42,15 @@ pub trait Pass: Send + Sync {
 #[derive(Debug)]
 pub struct PassContext<'a> {
     cache: &'a ExpressionCache,
-    backend: BackendKind,
     trace: TraceRegistry,
     cancel: CancelToken,
 }
 
 impl<'a> PassContext<'a> {
-    /// A context borrowing the compiler's expression cache, running on the
-    /// process-default TNVM execution tier with a disabled trace registry and no
-    /// cancellation.
+    /// A context borrowing the compiler's expression cache, with a disabled trace
+    /// registry and no cancellation.
     pub fn new(cache: &'a ExpressionCache) -> Self {
-        PassContext {
-            cache,
-            backend: BackendKind::default(),
-            trace: TraceRegistry::disabled(),
-            cancel: CancelToken::none(),
-        }
-    }
-
-    /// Sets the TNVM execution tier this pass invocation runs under (builder style).
-    #[must_use]
-    pub fn with_backend(mut self, backend: BackendKind) -> Self {
-        self.backend = backend;
-        self
+        PassContext { cache, trace: TraceRegistry::disabled(), cancel: CancelToken::none() }
     }
 
     /// Sets the observability registry this pass invocation records into (builder
@@ -82,13 +67,6 @@ impl<'a> PassContext<'a> {
     /// pass's per-block re-synthesis) share compiled gates this way.
     pub fn cache(&self) -> &'a ExpressionCache {
         self.cache
-    }
-
-    /// The TNVM execution tier this pass invocation runs under. Informational for
-    /// most passes — the tier is threaded through the task configuration — but
-    /// available so a pass can report or branch on it.
-    pub fn backend(&self) -> BackendKind {
-        self.backend
     }
 
     /// The observability registry this pass invocation records into. Disabled (a
@@ -137,6 +115,4 @@ pub struct PassTiming {
     pub pass: String,
     /// Wall-clock duration of the pass's `run`.
     pub duration: std::time::Duration,
-    /// The TNVM execution tier the pass ran under ([`BackendKind::name`]).
-    pub backend: &'static str,
 }

@@ -4,10 +4,9 @@
 //! When verification is enabled, the compiler re-checks the circuit-in-progress
 //! after *every* pass — each pass's output is an untrusted artifact until the
 //! `qudit-analyze` verifier accepts it. [`VerifyLevel::Program`] lowers the circuit
-//! to TNVM bytecode and runs the full per-instruction typing discipline plus plan
-//! legality for the task's own execution tier; [`VerifyLevel::Full`] adds the
-//! circuit structural validator, gate-set membership, and plan legality for every
-//! registered tier.
+//! to TNVM bytecode and runs the full per-instruction typing discipline;
+//! [`VerifyLevel::Full`] adds the circuit structural validator and gate-set
+//! membership.
 //!
 //! The default level comes from `OPENQUDIT_VERIFY` ([`VerifyLevel::from_env`]):
 //! off in release (the determinism-diffed benchmark artifacts and
@@ -16,17 +15,11 @@
 //!
 //! What was verified is recorded in the `analyze.*` counters
 //! (`analyze.circuits_verified`, `analyze.programs_verified`,
-//! `analyze.instructions_checked`, `analyze.plans_verified`). These are pure counts
-//! of checking work, identical across execution tiers — [`VerifyLevel::Program`]
-//! verifies exactly one plan per program regardless of which tier that is, and
-//! [`VerifyLevel::Full`] always verifies all registered tiers — so they fold into
-//! the tier-invariant side of the determinism contract.
+//! `analyze.instructions_checked`). These are pure counts of checking work, so they
+//! are deterministic and join the counter snapshots the determinism diffs compare.
 
-use qudit_analyze::{
-    verify_backend, verify_circuit, verify_gateset, verify_program, AnalyzeError, VerifyLevel,
-};
+use qudit_analyze::{verify_circuit, verify_gateset, verify_program, AnalyzeError, VerifyLevel};
 use qudit_network::{try_compile_network, TensorNetwork};
-use qudit_synth::BackendKind;
 use qudit_trace::TraceRegistry;
 
 use crate::task::CompilationTask;
@@ -62,13 +55,5 @@ pub fn verify_task(
     let report = verify_program(&program)?;
     trace.incr("analyze.programs_verified");
     trace.add("analyze.instructions_checked", report.instructions as u64);
-    let tiers: Vec<BackendKind> = match level {
-        VerifyLevel::Full => BackendKind::all().to_vec(),
-        _ => vec![task.config.backend],
-    };
-    for kind in tiers {
-        verify_backend(&program, kind)?;
-        trace.incr("analyze.plans_verified");
-    }
     Ok(())
 }

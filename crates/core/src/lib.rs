@@ -70,8 +70,7 @@ pub use qudit_trace as trace;
 /// The most commonly used types, re-exported for convenient glob import.
 pub mod prelude {
     pub use qudit_analyze::{
-        verify_backend, verify_circuit, verify_gateset, verify_plan, verify_program, AnalyzeError,
-        VerifyLevel,
+        verify_circuit, verify_gateset, verify_program, AnalyzeError, VerifyLevel,
     };
     pub use qudit_baseline::{BaselineCircuit, BaselineEvaluator};
     pub use qudit_circuit::{builders, gates, CircuitError, ExpressionRef, GateSet, QuditCircuit};
@@ -98,9 +97,7 @@ pub mod prelude {
     #[allow(deprecated)]
     pub use qudit_synth::{synthesize, synthesize_with_cache};
     pub use qudit_tensor::{Complex, Matrix, Tensor, C64};
-    pub use qudit_tnvm::{
-        Backend, BackendKind, EvalResult, ExecPlan, KernelCounters, KernelSel, Tnvm,
-    };
+    pub use qudit_tnvm::{EvalResult, KernelCounters, Tnvm};
     pub use qudit_trace::{Span, SpanEvent, TraceRegistry};
 }
 

@@ -22,7 +22,7 @@ use qudit_circuit::QuditCircuit;
 use qudit_network::{compile_network, TensorNetwork, TnvmProgram};
 use qudit_qvm::{CompileOptions, DiffMode, ExpressionCache};
 use qudit_tensor::{Matrix, C64};
-use qudit_tnvm::{BackendKind, KernelCounters, Tnvm};
+use qudit_tnvm::{KernelCounters, Tnvm};
 use qudit_trace::TraceRegistry;
 
 use crate::cost::hs_infidelity;
@@ -52,9 +52,6 @@ pub struct InstantiateConfig {
     /// passes the parent node's optimum here, since an extended circuit keeps its
     /// parent's parameter positions.
     pub warm_start: Option<Vec<f64>>,
-    /// The TNVM execution tier every evaluator built for this run lowers through.
-    /// Defaults to the process-wide tier (`OPENQUDIT_TNVM_BACKEND`, else scalar).
-    pub backend: BackendKind,
     /// Observability sink. Disabled by default (zero overhead); when enabled, every
     /// instantiation records its deterministic counters (calls, starts, LM iterations,
     /// kernel dispatches) at its join point. Parallel drivers hand workers a disabled
@@ -71,7 +68,6 @@ impl Default for InstantiateConfig {
             seed: 0,
             threads: 0,
             warm_start: None,
-            backend: BackendKind::default(),
             trace: TraceRegistry::disabled(),
         }
     }
@@ -347,42 +343,18 @@ pub struct TnvmEvaluator {
 
 impl TnvmEvaluator {
     /// Compiles `circuit` ahead of time and initializes a gradient-mode TNVM using the
-    /// given expression cache and the process-default execution tier.
+    /// given expression cache.
     pub fn new(circuit: &QuditCircuit, cache: &ExpressionCache) -> Self {
-        TnvmEvaluator::new_with_backend(circuit, cache, BackendKind::default())
-    }
-
-    /// [`TnvmEvaluator::new`] with an explicit TNVM execution tier.
-    pub fn new_with_backend(
-        circuit: &QuditCircuit,
-        cache: &ExpressionCache,
-        backend: BackendKind,
-    ) -> Self {
         let network = TensorNetwork::from_circuit(circuit);
-        let program = compile_network(&network);
-        TnvmEvaluator::from_program_with_backend(&program, cache, backend)
+        TnvmEvaluator::from_program(&compile_network(&network), cache)
     }
 
-    /// Initializes a gradient-mode TNVM directly from already-compiled bytecode (using
-    /// the process-default execution tier). The parallel multi-start driver uses this
-    /// to share one AOT compilation across all worker threads.
+    /// Initializes a gradient-mode TNVM directly from already-compiled bytecode. The
+    /// parallel multi-start driver uses this to share one AOT compilation across all
+    /// worker threads.
     pub fn from_program(program: &TnvmProgram, cache: &ExpressionCache) -> Self {
-        TnvmEvaluator::from_program_with_backend(program, cache, BackendKind::default())
-    }
-
-    /// [`TnvmEvaluator::from_program`] with an explicit TNVM execution tier.
-    pub fn from_program_with_backend(
-        program: &TnvmProgram,
-        cache: &ExpressionCache,
-        backend: BackendKind,
-    ) -> Self {
-        let vm = Tnvm::with_backend(program, DiffMode::Gradient, cache, backend);
+        let vm = Tnvm::new(program, DiffMode::Gradient, cache);
         TnvmEvaluator { num_params: program.num_params, dim: program.dim(), vm }
-    }
-
-    /// The execution tier the underlying TNVM lowers through.
-    pub fn backend(&self) -> BackendKind {
-        self.vm.backend()
     }
 
     /// Re-targets the evaluator at new bytecode in place, reusing the TNVM's arena
@@ -442,7 +414,7 @@ pub fn instantiate_circuit(
     cache: &ExpressionCache,
 ) -> InstantiationResult {
     if config.effective_threads() <= 1 {
-        let mut evaluator = TnvmEvaluator::new_with_backend(circuit, cache, config.backend);
+        let mut evaluator = TnvmEvaluator::new(circuit, cache);
         return instantiate(&mut evaluator, target, config);
     }
     let network = TensorNetwork::from_circuit(circuit);
@@ -462,11 +434,7 @@ pub fn instantiate_circuit(
         }
     }
     prewarm.record_into(&config.trace);
-    instantiate_parallel(
-        || TnvmEvaluator::from_program_with_backend(&program, cache, config.backend),
-        target,
-        config,
-    )
+    instantiate_parallel(|| TnvmEvaluator::from_program(&program, cache), target, config)
 }
 
 /// Projects a parent parameter vector onto a smaller (or re-indexed) circuit through a

@@ -33,6 +33,3 @@ pub use instantiate::{
 pub use lm::{
     minimize, solve_linear_system, GradientEvaluator, LmConfig, LmResult, LmStats, LmStop,
 };
-// Re-exported so higher layers (qudit-synth, qudit-compile) can thread backend
-// selection without depending on qudit-tnvm directly.
-pub use qudit_tnvm::BackendKind;

@@ -22,9 +22,8 @@
 //!   one in-flight compile and receive byte-identical response bodies; the
 //!   `x-openqudit-dedup` header says which role a response played.
 //! * **Determinism** — same request, same seed, same bytes out (modulo the
-//!   `timings` block, which `omit_timings` drops), across both TNVM tiers
-//!   after scrubbing `backend` + `kernel_metrics`, exactly like the CI
-//!   determinism diff.
+//!   `timings` block, which `omit_timings` drops), counters included, exactly
+//!   like the CI determinism diff.
 //! * **Budgeted parallelism** — `threads_per_compile = 0` splits the machine
 //!   between the worker pool and each compile's frontier parallelism instead of
 //!   oversubscribing it.

@@ -5,7 +5,6 @@
 //!   "target": {"gate": "CNOT"} | {"matrix": [[[re, im], ...], ...]},
 //!   "radices": [2, 2],
 //!   "seed": 0,
-//!   "backend": "scalar" | "blocked",
 //!   "coupling": [[0, 1], [1, 2]],
 //!   "deadline_ms": 1000,
 //!   "omit_timings": true,
@@ -18,7 +17,7 @@
 //! otherwise its presence fails the request.
 
 use qudit_circuit::gates;
-use qudit_synth::{BackendKind, CouplingGraph, SynthesisConfig};
+use qudit_synth::{CouplingGraph, SynthesisConfig};
 use qudit_tensor::{Complex, Matrix};
 
 use crate::json::{self, Json};
@@ -32,8 +31,6 @@ pub struct CompileRequest {
     pub radices: Vec<usize>,
     /// The engine seed (default 0). Same seed, same request, same bytes out.
     pub seed: u64,
-    /// Per-request TNVM tier override (`None` keeps the process default).
-    pub backend: Option<BackendKind>,
     /// Explicit coupling graph (`None` uses the default line).
     pub coupling: Option<CouplingGraph>,
     /// Per-request latency budget in milliseconds (`None` uses the server default).
@@ -55,10 +52,6 @@ impl CompileRequest {
         if let Some(coupling) = &self.coupling {
             config.coupling = coupling.clone();
         }
-        if let Some(backend) = self.backend {
-            config.backend = backend;
-            config.instantiate.backend = backend;
-        }
         config
     }
 }
@@ -79,16 +72,8 @@ pub fn parse_compile_request(
     let doc = json::parse(body).map_err(|e| format!("malformed JSON: {e}"))?;
     let obj = doc.as_obj().ok_or("request body must be a JSON object")?;
 
-    const KNOWN: [&str; 8] = [
-        "target",
-        "radices",
-        "seed",
-        "backend",
-        "coupling",
-        "deadline_ms",
-        "omit_timings",
-        "debug",
-    ];
+    const KNOWN: [&str; 7] =
+        ["target", "radices", "seed", "coupling", "deadline_ms", "omit_timings", "debug"];
     for key in obj.keys() {
         if !KNOWN.contains(&key.as_str()) {
             return Err(format!("unknown field {key:?}; accepted fields: {}", KNOWN.join(", ")));
@@ -112,15 +97,6 @@ pub fn parse_compile_request(
     let seed = match doc.get("seed") {
         None => 0,
         Some(v) => v.as_u64().ok_or("\"seed\" must be a non-negative integer")?,
-    };
-    let backend = match doc.get("backend") {
-        None => None,
-        Some(v) => {
-            let name = v.as_str().ok_or("\"backend\" must be a string")?;
-            Some(BackendKind::parse(name).ok_or_else(|| {
-                format!("unknown backend {name:?}; accepted values: scalar, blocked")
-            })?)
-        }
     };
     let coupling = match doc.get("coupling") {
         None => None,
@@ -155,7 +131,6 @@ pub fn parse_compile_request(
             target,
             radices,
             seed,
-            backend,
             coupling,
             deadline_ms,
             omit_timings,
@@ -295,8 +270,8 @@ mod tests {
             (br#"{"radices": [2, 2]}"#, "target"),
             (br#"{"target": {"gate": "NOPE"}, "radices": [2, 2]}"#, "known gates"),
             (
-                br#"{"target": {"gate": "CNOT"}, "radices": [2, 2], "backend": "simd"}"#,
-                "scalar, blocked",
+                br#"{"target": {"gate": "CNOT"}, "radices": [2, 2], "backend": "scalar"}"#,
+                "unknown field",
             ),
             (
                 br#"{"target": {"gate": "CNOT"}, "radices": [2, 2], "optimize": "full"}"#,

@@ -476,15 +476,10 @@ fn error_body(detail: &str, kind: &str) -> String {
     Json::Obj(obj).to_canonical_string()
 }
 
-/// The 200 body. Metrics follow the workspace reporting split: `metrics` holds
-/// the tier-invariant counters, `kernel_metrics` the tier-variant `tnvm.*` ones
-/// — so cross-tier byte comparisons scrub exactly `backend` + `kernel_metrics`,
-/// the same discipline as the CI determinism diff.
+/// The 200 body.
 fn success_body(request: &CompileRequest, report: &CompilationReport) -> String {
     let result = &report.result;
     let mut obj = BTreeMap::new();
-    let backend = request.backend.unwrap_or_default();
-    obj.insert("backend".to_string(), Json::Str(backend.name().to_string()));
     obj.insert(
         "blocks".to_string(),
         Json::Arr(
@@ -496,18 +491,9 @@ fn success_body(request: &CompileRequest, report: &CompilationReport) -> String 
         ),
     );
     obj.insert("infidelity".to_string(), Json::Num(result.infidelity));
-    let mut metrics = BTreeMap::new();
-    let mut kernel_metrics = BTreeMap::new();
-    for (name, value) in &report.metrics {
-        let entry = Json::Num(*value as f64);
-        if name.starts_with("tnvm.") {
-            kernel_metrics.insert(name.clone(), entry);
-        } else {
-            metrics.insert(name.clone(), entry);
-        }
-    }
-    obj.insert("kernel_metrics".to_string(), Json::Obj(kernel_metrics));
-    obj.insert("metrics".to_string(), Json::Obj(metrics));
+    let metrics =
+        report.metrics.iter().map(|(name, value)| (name.clone(), Json::Num(*value as f64)));
+    obj.insert("metrics".to_string(), Json::Obj(metrics.collect()));
     obj.insert(
         "params".to_string(),
         Json::Arr(result.params.iter().map(|&p| Json::Num(p)).collect()),

@@ -122,22 +122,14 @@ pub fn evaluate_frontier(
         };
         let outcome = if per_candidate_threads > 1 && config.starts > 1 {
             // Narrow frontier: spend the spare workers on this candidate's starts.
-            instantiate_parallel(
-                || TnvmEvaluator::from_program_with_backend(&program, cache, config.backend),
-                target,
-                &config,
-            )
+            instantiate_parallel(|| TnvmEvaluator::from_program(&program, cache), target, &config)
         } else {
             let evaluator = match evaluator_slot.as_mut() {
                 Some(evaluator) => {
                     evaluator.load_program(&program, cache);
                     evaluator
                 }
-                None => evaluator_slot.insert(TnvmEvaluator::from_program_with_backend(
-                    &program,
-                    cache,
-                    config.backend,
-                )),
+                None => evaluator_slot.insert(TnvmEvaluator::from_program(&program, cache)),
             };
             instantiate(evaluator, target, &config)
         };

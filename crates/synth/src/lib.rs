@@ -106,7 +106,6 @@ pub mod topology;
 pub use frontier::{candidate_seed, evaluate_frontier, Candidate, EvaluatedCandidate};
 pub use layers::LayerGenerator;
 pub use qudit_circuit::GateSet;
-pub use qudit_optimize::BackendKind;
 pub use refine::{
     block_unitary, entangling_residual, fold_constants, refine, refine_deletions, FoldConfig,
     RefineConfig,

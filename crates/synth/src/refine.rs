@@ -39,7 +39,7 @@
 use qudit_circuit::{builders, embed_gate, GateSet, QuditCircuit};
 use qudit_egraph::fold;
 use qudit_optimize::{
-    instantiate_circuit_mapped, BackendKind, GradientEvaluator, InstantiateConfig, TnvmEvaluator,
+    instantiate_circuit_mapped, GradientEvaluator, InstantiateConfig, TnvmEvaluator,
     SUCCESS_THRESHOLD,
 };
 use qudit_qvm::ExpressionCache;
@@ -323,7 +323,6 @@ pub fn refine(
         fold_tolerance: config.fold_tolerance,
         success_threshold: config.success_threshold,
         constify: false,
-        backend: config.instantiate.backend,
     };
     fold_constants(&refined, target, &fold_config, cache)
 }
@@ -498,18 +497,11 @@ pub struct FoldConfig {
     /// ([`QuditCircuit::constify_op`]), removing its entries from the parameter vector
     /// so a re-compile JITs the cheaper, constant-folded expression.
     pub constify: bool,
-    /// The TNVM execution tier the verification evaluators lower through.
-    pub backend: BackendKind,
 }
 
 impl Default for FoldConfig {
     fn default() -> Self {
-        FoldConfig {
-            fold_tolerance: 1e-6,
-            success_threshold: SUCCESS_THRESHOLD,
-            constify: false,
-            backend: BackendKind::default(),
-        }
+        FoldConfig { fold_tolerance: 1e-6, success_threshold: SUCCESS_THRESHOLD, constify: false }
     }
 }
 
@@ -562,7 +554,7 @@ pub fn fold_constants(
         return Ok(refined);
     }
     // Checks need only the unitary, so they run the TNVM's value sweep alone.
-    let mut evaluator = TnvmEvaluator::new_with_backend(&result.circuit, cache, config.backend);
+    let mut evaluator = TnvmEvaluator::new(&result.circuit, cache);
     let (unitary, _) = evaluator.evaluate_trial(&folded.params);
     let snapped_infidelity = qudit_optimize::hs_infidelity(target, &unitary);
     if snapped_infidelity >= config.success_threshold {
@@ -605,7 +597,7 @@ pub fn fold_constants(
             }
             // The constant path evaluates through a different (cheaper) kernel, so
             // re-verify before committing the rewritten circuit.
-            let mut evaluator = TnvmEvaluator::new_with_backend(&circuit, cache, config.backend);
+            let mut evaluator = TnvmEvaluator::new(&circuit, cache);
             let (unitary, _) = evaluator.evaluate_trial(&params);
             let const_infidelity = qudit_optimize::hs_infidelity(target, &unitary);
             if const_infidelity < config.success_threshold {

@@ -12,7 +12,7 @@ use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
 
 use qudit_circuit::{GateSet, QuditCircuit};
-use qudit_optimize::{BackendKind, InstantiateConfig, SUCCESS_THRESHOLD};
+use qudit_optimize::{InstantiateConfig, SUCCESS_THRESHOLD};
 use qudit_qvm::{CompileOptions, ExpressionCache};
 use qudit_tensor::Matrix;
 use qudit_trace::TraceRegistry;
@@ -61,10 +61,6 @@ pub struct SynthesisConfig {
     /// mixed-precision pipelines produce targets whose deviation exceeds the strict
     /// default; widen this instead of pre-polishing the matrix.
     pub unitary_tolerance: f64,
-    /// The TNVM execution tier every evaluator in the pipeline (frontier workers,
-    /// refinement, constant folding) lowers through. Defaults to the process-wide tier
-    /// (`OPENQUDIT_TNVM_BACKEND`, else scalar).
-    pub backend: BackendKind,
     /// Observability sink threaded through the whole pipeline (search spans and
     /// counters, instantiation counters, kernel-dispatch counts). Disabled by default;
     /// the `qudit-compile` driver installs an enabled registry per compilation.
@@ -92,7 +88,6 @@ impl SynthesisConfig {
             seed: 0,
             refine: true,
             unitary_tolerance: 1e-8,
-            backend: BackendKind::default(),
             trace: TraceRegistry::disabled(),
         }
     }
@@ -119,7 +114,6 @@ impl SynthesisConfig {
         let mut config = self.instantiate.clone();
         config.success_threshold = self.success_threshold;
         config.seed ^= self.seed;
-        config.backend = self.backend;
         config.trace = self.trace.clone();
         config
     }
@@ -146,7 +140,6 @@ impl SynthesisConfig {
         FoldConfig {
             success_threshold: self.success_threshold,
             constify: true,
-            backend: self.backend,
             ..FoldConfig::default()
         }
     }

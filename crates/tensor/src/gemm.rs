@@ -121,213 +121,6 @@ fn matmul_blocked<T: Float>(
     }
 }
 
-/// Number of output columns packed per panel by the structure-of-arrays blocked kernels.
-pub const SOA_PANEL: usize = 8;
-
-/// Workspace length, in `T` scalars, required by [`matmul_blocked_into`] and
-/// [`matmul_blocked_acc_into`] for an inner dimension of `k`.
-///
-/// The workspace holds one packed B-panel: `SOA_PANEL` columns split into separate
-/// real and imaginary planes so the inner loop reads contiguous same-component data.
-pub fn blocked_workspace_len(k: usize) -> usize {
-    2 * k * SOA_PANEL
-}
-
-/// Blocked structure-of-arrays product `out = a · b` (`a` is `m×k`, `b` is `k×n`).
-///
-/// Packs `b` into panels of [`SOA_PANEL`] columns with separate real/imaginary planes
-/// (in `ws`, sized by [`blocked_workspace_len`]) so the inner loop auto-vectorizes.
-/// Accumulation order over the inner dimension and the zero-skip condition match the
-/// scalar kernels exactly, so results are bit-for-bit identical to [`matmul_into`].
-///
-/// # Panics
-///
-/// Panics if any buffer (including `ws`) is smaller than the dimensions imply.
-pub fn matmul_blocked_into<T: Float>(
-    a: &[Complex<T>],
-    m: usize,
-    k: usize,
-    b: &[Complex<T>],
-    n: usize,
-    out: &mut [Complex<T>],
-    ws: &mut [T],
-) {
-    assert!(a.len() >= m * k, "lhs buffer too small");
-    assert!(b.len() >= k * n, "rhs buffer too small");
-    assert!(out.len() >= m * n, "output buffer too small");
-    assert!(ws.len() >= blocked_workspace_len(k), "workspace too small");
-    if soa_worthwhile(a, m, k) {
-        matmul_soa(a, m, k, b, n, out, ws, false);
-    } else {
-        matmul_into(a, m, k, b, n, out);
-    }
-}
-
-/// Blocked accumulating product `out += a · b`; bit-identical to [`matmul_acc_into`].
-///
-/// # Panics
-///
-/// Panics if any buffer (including `ws`) is smaller than the dimensions imply.
-pub fn matmul_blocked_acc_into<T: Float>(
-    a: &[Complex<T>],
-    m: usize,
-    k: usize,
-    b: &[Complex<T>],
-    n: usize,
-    out: &mut [Complex<T>],
-    ws: &mut [T],
-) {
-    assert!(a.len() >= m * k, "lhs buffer too small");
-    assert!(b.len() >= k * n, "rhs buffer too small");
-    assert!(out.len() >= m * n, "output buffer too small");
-    assert!(ws.len() >= blocked_workspace_len(k), "workspace too small");
-    if soa_worthwhile(a, m, k) {
-        matmul_soa(a, m, k, b, n, out, ws, true);
-    } else {
-        matmul_acc_into(a, m, k, b, n, out);
-    }
-}
-
-/// Minimum ratio of nonzero lhs entries to the inner dimension for the SoA path to
-/// amortize its panel-packing cost.
-const SOA_MIN_NNZ_FACTOR: usize = 3;
-
-/// Whether `a` is dense enough for panel packing to pay off. Both paths share the
-/// per-element zero-skip, so a sparse lhs (permutation or diagonal gate matrices)
-/// collapses the arithmetic on either path — but only the SoA path still pays to
-/// pack `b`. Results are bit-identical either way, so this is purely a speed
-/// heuristic; the scan early-exits after a few rows of a dense operand.
-fn soa_worthwhile<T: Float>(a: &[Complex<T>], m: usize, k: usize) -> bool {
-    let target = SOA_MIN_NNZ_FACTOR * k;
-    let mut nnz = 0usize;
-    for v in &a[..m * k] {
-        if v.re != T::zero() || v.im != T::zero() {
-            nnz += 1;
-            if nnz >= target {
-                return true;
-            }
-        }
-    }
-    false
-}
-
-/// Shared panel-packed structure-of-arrays kernel.
-///
-/// Per output element the inner dimension is traversed in ascending order with the same
-/// zero-skip and the same `(ar·br − ai·bi, ar·bi + ai·br)` expansion as the scalar
-/// kernels — the floating-point operation sequence per element is unchanged, only the
-/// memory layout differs, which is what keeps the tiers bit-identical.
-#[allow(clippy::too_many_arguments)]
-fn matmul_soa<T: Float>(
-    a: &[Complex<T>],
-    m: usize,
-    k: usize,
-    b: &[Complex<T>],
-    n: usize,
-    out: &mut [Complex<T>],
-    ws: &mut [T],
-    accumulate: bool,
-) {
-    let (bre, bim) = ws.split_at_mut(k * SOA_PANEL);
-    let mut j0 = 0;
-    while j0 < n {
-        let w = SOA_PANEL.min(n - j0);
-        // Pack the panel: w columns of b, split into real/imaginary planes with a
-        // compact row stride of w.
-        for p in 0..k {
-            let b_row = &b[p * n + j0..p * n + j0 + w];
-            let dst = p * w;
-            for (jj, v) in b_row.iter().enumerate() {
-                bre[dst + jj] = v.re;
-                bim[dst + jj] = v.im;
-            }
-        }
-        // Full-width panels take the const-width path so the compiler sees a
-        // fixed trip count and keeps the 8-wide accumulators fully vectorized;
-        // the ragged tail panel (at most one per call) runs the dynamic loop.
-        if w == SOA_PANEL {
-            soa_panel::<T, SOA_PANEL>(a, m, k, bre, bim, out, n, j0, accumulate);
-        } else {
-            for i in 0..m {
-                let a_row = &a[i * k..(i + 1) * k];
-                let out_row = &mut out[i * n + j0..i * n + j0 + w];
-                let mut acc_re = [T::zero(); SOA_PANEL];
-                let mut acc_im = [T::zero(); SOA_PANEL];
-                if accumulate {
-                    for (jj, v) in out_row.iter().enumerate() {
-                        acc_re[jj] = v.re;
-                        acc_im[jj] = v.im;
-                    }
-                }
-                for (p, &a_ip) in a_row.iter().enumerate() {
-                    if a_ip.re == T::zero() && a_ip.im == T::zero() {
-                        continue;
-                    }
-                    let (ar, ai) = (a_ip.re, a_ip.im);
-                    let p_re = &bre[p * w..p * w + w];
-                    let p_im = &bim[p * w..p * w + w];
-                    for jj in 0..w {
-                        let br_v = p_re[jj];
-                        let bi_v = p_im[jj];
-                        acc_re[jj] += ar * br_v - ai * bi_v;
-                        acc_im[jj] += ar * bi_v + ai * br_v;
-                    }
-                }
-                for (jj, o) in out_row.iter_mut().enumerate() {
-                    *o = Complex { re: acc_re[jj], im: acc_im[jj] };
-                }
-            }
-        }
-        j0 += w;
-    }
-}
-
-/// One full-width SoA panel with a compile-time column count, so the inner loops
-/// unroll and vectorize with no runtime trip-count checks. Identical floating-point
-/// operation sequence to the dynamic tail loop in [`matmul_soa`].
-#[allow(clippy::too_many_arguments)]
-fn soa_panel<T: Float, const W: usize>(
-    a: &[Complex<T>],
-    m: usize,
-    k: usize,
-    bre: &[T],
-    bim: &[T],
-    out: &mut [Complex<T>],
-    n: usize,
-    j0: usize,
-    accumulate: bool,
-) {
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out[i * n + j0..i * n + j0 + W];
-        let mut acc_re = [T::zero(); W];
-        let mut acc_im = [T::zero(); W];
-        if accumulate {
-            for (jj, v) in out_row.iter().enumerate() {
-                acc_re[jj] = v.re;
-                acc_im[jj] = v.im;
-            }
-        }
-        for (p, &a_ip) in a_row.iter().enumerate() {
-            if a_ip.re == T::zero() && a_ip.im == T::zero() {
-                continue;
-            }
-            let (ar, ai) = (a_ip.re, a_ip.im);
-            let p_re: &[T; W] = bre[p * W..(p + 1) * W].try_into().expect("panel width");
-            let p_im: &[T; W] = bim[p * W..(p + 1) * W].try_into().expect("panel width");
-            for jj in 0..W {
-                let br_v = p_re[jj];
-                let bi_v = p_im[jj];
-                acc_re[jj] += ar * br_v - ai * bi_v;
-                acc_im[jj] += ar * bi_v + ai * br_v;
-            }
-        }
-        for (jj, o) in out_row.iter_mut().enumerate() {
-            *o = Complex { re: acc_re[jj], im: acc_im[jj] };
-        }
-    }
-}
-
 /// Element-wise (Hadamard) product `out[i] = a[i] * b[i]`.
 pub fn hadamard_into<T: Float>(a: &[Complex<T>], b: &[Complex<T>], out: &mut [Complex<T>]) {
     assert_eq!(a.len(), b.len(), "hadamard operand length mismatch");
@@ -418,57 +211,6 @@ mod tests {
         assert_eq!(out[1], C64::new(6.0, 0.0));
         hadamard_acc_into(&a, &b, &mut out);
         assert_eq!(out[1], C64::new(12.0, 0.0));
-    }
-
-    /// Matrix with a sprinkling of exact zeros so the zero-skip path is exercised.
-    fn sparse_matrix(rows: usize, cols: usize, seed: u64) -> Matrix<f64> {
-        let dense = random_matrix(rows, cols, seed);
-        Matrix::from_fn(rows, cols, |r, c| {
-            if (r + 2 * c + seed as usize).is_multiple_of(3) {
-                C64::zero()
-            } else {
-                dense.get(r, c)
-            }
-        })
-    }
-
-    fn assert_bits_equal(a: &[C64], b: &[C64], what: &str) {
-        for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-            assert_eq!(x.re.to_bits(), y.re.to_bits(), "{what}: re differs at {i}");
-            assert_eq!(x.im.to_bits(), y.im.to_bits(), "{what}: im differs at {i}");
-        }
-    }
-
-    #[test]
-    fn blocked_soa_matches_scalar_bitwise() {
-        for (m, k, n) in [(1, 1, 1), (2, 2, 2), (3, 4, 5), (8, 8, 8), (9, 16, 12), (17, 33, 7)] {
-            let a = sparse_matrix(m, k, (m * 31 + k) as u64);
-            let b = sparse_matrix(k, n, (k * 31 + n) as u64);
-            let mut scalar = vec![C64::zero(); m * n];
-            let mut blocked = vec![C64::zero(); m * n];
-            let mut ws = vec![0.0f64; blocked_workspace_len(k)];
-            matmul_into(a.as_slice(), m, k, b.as_slice(), n, &mut scalar);
-            matmul_blocked_into(a.as_slice(), m, k, b.as_slice(), n, &mut blocked, &mut ws);
-            assert_bits_equal(&scalar, &blocked, &format!("into {m}x{k}x{n}"));
-
-            // Accumulating variant, starting from a non-trivial output.
-            let init = random_matrix(m, n, 77);
-            let mut scalar_acc = init.as_slice().to_vec();
-            let mut blocked_acc = init.as_slice().to_vec();
-            matmul_acc_into(a.as_slice(), m, k, b.as_slice(), n, &mut scalar_acc);
-            matmul_blocked_acc_into(a.as_slice(), m, k, b.as_slice(), n, &mut blocked_acc, &mut ws);
-            assert_bits_equal(&scalar_acc, &blocked_acc, &format!("acc {m}x{k}x{n}"));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "workspace too small")]
-    fn blocked_workspace_too_small_panics() {
-        let a = [C64::one(); 4];
-        let b = [C64::one(); 4];
-        let mut out = [C64::zero(); 4];
-        let mut ws = [0.0f64; 1];
-        matmul_blocked_into(&a, 2, 2, &b, 2, &mut out, &mut ws);
     }
 
     #[test]

@@ -10,94 +10,17 @@ use crate::complex::{Complex, Float};
 /// Computes `out = a ⊗ b` where `a` is `ar×ac`, `b` is `br×bc`, and `out` is
 /// `(ar·br)×(ac·bc)`, all row-major.
 ///
-/// # Panics
-///
-/// Panics if any buffer is smaller than its stated dimensions imply.
-pub fn kron_into<T: Float>(
-    a: &[Complex<T>],
-    ar: usize,
-    ac: usize,
-    b: &[Complex<T>],
-    br: usize,
-    bc: usize,
-    out: &mut [Complex<T>],
-) {
-    assert!(a.len() >= ar * ac, "kron lhs buffer too small");
-    assert!(b.len() >= br * bc, "kron rhs buffer too small");
-    let (or, oc) = (ar * br, ac * bc);
-    assert!(out.len() >= or * oc, "kron output buffer too small");
-    for i in 0..ar {
-        for j in 0..ac {
-            let a_ij = a[i * ac + j];
-            let row0 = i * br;
-            let col0 = j * bc;
-            if a_ij.re == T::zero() && a_ij.im == T::zero() {
-                for p in 0..br {
-                    let orow = (row0 + p) * oc + col0;
-                    for q in 0..bc {
-                        out[orow + q] = Complex::zero();
-                    }
-                }
-                continue;
-            }
-            for p in 0..br {
-                let brow = p * bc;
-                let orow = (row0 + p) * oc + col0;
-                for q in 0..bc {
-                    out[orow + q] = a_ij * b[brow + q];
-                }
-            }
-        }
-    }
-}
-
-/// Accumulating Kronecker product `out += a ⊗ b`.
-///
-/// Used by the product-rule expansion of KRON under forward-mode differentiation.
-pub fn kron_acc_into<T: Float>(
-    a: &[Complex<T>],
-    ar: usize,
-    ac: usize,
-    b: &[Complex<T>],
-    br: usize,
-    bc: usize,
-    out: &mut [Complex<T>],
-) {
-    assert!(a.len() >= ar * ac, "kron lhs buffer too small");
-    assert!(b.len() >= br * bc, "kron rhs buffer too small");
-    let (or, oc) = (ar * br, ac * bc);
-    assert!(out.len() >= or * oc, "kron output buffer too small");
-    for i in 0..ar {
-        for j in 0..ac {
-            let a_ij = a[i * ac + j];
-            if a_ij.re == T::zero() && a_ij.im == T::zero() {
-                continue;
-            }
-            let row0 = i * br;
-            let col0 = j * bc;
-            for p in 0..br {
-                let brow = p * bc;
-                let orow = (row0 + p) * oc + col0;
-                for q in 0..bc {
-                    out[orow + q] += a_ij * b[brow + q];
-                }
-            }
-        }
-    }
-}
-
-/// Blocked Kronecker product `out = a ⊗ b`, bit-identical to [`kron_into`].
-///
-/// The restructured loops drive the innermost copy through slice iterators (no
-/// per-element bounds checks) so the compiler can unroll and vectorize the `b`-row
-/// scaling. Element values are produced by the exact same `a_ij * b[p][q]` products as
-/// the scalar kernel, so the tiers agree bit-for-bit.
+/// The loops walk `out` row by row and drive the innermost `b`-row scaling through
+/// slice iterators (no per-element bounds checks), so the compiler can unroll and
+/// vectorize it. Each element is the complex product `a_ij · b_pq` with the
+/// `(re·re − im·im, re·im + im·re)` expansion of [`Complex`]'s `Mul`, and a zero
+/// `a_ij` writes zeros without multiplying.
 ///
 /// # Panics
 ///
 /// Panics if any buffer is smaller than its stated dimensions imply.
 #[allow(clippy::too_many_arguments)]
-pub fn kron_blocked_into<T: Float>(
+pub fn kron_into<T: Float>(
     a: &[Complex<T>],
     ar: usize,
     ac: usize,
@@ -135,14 +58,16 @@ pub fn kron_blocked_into<T: Float>(
     }
 }
 
-/// Blocked accumulating Kronecker product `out += a ⊗ b`, bit-identical to
-/// [`kron_acc_into`].
+/// Accumulating Kronecker product `out += a ⊗ b`.
+///
+/// Used by the product-rule expansion of KRON under forward-mode differentiation. A
+/// zero `a_ij` leaves its output block untouched.
 ///
 /// # Panics
 ///
 /// Panics if any buffer is smaller than its stated dimensions imply.
 #[allow(clippy::too_many_arguments)]
-pub fn kron_blocked_acc_into<T: Float>(
+pub fn kron_acc_into<T: Float>(
     a: &[Complex<T>],
     ar: usize,
     ac: usize,
@@ -179,6 +104,78 @@ pub fn kron_blocked_acc_into<T: Float>(
 mod tests {
     use super::*;
     use crate::{Matrix, C64};
+
+    /// The index-arithmetic `out = a ⊗ b` the kernels are checked against.
+    fn kron_oracle<T: Float>(
+        a: &[Complex<T>],
+        ar: usize,
+        ac: usize,
+        b: &[Complex<T>],
+        br: usize,
+        bc: usize,
+        out: &mut [Complex<T>],
+    ) {
+        assert!(a.len() >= ar * ac, "kron lhs buffer too small");
+        assert!(b.len() >= br * bc, "kron rhs buffer too small");
+        let (or, oc) = (ar * br, ac * bc);
+        assert!(out.len() >= or * oc, "kron output buffer too small");
+        for i in 0..ar {
+            for j in 0..ac {
+                let a_ij = a[i * ac + j];
+                let row0 = i * br;
+                let col0 = j * bc;
+                if a_ij.re == T::zero() && a_ij.im == T::zero() {
+                    for p in 0..br {
+                        let orow = (row0 + p) * oc + col0;
+                        for q in 0..bc {
+                            out[orow + q] = Complex::zero();
+                        }
+                    }
+                    continue;
+                }
+                for p in 0..br {
+                    let brow = p * bc;
+                    let orow = (row0 + p) * oc + col0;
+                    for q in 0..bc {
+                        out[orow + q] = a_ij * b[brow + q];
+                    }
+                }
+            }
+        }
+    }
+
+    /// The index-arithmetic `out += a ⊗ b` the kernels are checked against.
+    fn kron_acc_oracle<T: Float>(
+        a: &[Complex<T>],
+        ar: usize,
+        ac: usize,
+        b: &[Complex<T>],
+        br: usize,
+        bc: usize,
+        out: &mut [Complex<T>],
+    ) {
+        assert!(a.len() >= ar * ac, "kron lhs buffer too small");
+        assert!(b.len() >= br * bc, "kron rhs buffer too small");
+        let (or, oc) = (ar * br, ac * bc);
+        assert!(out.len() >= or * oc, "kron output buffer too small");
+        for i in 0..ar {
+            for j in 0..ac {
+                let a_ij = a[i * ac + j];
+                if a_ij.re == T::zero() && a_ij.im == T::zero() {
+                    continue;
+                }
+                let row0 = i * br;
+                let col0 = j * bc;
+                for p in 0..br {
+                    let brow = p * bc;
+                    let orow = (row0 + p) * oc + col0;
+                    for q in 0..bc {
+                        out[orow + q] += a_ij * b[brow + q];
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn kron_identity_with_x() {
@@ -285,16 +282,16 @@ mod tests {
             let n = ar * br * ac * bc;
             let mut scalar = vec![C64::new(0.5, -0.5); n];
             let mut blocked = vec![C64::new(0.5, -0.5); n];
-            kron_into(&a, ar, ac, &b, br, bc, &mut scalar);
-            kron_blocked_into(&a, ar, ac, &b, br, bc, &mut blocked);
+            kron_oracle(&a, ar, ac, &b, br, bc, &mut scalar);
+            kron_into(&a, ar, ac, &b, br, bc, &mut blocked);
             for (i, (x, y)) in scalar.iter().zip(blocked.iter()).enumerate() {
                 assert_eq!(x.re.to_bits(), y.re.to_bits(), "into re at {i}");
                 assert_eq!(x.im.to_bits(), y.im.to_bits(), "into im at {i}");
             }
             let mut scalar_acc = scalar.clone();
             let mut blocked_acc = scalar.clone();
-            kron_acc_into(&a, ar, ac, &b, br, bc, &mut scalar_acc);
-            kron_blocked_acc_into(&a, ar, ac, &b, br, bc, &mut blocked_acc);
+            kron_acc_oracle(&a, ar, ac, &b, br, bc, &mut scalar_acc);
+            kron_acc_into(&a, ar, ac, &b, br, bc, &mut blocked_acc);
             for (i, (x, y)) in scalar_acc.iter().zip(blocked_acc.iter()).enumerate() {
                 assert_eq!(x.re.to_bits(), y.re.to_bits(), "acc re at {i}");
                 assert_eq!(x.im.to_bits(), y.im.to_bits(), "acc im at {i}");

@@ -30,22 +30,15 @@
 //! assert_eq!(result.gradient.len(), circuit.num_params());
 //! # Ok::<(), qudit_circuit::CircuitError>(())
 //! ```
-
 //!
-//! ## Execution backends
-//!
-//! [`Tnvm::new`] lowers the program through the process-default execution tier
-//! ([`BackendKind::from_env`], driven by the `OPENQUDIT_TNVM_BACKEND` environment
-//! variable); [`Tnvm::with_backend`] selects a tier explicitly. See [`backend`] for the
-//! lowering architecture and the per-tier determinism contract.
+//! Each bytecode operation has one kernel: MATMUL runs `qudit_tensor::gemm`'s
+//! `matmul_into`/`matmul_acc_into`, KRON the row-restructured
+//! `qudit_tensor::kron::kron_into`/`kron_acc_into`, and HADAMARD the element-wise
+//! `gemm::hadamard_into`/`hadamard_acc_into`. The same inputs give the same bits on
+//! every run.
 
-pub mod backend;
 pub mod counters;
 pub mod vm;
 
-pub use backend::{
-    Backend, BackendKind, BlockedCpuBackend, ExecPlan, KernelSel, ScalarBackend, TargetDescriptor,
-    BACKEND_ENV_VAR,
-};
 pub use counters::KernelCounters;
 pub use vm::{EvalResult, Tnvm};

@@ -6,7 +6,7 @@
 //! intermediate buffer, eagerly compiles every unique QGL expression referenced by WRITE
 //! instructions (through the shared [`ExpressionCache`]), and immediately executes the
 //! constant section. Every subsequent [`Tnvm::evaluate`] call only walks the dynamic
-//! instruction list.
+//! instruction list, running one `qudit-tensor` kernel per instruction.
 //!
 //! Gradients are propagated with forward-mode automatic differentiation: the AOT compiler
 //! annotates each buffer with the circuit parameters it depends on, and each instruction
@@ -40,7 +40,6 @@ use std::sync::Arc;
 use qudit_network::{BufId, ParamBinding, TnvmOp, TnvmProgram};
 use qudit_qvm::{CompileOptions, CompiledExpression, DiffMode, ExpressionCache};
 
-use crate::backend::{BackendKind, ExecPlan, KernelSel};
 use crate::counters::{BilinearTally, KernelCounters};
 use qudit_tensor::complex::{Complex, Float};
 use qudit_tensor::gemm;
@@ -62,10 +61,6 @@ pub struct EvalResult<T> {
 pub struct Tnvm<T: Float> {
     program: TnvmProgram,
     diff_mode: DiffMode,
-    /// The execution tier the program is lowered through.
-    backend: BackendKind,
-    /// The backend's lowering of `program`: per-instruction kernel selections.
-    plan: ExecPlan,
     compiled: Vec<Arc<CompiledExpression>>,
     /// Single arena holding every buffer's value storage.
     values: Vec<Complex<T>>,
@@ -83,8 +78,6 @@ pub struct Tnvm<T: Float> {
     param_staging: Vec<T>,
     /// Scratch for TRANSPOSE outputs of gradient blocks.
     transpose_staging: Vec<Complex<T>>,
-    /// Workspace for blocked kernels (packed structure-of-arrays panels).
-    kernel_ws: Vec<T>,
     /// Deterministic dispatch/flop/cache accounting, local to this VM (see
     /// [`crate::counters`] for why locality matters).
     counters: KernelCounters,
@@ -96,25 +89,10 @@ pub struct Tnvm<T: Float> {
 impl<T: Float> Tnvm<T> {
     /// Builds a TNVM for `program`, compiling all expressions through `cache` and
     /// executing the constant section.
-    ///
-    /// The execution tier is the process default ([`BackendKind::from_env`]); use
-    /// [`Tnvm::with_backend`] to pick one explicitly.
     pub fn new(program: &TnvmProgram, diff_mode: DiffMode, cache: &ExpressionCache) -> Self {
-        Self::with_backend(program, diff_mode, cache, BackendKind::default())
-    }
-
-    /// Builds a TNVM lowered through an explicit execution tier.
-    pub fn with_backend(
-        program: &TnvmProgram,
-        diff_mode: DiffMode,
-        cache: &ExpressionCache,
-        backend: BackendKind,
-    ) -> Self {
         let mut vm = Tnvm {
             program: program.clone(),
             diff_mode,
-            backend,
-            plan: ExecPlan::default(),
             compiled: Vec::new(),
             values: Vec::new(),
             value_offsets: Vec::new(),
@@ -124,7 +102,6 @@ impl<T: Float> Tnvm<T> {
             write_staging: Vec::new(),
             param_staging: Vec::new(),
             transpose_staging: Vec::new(),
-            kernel_ws: Vec::new(),
             counters: KernelCounters::default(),
             swept: false,
         };
@@ -214,12 +191,6 @@ impl<T: Float> Tnvm<T> {
         self.transpose_staging.clear();
         self.transpose_staging.resize(max_buf_len, Complex::zero());
 
-        // Lower the program through the execution tier: one kernel selection per
-        // instruction, plus the workspace the selected kernels need.
-        self.plan = self.backend.instance().lower(&self.program);
-        self.kernel_ws.clear();
-        self.kernel_ws.resize(self.plan.workspace_scalars, T::zero());
-
         // The constant section never reads circuit parameters and carries no
         // gradients.
         self.run_values(true, &[]);
@@ -228,16 +199,6 @@ impl<T: Float> Tnvm<T> {
     /// The differentiation mode the VM was instantiated with.
     pub fn diff_mode(&self) -> DiffMode {
         self.diff_mode
-    }
-
-    /// The execution tier the VM lowers its program through.
-    pub fn backend(&self) -> BackendKind {
-        self.backend
-    }
-
-    /// The backend's lowering of the current program.
-    pub fn plan(&self) -> &ExecPlan {
-        &self.plan
     }
 
     /// The dispatch/flop/cache counters accumulated since construction (or since the
@@ -263,9 +224,8 @@ impl<T: Float> Tnvm<T> {
     }
 
     /// Total bytes of numerical storage held by the VM (value arena, gradient arena,
-    /// staging buffers, and per-backend kernel workspace). This is the quantity behind
-    /// the paper's "211 KB for the 3-qubit shallow benchmark" observation; including the
-    /// tier workspace keeps the bench report's memory column honest across backends.
+    /// and staging buffers). This is the quantity behind the paper's "211 KB for the
+    /// 3-qubit shallow benchmark" observation.
     pub fn memory_bytes(&self) -> usize {
         let c = std::mem::size_of::<Complex<T>>();
         let f = std::mem::size_of::<T>();
@@ -275,7 +235,6 @@ impl<T: Float> Tnvm<T> {
             + self.transpose_staging.len() * c
             + self.scratch.len() * f
             + self.param_staging.len() * f
-            + self.kernel_ws.len() * f
     }
 
     /// Evaluates the circuit unitary (and gradient, when enabled) at `params`: the
@@ -330,19 +289,16 @@ impl<T: Float> Tnvm<T> {
         assert_eq!(self.diff_mode, DiffMode::Gradient, "gradient sweep needs gradient mode");
         assert!(self.swept, "gradient sweep needs a preceding value sweep");
         let ops = std::mem::take(&mut self.program.dynamic_ops);
-        let kernels = std::mem::take(&mut self.plan.dynamic_kernels);
-        for (op, &kernel) in ops.iter().zip(kernels.iter()) {
+        for op in &ops {
             match *op {
                 // The value sweep already wrote the gate-level derivative blocks.
                 TnvmOp::Write { .. } => {}
                 TnvmOp::Matmul { a, b, out } => {
-                    self.bilinear_gradient(a, b, out, BilinearKind::Matmul, kernel)
+                    self.bilinear_gradient(a, b, out, BilinearKind::Matmul)
                 }
-                TnvmOp::Kron { a, b, out } => {
-                    self.bilinear_gradient(a, b, out, BilinearKind::Kron, kernel)
-                }
+                TnvmOp::Kron { a, b, out } => self.bilinear_gradient(a, b, out, BilinearKind::Kron),
                 TnvmOp::Hadamard { a, b, out } => {
-                    self.bilinear_gradient(a, b, out, BilinearKind::Hadamard, kernel)
+                    self.bilinear_gradient(a, b, out, BilinearKind::Hadamard)
                 }
                 TnvmOp::Transpose { input, ref shape, ref perm, out } => {
                     self.transpose_gradient(input, shape, perm, out)
@@ -350,7 +306,6 @@ impl<T: Float> Tnvm<T> {
             }
         }
         self.program.dynamic_ops = ops;
-        self.plan.dynamic_kernels = kernels;
 
         let out = self.program.output;
         let info = &self.program.buffers[out];
@@ -373,25 +328,17 @@ impl<T: Float> Tnvm<T> {
         } else {
             std::mem::take(&mut self.program.dynamic_ops)
         };
-        let kernels = if constant {
-            std::mem::take(&mut self.plan.constant_kernels)
-        } else {
-            std::mem::take(&mut self.plan.dynamic_kernels)
-        };
-        debug_assert_eq!(ops.len(), kernels.len(), "plan out of sync with program section");
-        for (op, &kernel) in ops.iter().zip(kernels.iter()) {
+        for op in &ops {
             match *op {
                 TnvmOp::Write { expr_index, ref bindings, out } => {
                     self.exec_write(expr_index, bindings, out, params)
                 }
                 TnvmOp::Matmul { a, b, out } => {
-                    self.bilinear_value(a, b, out, BilinearKind::Matmul, kernel)
+                    self.bilinear_value(a, b, out, BilinearKind::Matmul)
                 }
-                TnvmOp::Kron { a, b, out } => {
-                    self.bilinear_value(a, b, out, BilinearKind::Kron, kernel)
-                }
+                TnvmOp::Kron { a, b, out } => self.bilinear_value(a, b, out, BilinearKind::Kron),
                 TnvmOp::Hadamard { a, b, out } => {
-                    self.bilinear_value(a, b, out, BilinearKind::Hadamard, kernel)
+                    self.bilinear_value(a, b, out, BilinearKind::Hadamard)
                 }
                 TnvmOp::Transpose { input, ref shape, ref perm, out } => {
                     self.transpose_value(input, shape, perm, out)
@@ -400,10 +347,8 @@ impl<T: Float> Tnvm<T> {
         }
         if constant {
             self.program.constant_ops = ops;
-            self.plan.constant_kernels = kernels;
         } else {
             self.program.dynamic_ops = ops;
-            self.plan.dynamic_kernels = kernels;
         }
     }
 
@@ -465,33 +410,19 @@ impl<T: Float> Tnvm<T> {
         }
     }
 
-    fn bilinear_value(
-        &mut self,
-        a: BufId,
-        b: BufId,
-        out: BufId,
-        kind: BilinearKind,
-        kernel: KernelSel,
-    ) {
+    fn bilinear_value(&mut self, a: BufId, b: BufId, out: BufId, kind: BilinearKind) {
         let (ar, ac) = (self.program.buffers[a].rows, self.program.buffers[a].cols);
         let (br, bc) = (self.program.buffers[b].rows, self.program.buffers[b].cols);
         let ranges = (self.value_range(a), self.value_range(b), self.value_range(out));
         let (a_vals, b_vals, out_vals) =
             three_slices(&mut self.values, ranges.0, ranges.1, ranges.2);
-        kind.apply(a_vals, ar, ac, b_vals, br, bc, out_vals, false, kernel, &mut self.kernel_ws);
-        self.tally(a, b, out, kind, kernel, 1);
+        kind.apply(a_vals, ar, ac, b_vals, br, bc, out_vals, false);
+        self.tally(a, b, out, kind, 1);
     }
 
     /// The product rule for one bilinear instruction: d(out) = d(a)∘b + a∘d(b), with
     /// terms dropped when the operand does not depend on the parameter.
-    fn bilinear_gradient(
-        &mut self,
-        a: BufId,
-        b: BufId,
-        out: BufId,
-        kind: BilinearKind,
-        kernel: KernelSel,
-    ) {
+    fn bilinear_gradient(&mut self, a: BufId, b: BufId, out: BufId, kind: BilinearKind) {
         let (ar, ac) = (self.program.buffers[a].rows, self.program.buffers[a].cols);
         let (br, bc) = (self.program.buffers[b].rows, self.program.buffers[b].cols);
         let (a_start, a_end) = self.value_range(a);
@@ -513,7 +444,7 @@ impl<T: Float> Tnvm<T> {
                     (b_start, b_end),
                     (out_offset, out_offset + n),
                 );
-                kind.apply(da, ar, ac, bv, br, bc, dout, true, kernel, &mut self.kernel_ws);
+                kind.apply(da, ar, ac, bv, br, bc, dout, true);
             }
             // a * d(b)
             if let Some(b_goff) = self.grad_offset(b, param) {
@@ -526,24 +457,16 @@ impl<T: Float> Tnvm<T> {
                     (out_offset, out_offset + n),
                 );
                 // Note operand order: value(a) ∘ grad(b).
-                kind.apply(av, ar, ac, db, br, bc, dout, true, kernel, &mut self.kernel_ws);
+                kind.apply(av, ar, ac, db, br, bc, dout, true);
             }
         }
-        self.tally(a, b, out, kind, kernel, calls);
+        self.tally(a, b, out, kind, calls);
     }
 
     /// Counts `calls` kernel invocations of one bilinear instruction with a static flop
     /// estimate: 8 real flops per complex multiply-add for MATMUL (m·n·k of them), 6 per
     /// output element for the multiply-only KRON/HADAMARD.
-    fn tally(
-        &mut self,
-        a: BufId,
-        b: BufId,
-        out: BufId,
-        kind: BilinearKind,
-        kernel: KernelSel,
-        calls: u64,
-    ) {
+    fn tally(&mut self, a: BufId, b: BufId, out: BufId, kind: BilinearKind, calls: u64) {
         let buffers = &self.program.buffers;
         let (tally, flops_per_call) = match kind {
             BilinearKind::Matmul => (
@@ -553,7 +476,7 @@ impl<T: Float> Tnvm<T> {
             BilinearKind::Kron => (BilinearTally::Kron, 6 * buffers[out].len() as u64),
             BilinearKind::Hadamard => (BilinearTally::Hadamard, 6 * buffers[out].len() as u64),
         };
-        self.counters.tally(tally, kernel, calls, flops_per_call);
+        self.counters.tally(tally, calls, flops_per_call);
     }
 
     fn transpose_value(&mut self, input: BufId, shape: &[usize], perm: &[usize], out: BufId) {
@@ -612,39 +535,20 @@ impl BilinearKind {
         bc: usize,
         out: &mut [Complex<T>],
         accumulate: bool,
-        kernel: KernelSel,
-        ws: &mut [T],
     ) {
-        match self {
-            BilinearKind::Matmul => {
+        match (self, accumulate) {
+            (BilinearKind::Matmul, false) => {
                 debug_assert_eq!(ac, br, "matmul inner dimensions");
-                match (kernel, accumulate) {
-                    (KernelSel::Scalar, false) => gemm::matmul_into(a, ar, ac, b, bc, out),
-                    (KernelSel::Scalar, true) => gemm::matmul_acc_into(a, ar, ac, b, bc, out),
-                    (KernelSel::Blocked, false) => {
-                        gemm::matmul_blocked_into(a, ar, ac, b, bc, out, ws)
-                    }
-                    (KernelSel::Blocked, true) => {
-                        gemm::matmul_blocked_acc_into(a, ar, ac, b, bc, out, ws)
-                    }
-                }
+                gemm::matmul_into(a, ar, ac, b, bc, out)
             }
-            BilinearKind::Kron => match (kernel, accumulate) {
-                (KernelSel::Scalar, false) => kron::kron_into(a, ar, ac, b, br, bc, out),
-                (KernelSel::Scalar, true) => kron::kron_acc_into(a, ar, ac, b, br, bc, out),
-                (KernelSel::Blocked, false) => kron::kron_blocked_into(a, ar, ac, b, br, bc, out),
-                (KernelSel::Blocked, true) => {
-                    kron::kron_blocked_acc_into(a, ar, ac, b, br, bc, out)
-                }
-            },
-            BilinearKind::Hadamard => {
-                // Element-wise loops have nothing to block; the tiers share one kernel.
-                if accumulate {
-                    gemm::hadamard_acc_into(a, b, out);
-                } else {
-                    gemm::hadamard_into(a, b, out);
-                }
+            (BilinearKind::Matmul, true) => {
+                debug_assert_eq!(ac, br, "matmul inner dimensions");
+                gemm::matmul_acc_into(a, ar, ac, b, bc, out)
             }
+            (BilinearKind::Kron, false) => kron::kron_into(a, ar, ac, b, br, bc, out),
+            (BilinearKind::Kron, true) => kron::kron_acc_into(a, ar, ac, b, br, bc, out),
+            (BilinearKind::Hadamard, false) => gemm::hadamard_into(a, b, out),
+            (BilinearKind::Hadamard, true) => gemm::hadamard_acc_into(a, b, out),
         }
     }
 }
@@ -661,10 +565,8 @@ fn three_slices<T>(
     out: (usize, usize),
 ) -> (&[T], &[T], &mut [T]) {
     assert!(ranges_disjoint(a, out) && ranges_disjoint(b, out), "output overlaps an input");
-    // Safety-free approach: obtain the output slice via a second mutable split and the
-    // inputs via raw-index reads on the shared portion. We avoid unsafe by copying
-    // pointers through split_at_mut ordering.
-    // The simplest safe implementation: use pointers obtained from disjoint splits.
+    // Raw parts, because the inputs may overlap each other (a square of one buffer),
+    // which `split_at_mut` cannot express next to the mutable output.
     let (out_slice, a_slice, b_slice) = unsafe {
         // SAFETY: the three ranges are pairwise disjoint (inputs may alias each other
         // only as immutable slices), all within bounds of `arena`.
@@ -1010,7 +912,7 @@ mod tests {
         let _ = split.gradient();
         let _ = full.evaluate(&params);
         assert_eq!(split.counters(), full.counters(), "the two sweeps tally like one evaluate");
-        assert!(values_only.flops[0] < full.counters().flops[0]);
+        assert!(values_only.flops.iter().sum::<u64>() < full.counters().flops.iter().sum());
     }
 
     #[test]
@@ -1055,11 +957,9 @@ mod tests {
         for (diff, pin) in
             [(DiffMode::None, 0x4b9e_7cbd_cd06_9433), (DiffMode::Gradient, 0xa5ee_0e65_623e_68b5)]
         {
-            for kind in BackendKind::all() {
-                let mut vm = Tnvm::<f64>::with_backend(&program, diff, &cache, kind);
-                let hash = result_hash(&vm.evaluate(&params));
-                assert_eq!(hash, pin, "{diff:?} [{kind}]: fingerprint {hash:#018x}");
-            }
+            let mut vm = Tnvm::<f64>::new(&program, diff, &cache);
+            let hash = result_hash(&vm.evaluate(&params));
+            assert_eq!(hash, pin, "{diff:?}: fingerprint {hash:#018x}");
         }
     }
 
@@ -1077,7 +977,7 @@ mod tests {
         let taken = vm.take_counters();
         assert_eq!(taken.evaluations, 1);
         assert!(taken.writes > after_init.writes, "dynamic WRITEs must count");
-        assert!(taken.kron[0] + taken.kron[1] > 0, "a ladder circuit KRONs");
+        assert!(taken.kron > 0, "a ladder circuit KRONs");
         assert!(vm.counters().is_empty(), "take_counters must reset");
     }
 
@@ -1089,19 +989,13 @@ mod tests {
         let program = compile_network(&TensorNetwork::from_circuit(&c));
         let cache = ExpressionCache::new();
         let params = random_params(c.num_params(), 17);
-        for kind in BackendKind::all() {
-            let mut vm = Tnvm::<f64>::with_backend(&program, DiffMode::Gradient, &cache, kind);
-            vm.take_counters();
-            let _ = vm.evaluate(&params);
-            let counters = vm.take_counters();
-            let totals = (
-                counters.matmul.iter().sum::<u64>(),
-                counters.kron.iter().sum::<u64>(),
-                counters.flops.iter().sum::<u64>(),
-            );
-            assert_eq!(totals, (52, 45, 174_048), "[{kind}] (matmul, kron, flops)");
-            assert_eq!((counters.writes, counters.transposes), (7, 1), "[{kind}]");
-        }
+        let mut vm = Tnvm::<f64>::new(&program, DiffMode::Gradient, &cache);
+        vm.take_counters();
+        let _ = vm.evaluate(&params);
+        let counters = vm.take_counters();
+        let totals = (counters.matmul, counters.kron, counters.flops.iter().sum::<u64>());
+        assert_eq!(totals, (52, 45, 174_048), "(matmul, kron, flops)");
+        assert_eq!((counters.writes, counters.transposes), (7, 1));
     }
 
     #[test]
@@ -1114,7 +1008,7 @@ mod tests {
         {
             let c = builders::pqc_qubit_ladder(n, layers).unwrap();
             let program = compile_network(&TensorNetwork::from_circuit(&c));
-            let vm = Tnvm::<f64>::with_backend(&program, diff, &cache, BackendKind::Scalar);
+            let vm = Tnvm::<f64>::new(&program, diff, &cache);
             assert_eq!(vm.memory_bytes(), pin, "{n}-qubit ladder");
         }
     }
@@ -1130,20 +1024,14 @@ mod tests {
         let big_prog = compile_network(&TensorNetwork::from_circuit(&big));
         let p_small = random_params(small.num_params(), 2);
         let p_big = random_params(big.num_params(), 3);
-        for kind in BackendKind::all() {
-            let fresh = |program: &TnvmProgram, params: &[f64]| {
-                Tnvm::<f64>::with_backend(program, DiffMode::Gradient, &cache, kind)
-                    .evaluate(params)
-            };
-            let mut vm = Tnvm::<f64>::with_backend(&small_prog, DiffMode::Gradient, &cache, kind);
-            let _ = vm.evaluate(&p_small);
-            vm.load(&big_prog, &cache);
-            assert_eq!(result_hash(&vm.evaluate(&p_big)), result_hash(&fresh(&big_prog, &p_big)));
-            vm.load(&small_prog, &cache);
-            assert_eq!(
-                result_hash(&vm.evaluate(&p_small)),
-                result_hash(&fresh(&small_prog, &p_small))
-            );
-        }
+        let fresh = |program: &TnvmProgram, params: &[f64]| {
+            Tnvm::<f64>::new(program, DiffMode::Gradient, &cache).evaluate(params)
+        };
+        let mut vm = Tnvm::<f64>::new(&small_prog, DiffMode::Gradient, &cache);
+        let _ = vm.evaluate(&p_small);
+        vm.load(&big_prog, &cache);
+        assert_eq!(result_hash(&vm.evaluate(&p_big)), result_hash(&fresh(&big_prog, &p_big)));
+        vm.load(&small_prog, &cache);
+        assert_eq!(result_hash(&vm.evaluate(&p_small)), result_hash(&fresh(&small_prog, &p_small)));
     }
 }

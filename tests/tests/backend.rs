@@ -12,7 +12,6 @@
 
 use openqudit::circuit::builders;
 use openqudit::prelude::*;
-use openqudit::tnvm::BACKEND_ENV_VAR;
 use proptest::prelude::*;
 
 /// Deterministic pseudo-random parameters in (−2, 2).
@@ -62,14 +61,12 @@ fn assert_pinned(circuit: &QuditCircuit, diff: DiffMode, seed: u64, pin: u64, wh
     let program = compile_network(&TensorNetwork::from_circuit(circuit));
     let cache = ExpressionCache::new();
     let params = param_vector(circuit.num_params(), seed);
-    for kind in BackendKind::all() {
-        let mut vm = Tnvm::<f64>::with_backend(&program, diff, &cache, kind);
-        let result = vm.evaluate(&params);
-        let hash = result_hash(&result);
-        assert_eq!(hash, pin, "{what} [{kind}]: fingerprint {hash:#018x}");
-        let unitary = vm.evaluate_unitary(&params);
-        assert_matrices_bit_identical(&unitary, &result.unitary, &format!("{what}: unitary"));
-    }
+    let mut vm = Tnvm::<f64>::new(&program, diff, &cache);
+    let result = vm.evaluate(&params);
+    let hash = result_hash(&result);
+    assert_eq!(hash, pin, "{what}: fingerprint {hash:#018x}");
+    let unitary = vm.evaluate_unitary(&params);
+    assert_matrices_bit_identical(&unitary, &result.unitary, &format!("{what}: unitary"));
 }
 
 /// Every radix mix the default gate set registers, with the fingerprints of its
@@ -122,14 +119,8 @@ fn blocked_tier_reports_workspace_and_larger_memory() {
     {
         let circuit = builders::pqc_qubit_ladder(n, layers).unwrap();
         let program = compile_network(&TensorNetwork::from_circuit(&circuit));
-        let scalar = Tnvm::<f64>::with_backend(&program, diff, &cache, BackendKind::Scalar);
-        assert_eq!(scalar.memory_bytes(), pin, "{n}-qubit ladder");
-        let blocked = Tnvm::<f64>::with_backend(&program, diff, &cache, BackendKind::Blocked);
-        assert_eq!(
-            blocked.memory_bytes(),
-            pin + blocked.plan().workspace_scalars * std::mem::size_of::<f64>(),
-            "{n}-qubit ladder"
-        );
+        let vm = Tnvm::<f64>::new(&program, diff, &cache);
+        assert_eq!(vm.memory_bytes(), pin, "{n}-qubit ladder");
     }
 }
 
@@ -141,41 +132,16 @@ fn backend_threads_through_the_whole_stack() {
     const INFIDELITY_BITS: u64 = 0x3cb0_0000_0000_0000;
     const BLOCKS: &[(usize, usize)] = &[(0, 1)];
     let target = openqudit::circuit::gates::cnot().to_matrix::<f64>(&[]).unwrap();
-    for backend in BackendKind::all() {
-        let mut config = SynthesisConfig::qubits(2);
-        config.backend = backend;
-        let report = Compiler::with_cache(ExpressionCache::new())
-            .default_passes()
-            .compile(CompilationTask::new(target.clone(), config))
-            .unwrap();
-        let result = report.result;
-        assert!(result.success);
-        let params = fnv1a(result.params.iter().map(|p| p.to_bits()));
-        assert_eq!(params, PARAMS_PIN, "[{backend}] params {params:#018x}");
-        assert_eq!(result.infidelity.to_bits(), INFIDELITY_BITS, "[{backend}] {result:?}");
-        assert_eq!(result.blocks, BLOCKS, "[{backend}]");
-    }
-}
-
-#[test]
-fn compiler_backend_override_wins_over_task_config() {
-    let target = openqudit::circuit::gates::cnot().to_matrix::<f64>(&[]).unwrap();
-    let mut config = SynthesisConfig::qubits(2);
-    config.backend = BackendKind::Scalar;
     let report = Compiler::with_cache(ExpressionCache::new())
-        .backend(BackendKind::Blocked)
         .default_passes()
-        .compile(CompilationTask::new(target, config))
+        .compile(CompilationTask::new(target, SynthesisConfig::qubits(2)))
         .unwrap();
-    assert!(report.timings.iter().all(|t| t.backend == "blocked"));
-}
-
-#[test]
-fn env_var_name_is_stable() {
-    // CI's backend matrix sets this variable; renaming it must be a conscious act.
-    assert_eq!(BACKEND_ENV_VAR, "OPENQUDIT_TNVM_BACKEND");
-    assert_eq!(BackendKind::parse("scalar"), Some(BackendKind::Scalar));
-    assert_eq!(BackendKind::parse("blocked"), Some(BackendKind::Blocked));
+    let result = report.result;
+    assert!(result.success);
+    let params = fnv1a(result.params.iter().map(|p| p.to_bits()));
+    assert_eq!(params, PARAMS_PIN, "params {params:#018x}");
+    assert_eq!(result.infidelity.to_bits(), INFIDELITY_BITS, "{result:?}");
+    assert_eq!(result.blocks, BLOCKS);
 }
 
 /// Central finite difference of `circuit`'s reference unitary in parameter `k`.
@@ -219,20 +185,18 @@ proptest! {
         let reference = circuit.unitary::<f64>(&params).unwrap();
         let fds: Vec<Matrix<f64>> =
             (0..params.len()).map(|k| finite_difference(&circuit, &params, k)).collect();
-        for kind in BackendKind::all() {
-            for diff in [DiffMode::None, DiffMode::Gradient] {
-                let what = format!("{radices:?} x{layers} {diff:?} [{kind}]");
-                let mut vm = Tnvm::<f64>::with_backend(&program, diff, &cache, kind);
-                let result = vm.evaluate(&params);
-                let distance = result.unitary.max_elementwise_distance(&reference);
-                prop_assert!(distance <= 1e-10, "{}: unitary off by {}", what, distance);
-                for (k, (gradient, fd)) in result.gradient.iter().zip(&fds).enumerate() {
-                    let distance = gradient.max_elementwise_distance(fd);
-                    prop_assert!(distance <= 1e-5, "{}: gradient {} off by {}", what, k, distance);
-                }
-                let unitary = vm.evaluate_unitary(&params);
-                assert_matrices_bit_identical(&unitary, &result.unitary, &what);
+        for diff in [DiffMode::None, DiffMode::Gradient] {
+            let what = format!("{radices:?} x{layers} {diff:?}");
+            let mut vm = Tnvm::<f64>::new(&program, diff, &cache);
+            let result = vm.evaluate(&params);
+            let distance = result.unitary.max_elementwise_distance(&reference);
+            prop_assert!(distance <= 1e-10, "{}: unitary off by {}", what, distance);
+            for (k, (gradient, fd)) in result.gradient.iter().zip(&fds).enumerate() {
+                let distance = gradient.max_elementwise_distance(fd);
+                prop_assert!(distance <= 1e-5, "{}: gradient {} off by {}", what, k, distance);
             }
+            let unitary = vm.evaluate_unitary(&params);
+            assert_matrices_bit_identical(&unitary, &result.unitary, &what);
         }
     }
 }

@@ -1,9 +1,9 @@
 //! Static cost-model conformance: the figures an optimization decision weighs.
 //!
-//! `estimate_plan` predicts the TNVM's kernel counters from a lowered program
-//! alone. It must agree *exactly* with the runtime `KernelCounters` of a full
-//! evaluation (value sweep plus gradient sweep) on every registered radix mix,
-//! both tiers and both `DiffMode`s.
+//! `estimate_plan` predicts the TNVM's kernel counters from a program alone. It
+//! must agree *exactly* with the runtime `KernelCounters` of a full evaluation
+//! (value sweep plus gradient sweep) on every registered radix mix and both
+//! `DiffMode`s.
 
 use openqudit::analyze::estimate_plan;
 use openqudit::circuit::builders;
@@ -42,25 +42,22 @@ fn static_estimate_matches_runtime_counters_exactly() {
     for mix in RADIX_MIXES {
         for layers in [1, 2] {
             let p = compiled_program(mix, layers);
-            for kind in BackendKind::all() {
-                let plan = kind.instance().lower(&p);
-                for mode in [DiffMode::None, DiffMode::Gradient] {
-                    let what = format!("{mix:?} x{layers} {kind} {mode:?}");
-                    let estimate = estimate_plan(&p, &plan, mode);
-                    let mut vm: Tnvm<f64> = Tnvm::with_backend(&p, mode, &cache, kind);
-                    let mut init = vm.take_counters();
-                    // Cache outcomes depend on what earlier constructions warmed;
-                    // the static model deliberately leaves them at zero.
-                    init.cache_hits = 0;
-                    init.cache_misses = 0;
-                    assert_eq!(init, estimate.init, "{what}: init counters");
-                    vm.evaluate(&param_vector(p.num_params, 11));
-                    assert_eq!(
-                        vm.take_counters(),
-                        estimate.per_evaluation,
-                        "{what}: per-evaluation counters"
-                    );
-                }
+            for mode in [DiffMode::None, DiffMode::Gradient] {
+                let what = format!("{mix:?} x{layers} {mode:?}");
+                let estimate = estimate_plan(&p, mode);
+                let mut vm: Tnvm<f64> = Tnvm::new(&p, mode, &cache);
+                let mut init = vm.take_counters();
+                // Cache outcomes depend on what earlier constructions warmed;
+                // the static model deliberately leaves them at zero.
+                init.cache_hits = 0;
+                init.cache_misses = 0;
+                assert_eq!(init, estimate.init, "{what}: init counters");
+                vm.evaluate(&param_vector(p.num_params, 11));
+                assert_eq!(
+                    vm.take_counters(),
+                    estimate.per_evaluation,
+                    "{what}: per-evaluation counters"
+                );
             }
         }
     }

@@ -12,12 +12,11 @@ fn assert_one_stop_per_start(report: &CompilationReport) {
     assert_eq!(Some(&stops), report.metrics.get("instantiate.starts"), "{:?}", report.metrics);
 }
 
-/// Compiles the CNOT workload through the default pipeline with a fresh cache and
-/// the given tier, returning the report.
-fn compile_cnot(backend: BackendKind) -> CompilationReport {
+/// Compiles the CNOT workload through the default pipeline with a fresh cache,
+/// returning the report.
+fn compile_cnot() -> CompilationReport {
     let target = gates::cnot().to_matrix::<f64>(&[]).unwrap();
     Compiler::with_cache(ExpressionCache::new())
-        .backend(backend)
         .default_passes()
         .compile(CompilationTask::new(target, SynthesisConfig::qubits(2)))
         .unwrap()
@@ -25,8 +24,8 @@ fn compile_cnot(backend: BackendKind) -> CompilationReport {
 
 #[test]
 fn same_seed_counter_snapshots_are_byte_identical() {
-    let a = compile_cnot(BackendKind::Scalar);
-    let b = compile_cnot(BackendKind::Scalar);
+    let a = compile_cnot();
+    let b = compile_cnot();
     assert_eq!(a.trace.counters_json(), b.trace.counters_json());
     // The snapshot is non-trivial: the pipeline recorded search, instantiation,
     // LM, cache, and kernel-dispatch activity.
@@ -51,19 +50,17 @@ fn same_seed_counter_snapshots_are_byte_identical() {
 fn tiers_agree_on_algorithm_counters_and_split_kernel_dispatch() {
     // The CNOT compile's kernel work, pinned: MATMUL and KRON dispatches, the flop
     // estimate summed over its keys, and the evaluation count.
-    let total = |report: &CompilationReport, prefix: &str| -> u64 {
-        report.metrics.iter().filter(|(k, _)| k.starts_with(prefix)).map(|(_, v)| v).sum()
-    };
-    for backend in BackendKind::all() {
-        let report = compile_cnot(backend);
-        let totals = (
-            total(&report, "tnvm.dispatch.matmul"),
-            total(&report, "tnvm.dispatch.kron"),
-            total(&report, "tnvm.flops."),
-            total(&report, "tnvm.evaluations"),
-        );
-        assert_eq!(totals, (104, 1871, 232_864, 328), "[{backend}] {:?}", report.metrics);
-    }
+    let report = compile_cnot();
+    let metric = |key: &str| report.metrics.get(key).copied().unwrap_or(0);
+    let flops: u64 =
+        report.metrics.iter().filter(|(k, _)| k.starts_with("tnvm.flops.")).map(|(_, v)| v).sum();
+    let totals = (
+        metric("tnvm.dispatch.matmul"),
+        metric("tnvm.dispatch.kron"),
+        flops,
+        metric("tnvm.evaluations"),
+    );
+    assert_eq!(totals, (104, 1871, 232_864, 328), "{:?}", report.metrics);
 }
 
 #[test]
