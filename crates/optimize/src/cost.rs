@@ -10,9 +10,16 @@
 use qudit_tensor::Matrix;
 
 /// Hilbert–Schmidt infidelity `1 − |Tr(U†_target U)| / D` (Eq. 1 of the paper).
+///
+/// A NaN or infinite overlap gives `+∞`: such a unitary is never a success, and it
+/// ranks last under both `<` and `f64::total_cmp`.
 pub fn hs_infidelity(target: &Matrix<f64>, u: &Matrix<f64>) -> f64 {
     let d = target.rows() as f64;
     let overlap = target.hs_inner(u).abs();
+    if !overlap.is_finite() {
+        // `max` below would turn a NaN (and `1 − ∞`) into a perfect 0.
+        return f64::INFINITY;
+    }
     (1.0 - overlap / d).max(0.0)
 }
 
@@ -83,6 +90,23 @@ mod tests {
         let i2 = Matrix::<f64>::identity(2);
         let x = Matrix::from_rows(&[vec![C64::zero(), C64::one()], vec![C64::one(), C64::zero()]]);
         assert!((hs_infidelity(&i2, &x) - 1.0).abs() < 1e-14);
+    }
+
+    #[test]
+    fn non_finite_unitaries_score_infinite_and_finite_ones_keep_their_bits() {
+        let target = Matrix::<f64>::identity(2);
+        let with =
+            |v: C64| Matrix::from_rows(&[vec![v, C64::zero()], vec![C64::zero(), C64::one()]]);
+        for bad in
+            [C64::new(f64::NAN, 0.0), C64::new(f64::INFINITY, 0.0), C64::new(0.0, -f64::INFINITY)]
+        {
+            assert_eq!(hs_infidelity(&target, &with(bad)), f64::INFINITY, "{bad:?}");
+        }
+        for good in [C64::one(), C64::new(0.3, -0.4), C64::new(-1.0, 0.0)] {
+            let u = with(good);
+            let expected = (1.0 - target.hs_inner(&u).abs() / 2.0).max(0.0);
+            assert_eq!(hs_infidelity(&target, &u).to_bits(), expected.to_bits(), "{good:?}");
+        }
     }
 
     #[test]

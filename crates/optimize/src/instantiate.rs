@@ -590,6 +590,35 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_warm_start_is_never_a_success_and_ranks_last() {
+        // A NaN first parameter makes the warm-started unitary NaN: that start scores
+        // +∞, stops LM before any gradient, and loses to every finite start, in the
+        // serial and the parallel driver alike.
+        let circuit = builders::pqc_qubit_ladder(2, 1).unwrap();
+        let target = reachable_target(&circuit, 7);
+        let cache = ExpressionCache::new();
+        let mut warm = vec![0.1; circuit.num_params()];
+        warm[0] = f64::NAN;
+        let alone = InstantiateConfig { warm_start: Some(warm.clone()), ..Default::default() };
+        let result = instantiate_circuit(&circuit, &target, &alone, &cache);
+        assert!(!result.success);
+        assert_eq!(result.infidelity, f64::INFINITY);
+        assert_eq!(result.lm.stops[crate::lm::LmStop::NonFinite as usize], 1);
+        for threads in [1, 0] {
+            let config = InstantiateConfig {
+                starts: 3,
+                seed: 3,
+                threads,
+                warm_start: Some(warm.clone()),
+                ..Default::default()
+            };
+            let result = instantiate_circuit(&circuit, &target, &config, &cache);
+            assert!(result.infidelity.is_finite(), "threads {threads}: {}", result.infidelity);
+            assert!(result.params.iter().all(|p| p.is_finite()), "threads {threads}");
+        }
+    }
+
+    #[test]
     fn config_defaults() {
         let c = InstantiateConfig::default();
         assert_eq!(c.starts, 1);

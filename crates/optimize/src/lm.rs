@@ -241,12 +241,19 @@ pub enum LmStop {
     Stalled,
     /// [`LmConfig::max_iterations`] ran out.
     IterationCap,
+    /// The starting point's cost was NaN or infinite, so no step could be judged.
+    NonFinite,
 }
 
 impl LmStop {
     /// Every stop reason, in declaration order (which indexes [`LmStats::stops`]).
-    pub const ALL: [LmStop; 4] =
-        [LmStop::CostTolerance, LmStop::StepTolerance, LmStop::Stalled, LmStop::IterationCap];
+    pub const ALL: [LmStop; 5] = [
+        LmStop::CostTolerance,
+        LmStop::StepTolerance,
+        LmStop::Stalled,
+        LmStop::IterationCap,
+        LmStop::NonFinite,
+    ];
 
     /// Stable name used in the `lm.stop.<name>` counters.
     pub fn name(self) -> &'static str {
@@ -255,6 +262,7 @@ impl LmStop {
             LmStop::StepTolerance => "step_tolerance",
             LmStop::Stalled => "stalled",
             LmStop::IterationCap => "iteration_cap",
+            LmStop::NonFinite => "non_finite",
         }
     }
 }
@@ -287,13 +295,13 @@ pub struct LmStats {
     /// Trial steps rejected.
     pub rejected: u64,
     /// Runs per stop reason, indexed like [`LmStop::ALL`].
-    pub stops: [u64; 4],
+    pub stops: [u64; 5],
 }
 
 impl LmStats {
     /// The stats of one run.
     pub fn of(result: &LmResult) -> LmStats {
-        let mut stops = [0; 4];
+        let mut stops = [0; 5];
         stops[result.stop as usize] = 1;
         LmStats { trials: result.trials as u64, rejected: result.rejected as u64, stops }
     }
@@ -324,7 +332,8 @@ impl LmStats {
 ///
 /// Trial steps go through [`GradientEvaluator::evaluate_trial`]. A deferred gradient
 /// is finished only when the next iteration needs it, so neither rejected trials nor
-/// the point a run stops at pay for one.
+/// the point a run stops at pay for one. A start whose cost is NaN or infinite stops
+/// at once with [`LmStop::NonFinite`], before any gradient.
 pub fn minimize(
     evaluator: &mut dyn GradientEvaluator,
     target: &Matrix<f64>,
@@ -364,6 +373,10 @@ fn minimize_with(
 
     let mut iterations = 0;
     let (mut trials, mut rejected) = (0, 0);
+    if !cost.is_finite() {
+        let stop = LmStop::NonFinite;
+        return LmResult { params, cost, iterations, stop, trials, rejected };
+    }
     let mut stop = LmStop::IterationCap;
 
     while iterations < config.max_iterations {
@@ -597,6 +610,20 @@ mod tests {
         let counters = trace.counters();
         assert_eq!(counters["lm.trials"], result.trials as u64);
         assert_eq!(counters[&format!("lm.stop.{}", result.stop.name())], 1);
+    }
+
+    #[test]
+    fn non_finite_start_stops_before_any_gradient() {
+        let (target, _) = ToyEvaluator.evaluate(&[0.9, -1.3]);
+        for x0 in [[f64::NAN, 0.1], [0.1, f64::INFINITY]] {
+            let mut toy = DeferringToy { last: Vec::new(), deferred: 0 };
+            let result = minimize(&mut toy, &target, &x0, &LmConfig::default());
+            assert_eq!(result.stop, LmStop::NonFinite, "{x0:?}: {result:?}");
+            assert_eq!((result.iterations, result.trials, toy.deferred), (0, 0, 0));
+            let trace = TraceRegistry::new();
+            LmStats::of(&result).record_into(&trace);
+            assert_eq!(trace.counters()["lm.stop.non_finite"], 1);
+        }
     }
 
     /// Deterministic pseudo-random values in (−0.5, 0.5) from a 64-bit LCG.

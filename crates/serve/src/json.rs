@@ -238,7 +238,13 @@ impl Parser<'_> {
         }
         let text = std::str::from_utf8(&self.input[start..self.pos])
             .map_err(|_| format!("invalid number at offset {start}"))?;
-        text.parse::<f64>().map(Json::Num).map_err(|_| format!("invalid number at offset {start}"))
+        let value = text.parse::<f64>().map_err(|_| format!("invalid number at offset {start}"))?;
+        // `1e999` parses to infinity, which canonicalizes to `null`: two different
+        // bodies would share one dedup key that no longer parses as a request.
+        if !value.is_finite() {
+            return Err(format!("number out of range at offset {start}"));
+        }
+        Ok(Json::Num(value))
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -378,6 +384,14 @@ mod tests {
         let deep: Vec<u8> =
             std::iter::repeat_n(b'[', 100).chain(std::iter::repeat_n(b']', 100)).collect();
         assert!(parse(&deep).unwrap_err().contains("nesting"));
+    }
+
+    #[test]
+    fn numbers_that_overflow_to_infinity_are_rejected_with_their_offset() {
+        assert_eq!(parse(b"1e999").unwrap_err(), "number out of range at offset 0");
+        let err = parse(br#"{"a": [1, -2e999]}"#).unwrap_err();
+        assert_eq!(err, "number out of range at offset 10");
+        assert_eq!(parse(b"1.7e308").unwrap().as_f64(), Some(1.7e308));
     }
 
     #[test]

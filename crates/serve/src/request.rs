@@ -288,6 +288,17 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_numbers_are_rejected_instead_of_sharing_a_dedup_key() {
+        for huge in ["1e999", "2e999"] {
+            let body = format!(
+                r#"{{"target": {{"matrix": [[[{huge}, 0], [0, 0]], [[0, 0], [1, 0]]]}}, "radices": [2]}}"#
+            );
+            let err = parse_compile_request(body.as_bytes(), false).unwrap_err();
+            assert!(err.contains("out of range at offset 25"), "{huge}: {err}");
+        }
+    }
+
+    #[test]
     fn debug_hooks_parse_when_enabled() {
         let body =
             br#"{"target": {"gate": "CNOT"}, "radices": [2, 2], "debug": {"hold_ms": 25, "panic": true}}"#;

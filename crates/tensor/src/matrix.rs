@@ -4,6 +4,8 @@
 //! components, and every intermediate tensor-network buffer that happens to be a
 //! matrix are stored in this representation.
 
+use std::cmp::Ordering;
+
 use crate::complex::{Complex, Float};
 use crate::{gemm, kron, Result, TensorError};
 
@@ -311,7 +313,10 @@ impl<T: Float> Matrix<T> {
         for r in 0..self.rows {
             for c in 0..self.cols {
                 let expected = if r == c { Complex::one() } else { Complex::zero() };
-                if self.get(r, c).dist(expected) > tol {
+                // A NaN distance (from an infinite or NaN entry) compares as `None`
+                // and fails the check.
+                let distance = self.get(r, c).dist(expected);
+                if !matches!(distance.partial_cmp(&tol), Some(Ordering::Less | Ordering::Equal)) {
                     return false;
                 }
             }
@@ -460,6 +465,16 @@ mod tests {
         assert_eq!(cx_ish.get(0, 1), C64::one());
         assert_eq!(cx_ish.get(2, 3), C64::one());
         assert!(cx_ish.is_unitary(1e-14));
+    }
+
+    #[test]
+    fn non_finite_matrices_are_neither_identity_nor_unitary() {
+        for bad in [C64::new(f64::INFINITY, 0.0), C64::new(f64::NAN, 0.0), C64::new(0.0, f64::NAN)]
+        {
+            let m = Matrix::from_rows(&[vec![bad, C64::zero()], vec![C64::zero(), C64::one()]]);
+            assert!(!m.is_identity(1e-10), "{bad:?}");
+            assert!(!m.is_unitary(1e-10), "{bad:?}");
+        }
     }
 
     #[test]

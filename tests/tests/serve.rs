@@ -404,3 +404,100 @@ fn metrics_pass_timings_mirror_the_compilation_report() {
     assert_eq!(metrics_value(&metrics, "queue", "capacity"), 32);
     server.shutdown();
 }
+
+/// Fuzzing of the request front end: hostile bytes never panic the JSON parser or
+/// the request validator, and every accepted body's dedup key parses back to the
+/// same key.
+mod fuzz {
+    use openqudit::serve::{json, parse_compile_request};
+    use proptest::prelude::*;
+
+    /// Valid bodies the mutations start from.
+    const BODIES: [&str; 4] = [
+        r#"{"target": {"gate": "CNOT"}, "radices": [2, 2], "seed": 7, "omit_timings": true}"#,
+        r#"{"target": {"matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0.5e-3]]]}, "radices": [2]}"#,
+        r#"{"target": {"gate": "CSUM"}, "radices": [3, 3], "coupling": [[0, 1]], "deadline_ms": 900}"#,
+        r#"{"radices": [2, 3], "target": {"gate": "CNOT"}, "seed": 1e3, "debug": {"hold_ms": 1}}"#,
+    ];
+
+    /// Bytes the mutations splice in: JSON structure, number syntax and literals,
+    /// plus a UTF-8 lead byte and a control character.
+    const ALPHABET: &[u8] = b"{}[]\",:-+.eE0123456789 \\ntrufalsgmixd\xc3\x01";
+
+    /// A splitmix64 stream (the vendored proptest has no collection strategies).
+    struct Stream(u64);
+
+    impl Stream {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn byte(&mut self) -> u8 {
+            if self.below(4) == 0 {
+                self.next() as u8
+            } else {
+                ALPHABET[self.below(ALPHABET.len())]
+            }
+        }
+    }
+
+    /// Runs both parsers on `body` (a panic fails the test) and checks that an
+    /// accepted body's dedup key is itself accepted with the same key. Debug hooks
+    /// are on, so bodies with a `debug` object are accepted too.
+    fn check(body: &[u8]) -> Result<(), String> {
+        let _ = json::parse(body);
+        if let Ok((_, key)) = parse_compile_request(body, true) {
+            match parse_compile_request(key.as_bytes(), true) {
+                Ok((_, again)) if again == key => {}
+                Ok((_, again)) => return Err(format!("key {key} re-parses to {again}")),
+                Err(e) => return Err(format!("key {key} is rejected: {e}")),
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn arbitrary_bytes_never_panic_the_request_parsers(
+            len in 0usize..200,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut stream = Stream(seed);
+            let body: Vec<u8> = (0..len).map(|_| stream.byte()).collect();
+            let verdict = check(&body);
+            prop_assert!(verdict.is_ok(), "{:?}: {:?}", String::from_utf8_lossy(&body), verdict);
+        }
+
+        #[test]
+        fn mutated_valid_bodies_never_panic_and_keys_round_trip(
+            base in 0usize..4,
+            edits in 1usize..4,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut stream = Stream(seed);
+            let mut body = BODIES[base].as_bytes().to_vec();
+            for _ in 0..edits {
+                let at = stream.below(body.len() + 1);
+                match stream.below(3) {
+                    0 if at < body.len() => body[at] = stream.byte(),
+                    1 if at < body.len() => {
+                        body.remove(at);
+                    }
+                    _ => body.insert(at, stream.byte()),
+                }
+            }
+            let verdict = check(&body);
+            prop_assert!(verdict.is_ok(), "{:?}: {:?}", String::from_utf8_lossy(&body), verdict);
+        }
+    }
+}
