@@ -276,23 +276,25 @@ mod tests {
 
     #[test]
     fn blocked_kron_matches_scalar_bitwise() {
+        // The kernels against the index-arithmetic oracle, overwriting and
+        // accumulating, with every fourth `a` entry an exact zero.
         for (ar, ac, br, bc) in CIRCUIT_SHAPES.into_iter().chain(SMALL_AND_RECTANGULAR_SHAPES) {
             let a = lcg_matrix(ar, ac, (ar * 7 + ac) as u64);
             let b = lcg_matrix(br, bc, (br * 7 + bc) as u64);
             let n = ar * br * ac * bc;
-            let mut scalar = vec![C64::new(0.5, -0.5); n];
-            let mut blocked = vec![C64::new(0.5, -0.5); n];
-            kron_oracle(&a, ar, ac, &b, br, bc, &mut scalar);
-            kron_into(&a, ar, ac, &b, br, bc, &mut blocked);
-            for (i, (x, y)) in scalar.iter().zip(blocked.iter()).enumerate() {
+            let mut expected = vec![C64::new(0.5, -0.5); n];
+            let mut actual = vec![C64::new(0.5, -0.5); n];
+            kron_oracle(&a, ar, ac, &b, br, bc, &mut expected);
+            kron_into(&a, ar, ac, &b, br, bc, &mut actual);
+            for (i, (x, y)) in expected.iter().zip(actual.iter()).enumerate() {
                 assert_eq!(x.re.to_bits(), y.re.to_bits(), "into re at {i}");
                 assert_eq!(x.im.to_bits(), y.im.to_bits(), "into im at {i}");
             }
-            let mut scalar_acc = scalar.clone();
-            let mut blocked_acc = scalar.clone();
-            kron_acc_oracle(&a, ar, ac, &b, br, bc, &mut scalar_acc);
-            kron_acc_into(&a, ar, ac, &b, br, bc, &mut blocked_acc);
-            for (i, (x, y)) in scalar_acc.iter().zip(blocked_acc.iter()).enumerate() {
+            let mut expected_acc = expected.clone();
+            let mut actual_acc = expected.clone();
+            kron_acc_oracle(&a, ar, ac, &b, br, bc, &mut expected_acc);
+            kron_acc_into(&a, ar, ac, &b, br, bc, &mut actual_acc);
+            for (i, (x, y)) in expected_acc.iter().zip(actual_acc.iter()).enumerate() {
                 assert_eq!(x.re.to_bits(), y.re.to_bits(), "acc re at {i}");
                 assert_eq!(x.im.to_bits(), y.im.to_bits(), "acc im at {i}");
             }
