@@ -424,6 +424,11 @@ mod fuzz {
     /// plus a UTF-8 lead byte and a control character.
     const ALPHABET: &[u8] = b"{}[]\",:-+.eE0123456789 \\ntrufalsgmixd\xc3\x01";
 
+    /// Number spellings a digit can turn into: exponents, signs, an underflow to
+    /// zero and two overflows to infinity.
+    const NUMBERS: [&str; 9] =
+        ["0", "-0", "17", "1e3", "2.5e-3", "1E+2", "1e-400", "1e999", "-2e999"];
+
     /// A splitmix64 stream (the vendored proptest has no collection strategies).
     struct Stream(u64);
 
@@ -488,8 +493,12 @@ mod fuzz {
             let mut body = BODIES[base].as_bytes().to_vec();
             for _ in 0..edits {
                 let at = stream.below(body.len() + 1);
-                match stream.below(3) {
+                match stream.below(4) {
                     0 if at < body.len() => body[at] = stream.byte(),
+                    3 if at < body.len() && body[at].is_ascii_digit() => {
+                        let number = NUMBERS[stream.below(NUMBERS.len())];
+                        body.splice(at..=at, number.bytes());
+                    }
                     1 if at < body.len() => {
                         body.remove(at);
                     }
