@@ -72,6 +72,9 @@ pub struct LmConfig {
     pub cost_tolerance: f64,
     /// Stop when the step norm falls below this value.
     pub step_tolerance: f64,
+    /// Stop as [`LmStop::Plateau`] when the cost fell by less than 1% over the last
+    /// `plateau_window` iterations. `0` (the default) turns the rule off.
+    pub plateau_window: usize,
 }
 
 impl Default for LmConfig {
@@ -82,9 +85,14 @@ impl Default for LmConfig {
             lambda_factor: 10.0,
             cost_tolerance: 1e-16,
             step_tolerance: 1e-12,
+            plateau_window: 0,
         }
     }
 }
+
+/// The relative cost decrease a run must make over [`LmConfig::plateau_window`]
+/// iterations to keep going.
+const PLATEAU_DECREASE: f64 = 0.01;
 
 /// Column count from which the normal equations are assembled from packed panels
 /// rather than straight from the Jacobian's columns. Below it the packing costs more
@@ -243,16 +251,20 @@ pub enum LmStop {
     IterationCap,
     /// The starting point's cost was NaN or infinite, so no step could be judged.
     NonFinite,
+    /// The cost fell by less than 1% over the last [`LmConfig::plateau_window`]
+    /// iterations.
+    Plateau,
 }
 
 impl LmStop {
     /// Every stop reason, in declaration order (which indexes [`LmStats::stops`]).
-    pub const ALL: [LmStop; 5] = [
+    pub const ALL: [LmStop; 6] = [
         LmStop::CostTolerance,
         LmStop::StepTolerance,
         LmStop::Stalled,
         LmStop::IterationCap,
         LmStop::NonFinite,
+        LmStop::Plateau,
     ];
 
     /// Stable name used in the `lm.stop.<name>` counters.
@@ -263,6 +275,7 @@ impl LmStop {
             LmStop::Stalled => "stalled",
             LmStop::IterationCap => "iteration_cap",
             LmStop::NonFinite => "non_finite",
+            LmStop::Plateau => "plateau",
         }
     }
 }
@@ -276,7 +289,8 @@ pub struct LmResult {
     pub cost: f64,
     /// Number of iterations executed.
     pub iterations: usize,
-    /// Why the run stopped: a tolerance criterion, a stall, or the iteration cap.
+    /// Why the run stopped: a tolerance criterion, a stall, a plateau, or the
+    /// iteration cap.
     pub stop: LmStop,
     /// Trial steps evaluated (one per damped solve that produced a step).
     pub trials: usize,
@@ -295,13 +309,13 @@ pub struct LmStats {
     /// Trial steps rejected.
     pub rejected: u64,
     /// Runs per stop reason, indexed like [`LmStop::ALL`].
-    pub stops: [u64; 5],
+    pub stops: [u64; LmStop::ALL.len()],
 }
 
 impl LmStats {
     /// The stats of one run.
     pub fn of(result: &LmResult) -> LmStats {
-        let mut stops = [0; 5];
+        let mut stops = [0; LmStop::ALL.len()];
         stops[result.stop as usize] = 1;
         LmStats { trials: result.trials as u64, rejected: result.rejected as u64, stops }
     }
@@ -333,7 +347,9 @@ impl LmStats {
 /// Trial steps go through [`GradientEvaluator::evaluate_trial`]. A deferred gradient
 /// is finished only when the next iteration needs it, so neither rejected trials nor
 /// the point a run stops at pay for one. A start whose cost is NaN or infinite stops
-/// at once with [`LmStop::NonFinite`], before any gradient.
+/// at once with [`LmStop::NonFinite`], before any gradient. With
+/// [`LmConfig::plateau_window`] set, a run whose cost has flattened stops with
+/// [`LmStop::Plateau`] instead of creeping on to the iteration cap.
 pub fn minimize(
     evaluator: &mut dyn GradientEvaluator,
     target: &Matrix<f64>,
@@ -378,12 +394,25 @@ fn minimize_with(
         return LmResult { params, cost, iterations, stop, trials, rejected };
     }
     let mut stop = LmStop::IterationCap;
+    // Ring of the costs at the top of the last `window` iterations: iteration `t`
+    // writes slot `(t - 1) % window`, after reading the cost of iteration `t - window`.
+    let window = config.plateau_window;
+    let mut recent = vec![0.0; window];
 
     while iterations < config.max_iterations {
         iterations += 1;
         if cost < config.cost_tolerance {
             stop = LmStop::CostTolerance;
             break;
+        }
+        if window > 0 {
+            let slot = (iterations - 1) % window;
+            let old = recent[slot];
+            if iterations > window && old - cost < PLATEAU_DECREASE * old {
+                stop = LmStop::Plateau;
+                break;
+            }
+            recent[slot] = cost;
         }
         // Assemble the Jacobian at the current point.
         let current = grads.take().unwrap_or_else(|| evaluator.deferred_gradient());
@@ -624,6 +653,126 @@ mod tests {
             LmStats::of(&result).record_into(&trace);
             assert_eq!(trace.counters()["lm.stop.non_finite"], 1);
         }
+    }
+
+    /// RY(1.2), which the [`ToyEvaluator`]'s RZ·RX cannot reach: the cost creeps down
+    /// to a floor near 0.7 instead of to zero.
+    fn unreachable_toy_target() -> Matrix<f64> {
+        let (c, s) = (0.6f64.cos(), 0.6f64.sin());
+        Matrix::from_rows(&[
+            vec![C64::from_real(c), C64::from_real(-s)],
+            vec![C64::from_real(s), C64::from_real(c)],
+        ])
+    }
+
+    #[test]
+    fn a_cost_floor_stops_as_a_plateau_before_the_cap() {
+        let target = unreachable_toy_target();
+        let capped = LmConfig { max_iterations: 40, ..LmConfig::default() };
+        let creeping = minimize(&mut ToyEvaluator, &target, &[0.1, 0.1], &capped);
+        assert_eq!(creeping.stop, LmStop::IterationCap, "{creeping:?}");
+        let config = LmConfig { plateau_window: 10, ..capped };
+        let result = minimize(&mut ToyEvaluator, &target, &[0.1, 0.1], &config);
+        assert_eq!(result.stop, LmStop::Plateau, "{result:?}");
+        assert!(result.iterations < creeping.iterations, "{result:?}");
+        // The run stopped on the floor: the 29 iterations it skipped gain under 1e-4.
+        assert!(result.cost - creeping.cost < 1e-4 * creeping.cost, "{result:?} {creeping:?}");
+        let trace = TraceRegistry::new();
+        LmStats::of(&result).record_into(&trace);
+        assert_eq!(trace.counters()["lm.stop.plateau"], 1);
+    }
+
+    /// A 2-qubit ladder of `depth` layers, with a reachable target and a start.
+    fn ladder_problem(
+        depth: usize,
+        cache: &ExpressionCache,
+    ) -> (TnvmEvaluator, Matrix<f64>, Vec<f64>) {
+        let circuit = builders::pqc_qubit_ladder(2, depth).unwrap();
+        let mut evaluator = TnvmEvaluator::new(&circuit, cache);
+        let n = evaluator.num_params();
+        let (target, _) = evaluator.evaluate(&lcg_values(n, 5));
+        (evaluator, target, lcg_values(n, 9))
+    }
+
+    #[test]
+    fn zero_residual_runs_still_end_at_the_cost_tolerance() {
+        // A window of 2 is live from the third iteration on, so it watches most of
+        // every convergence below; a falling cost never trips it.
+        let cache = ExpressionCache::new();
+        let (toy_target, _) = ToyEvaluator.evaluate(&[0.9, -1.3]);
+        for window in [2, 10] {
+            let config = LmConfig { plateau_window: window, ..LmConfig::default() };
+            for x0 in [[0.1, 0.1], [1.0, -1.0], [-2.0, 2.0]] {
+                let result = minimize(&mut ToyEvaluator, &toy_target, &x0, &config);
+                assert_eq!(result.stop, LmStop::CostTolerance, "window {window} {x0:?}");
+            }
+            for depth in [1, 5] {
+                let (mut evaluator, target, x0) = ladder_problem(depth, &cache);
+                let result = minimize(&mut evaluator, &target, &x0, &config);
+                assert_eq!(result.stop, LmStop::CostTolerance, "window {window} depth {depth}");
+            }
+        }
+    }
+
+    /// 64-bit FNV-1a over the little-endian bytes of `words`.
+    fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for word in words {
+            for byte in word.to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    #[test]
+    fn plateau_window_off_keeps_every_result() {
+        // `(case, FNV-1a of the parameter bits, iterations, stop, trials)`, recorded
+        // before the plateau rule existed.
+        const PINNED: &[(&str, u64, usize, LmStop, usize)] = &[
+            ("toy.0", 0x776939f2158f2cc2, 5, LmStop::CostTolerance, 4),
+            ("toy.1", 0x6c357a5f4fd71961, 5, LmStop::CostTolerance, 4),
+            ("toy.2", 0xad2750e3f13c8fe0, 5, LmStop::CostTolerance, 4),
+            ("toy.3", 0x1a2f63ce38851b84, 8, LmStop::CostTolerance, 7),
+            ("toy.floor", 0x06c5d36da80c033d, 52, LmStop::Stalled, 59),
+            ("ladder.1", 0xaf0668d9b4325539, 7, LmStop::CostTolerance, 6),
+            ("ladder.5", 0x21cc7488fc7ea1c6, 6, LmStop::CostTolerance, 5),
+        ];
+        let config = LmConfig { plateau_window: 0, ..LmConfig::default() };
+        let fingerprint = |case: String, r: LmResult| {
+            let hash = fnv1a(r.params.iter().map(|p| p.to_bits()));
+            (case, hash, r.iterations, r.stop, r.trials)
+        };
+        let mut actual = Vec::new();
+        let toy = [
+            ([0.9, -1.3], [0.1, 0.1]),
+            ([2.2, 0.4], [0.0, 0.0]),
+            ([2.2, 0.4], [1.0, -1.0]),
+            ([2.2, 0.4], [-2.0, 2.0]),
+        ];
+        for (k, (solution, x0)) in toy.into_iter().enumerate() {
+            let (target, _) = ToyEvaluator.evaluate(&solution);
+            let result = minimize(&mut ToyEvaluator, &target, &x0, &config);
+            actual.push(fingerprint(format!("toy.{k}"), result));
+        }
+        let result = minimize(&mut ToyEvaluator, &unreachable_toy_target(), &[0.1, 0.1], &config);
+        actual.push(fingerprint("toy.floor".to_string(), result));
+        let cache = ExpressionCache::new();
+        for depth in [1, 5] {
+            let (mut evaluator, target, x0) = ladder_problem(depth, &cache);
+            let result = minimize(&mut evaluator, &target, &x0, &config);
+            actual.push(fingerprint(format!("ladder.{depth}"), result));
+        }
+        let table: String = actual
+            .iter()
+            .map(|(case, hash, iterations, stop, trials)| {
+                format!("            (\"{case}\", 0x{hash:016x}, {iterations}, LmStop::{stop:?}, {trials}),\n")
+            })
+            .collect();
+        let pinned: Vec<_> =
+            PINNED.iter().map(|&(case, h, i, stop, t)| (case.to_string(), h, i, stop, t)).collect();
+        assert!(actual == pinned, "LM results moved; they are now:\n{table}");
     }
 
     /// Deterministic pseudo-random values in (−0.5, 0.5) from a 64-bit LCG.

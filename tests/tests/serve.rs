@@ -7,6 +7,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
 use openqudit::analyze::{VerifyLevel, VERIFY_ENV_VAR};
+use openqudit::optimize::LmStop;
 use openqudit::serve::{ServeConfig, Server, ServerHandle};
 
 /// One parsed HTTP response.
@@ -365,10 +366,8 @@ fn metrics_expose_the_lm_why_counters() {
         assert!(response.body.contains(&format!("\"{key}\"")), "{}", response.body);
         assert!(metrics.contains(&format!("\"{key}\"")), "{metrics}");
     }
-    let stops: u64 = ["cost_tolerance", "step_tolerance", "stalled", "iteration_cap"]
-        .iter()
-        .map(|reason| counter(addr, &format!("lm.stop.{reason}")))
-        .sum();
+    let stops: u64 =
+        LmStop::ALL.iter().map(|stop| counter(addr, &format!("lm.stop.{}", stop.name()))).sum();
     assert_eq!(stops, counter(addr, "instantiate.starts"), "{metrics}");
     assert!(counter(addr, "lm.trials.rejected") <= counter(addr, "lm.trials"));
     // The bytecode optimizer and its per-request level are gone.
