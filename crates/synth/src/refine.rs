@@ -1,13 +1,14 @@
 //! Post-synthesis refinement: speculative gate deletion and re-instantiation.
 //!
 //! Bottom-up search stops at the first template that reaches the success threshold,
-//! and that template frequently carries entangling blocks whose instantiated
-//! contribution is (close to) redundant — the QudCom / adaptive-compilation
-//! observation that much of the final gate-count win comes from *eliminating*
-//! multi-level operations after synthesis, not from the search itself. Because
-//! re-instantiation is cheap here (shared [`ExpressionCache`], arena-reusing TNVM,
-//! warm starts projected through exact parameter mappings), an aggressive deletion
-//! pass is affordable:
+//! and that template can carry entangling blocks whose instantiated contribution is
+//! (close to) redundant — the QudCom / adaptive-compilation observation that much of
+//! the final gate-count win comes from *eliminating* multi-level operations after
+//! synthesis, not from the search itself. Measured over perfbench's six target kinds
+//! (seeds 7, 11, 13, 17 and 19: 400 narrow and 40 wide targets), that win is
+//! concentrated: 16 of 1,232 deletion attempts held, all on the three wide
+//! partitioned sketches that escalated to four rounds, and none on a search result
+//! or a two-round sketch. So every attempt is kept cheap:
 //!
 //! 1. **Detect** blocks whose instantiated sub-unitary is within tolerance of a
 //!    non-entangling operation (its entangling content is the identity): the dominant
@@ -17,9 +18,11 @@
 //!    blocks one at a time (near-identity first, every block eventually) — rebuilding
 //!    the smaller template via [`qudit_circuit::builders::delete_pqc_block`] (shape-
 //!    checked against [`LayerGenerator::circuit_for`]) and re-instantiating through
-//!    [`qudit_optimize::instantiate_circuit_mapped`] with the surviving parameters as
-//!    a warm start. A deletion is kept only when the re-instantiated infidelity stays
-//!    under the success threshold.
+//!    [`qudit_optimize::instantiate_circuit_mapped`] from the surviving parameters.
+//!    Each attempt is one LM run from that warm start, stopped once its cost has
+//!    flattened ([`LmConfig::plateau_window`]); only a near miss, within the square
+//!    root of the success threshold, pays for random restarts. A deletion is kept
+//!    only when the re-instantiated infidelity stays under the success threshold.
 //! 3. **Fold constants**: parameters that landed on symbolic constants (0, ±π/2, ±π,
 //!    ±2π) are snapped via the `qudit-egraph` [`fold`] entry point,
 //!    the substituted gate expressions are e-graph-simplified to verify the fold, and
@@ -39,7 +42,7 @@
 use qudit_circuit::{builders, embed_gate, GateSet, QuditCircuit};
 use qudit_egraph::fold;
 use qudit_optimize::{
-    instantiate_circuit_mapped, GradientEvaluator, InstantiateConfig, TnvmEvaluator,
+    instantiate_circuit_mapped, GradientEvaluator, InstantiateConfig, LmConfig, TnvmEvaluator,
     SUCCESS_THRESHOLD,
 };
 use qudit_qvm::ExpressionCache;
@@ -57,16 +60,15 @@ pub struct RefineConfig {
     /// Entangling-residual tolerance below which a block counts as near-identity and
     /// joins the greedy deletion batch (0 disables the batch, leaving only the scan).
     pub identity_threshold: f64,
-    /// Whether to speculatively attempt deleting blocks *beyond* the near-identity
-    /// set. Re-instantiation is cheap enough that scanning every block usually pays
-    /// for itself in deleted gates.
-    pub scan_all: bool,
     /// Infidelity bound a deletion (or constant fold) must preserve.
     pub success_threshold: f64,
     /// Snap tolerance for folding parameters onto symbolic constants (0, ±π/2, ±π,
     /// ±2π). Non-positive disables folding.
     pub fold_tolerance: f64,
     /// Per-attempt instantiation settings (the warm start is managed by the pass).
+    /// Every attempt first runs the warm start alone; only a near miss goes on to
+    /// all `starts`. The default stops each LM run once its cost has flattened
+    /// ([`LmConfig::plateau_window`]).
     pub instantiate: InstantiateConfig,
     /// Base seed mixed into every attempt's deterministic instantiation seed.
     pub seed: u64,
@@ -82,14 +84,27 @@ impl Default for RefineConfig {
     fn default() -> Self {
         RefineConfig {
             identity_threshold: 1e-3,
-            scan_all: true,
             success_threshold: SUCCESS_THRESHOLD,
             fold_tolerance: 1e-6,
-            instantiate: InstantiateConfig { starts: 4, ..Default::default() },
+            instantiate: attempt_policy(InstantiateConfig { starts: 4, ..Default::default() }),
             seed: 0,
             gate_set: None,
         }
     }
+}
+
+/// LM iterations over which a deletion attempt's cost must fall by 1% to keep
+/// running. Accepted attempts converge well inside it; rejected ones flatten long
+/// before the iteration cap.
+const ATTEMPT_PLATEAU_WINDOW: usize = 10;
+
+/// Refine's per-attempt LM policy applied to `base`: every run stops as
+/// `lm.stop.plateau` once its cost has flattened. [`RefineConfig::default`] and
+/// [`SynthesisConfig::refine_config`] both derive from here.
+///
+/// [`SynthesisConfig::refine_config`]: crate::SynthesisConfig::refine_config
+pub(crate) fn attempt_policy(base: InstantiateConfig) -> InstantiateConfig {
+    InstantiateConfig { lm: LmConfig { plateau_window: ATTEMPT_PLATEAU_WINDOW, ..base.lm }, ..base }
 }
 
 /// The dominant normalized operator-Schmidt weight deficit of a two-qudit unitary:
@@ -258,15 +273,31 @@ impl Refiner<'_> {
             success_threshold: self.config.success_threshold,
             ..self.config.instantiate.clone()
         };
-        let outcome = instantiate_circuit_mapped(
+        // The warm start alone first. Only a near miss, a fit within the square root
+        // of the threshold, suggests the smaller template fits from another basin, so
+        // only a near miss pays for the random restarts.
+        let threshold = self.config.success_threshold;
+        let warm = InstantiateConfig { starts: 1, ..config.clone() };
+        let mut outcome = instantiate_circuit_mapped(
             &trial,
             self.target,
             &state.params,
             &mapping,
-            &config,
+            &warm,
             self.cache,
         );
-        if outcome.infidelity < self.config.success_threshold {
+        let near_miss = outcome.infidelity >= threshold && outcome.infidelity < threshold.sqrt();
+        if near_miss && config.starts > 1 {
+            outcome = instantiate_circuit_mapped(
+                &trial,
+                self.target,
+                &state.params,
+                &mapping,
+                &config,
+                self.cache,
+            );
+        }
+        if outcome.infidelity < threshold {
             Some(State {
                 circuit: trial,
                 edges,
@@ -408,7 +439,7 @@ pub fn refine_deletions(
         params: result.params.clone(),
         infidelity: result.infidelity,
     };
-    let mut blocks_deleted = 0usize;
+    let (mut attempts, mut accepted, mut blocks_deleted) = (0u64, 0u64, 0usize);
 
     if !state.edges.is_empty() {
         let coupling = CouplingGraph::new(n, state.edges.iter().copied())?;
@@ -435,20 +466,14 @@ pub fn refine_deletions(
                 .filter(|&&(_, residual)| residual <= config.identity_threshold)
                 .map(|&(i, _)| i)
                 .collect();
-            let order: Vec<usize> = if config.scan_all {
-                ranked.iter().map(|&(i, _)| i).collect()
-            } else {
-                near.clone()
-            };
-            if order.is_empty() {
-                break;
-            }
 
             // Greedily batch the whole near-identity set first: when several blocks
             // collapsed to (almost) local operations, one re-instantiation usually
             // absorbs them all.
             if near.len() >= 2 {
+                attempts += 1;
                 if let Some(next) = refiner.attempt_deletion(&state, &near) {
+                    accepted += 1;
                     blocks_deleted += near.len();
                     state = next;
                     continue;
@@ -457,8 +482,10 @@ pub fn refine_deletions(
 
             // Otherwise one block at a time, most identity-like first.
             let mut deleted = false;
-            for &block in &order {
+            for &(block, _) in &ranked {
+                attempts += 1;
                 if let Some(next) = refiner.attempt_deletion(&state, &[block]) {
+                    accepted += 1;
                     blocks_deleted += 1;
                     state = next;
                     deleted = true;
@@ -478,6 +505,10 @@ pub fn refine_deletions(
     refined.success = state.infidelity < config.success_threshold;
     refined.blocks_deleted = result.blocks_deleted + blocks_deleted;
     refined.refined_infidelity = Some(state.infidelity);
+    if attempts > 0 {
+        trace.add("refine.attempts", attempts);
+        trace.add("refine.attempts.accepted", accepted);
+    }
     if blocks_deleted > 0 {
         trace.add("refine.blocks_deleted", blocks_deleted as u64);
     }
@@ -820,8 +851,7 @@ mod tests {
             gates_constified: 0,
             circuit,
         };
-        let config = RefineConfig { scan_all: false, ..Default::default() };
-        let refined = refine(&result, &target, &config, &cache).unwrap();
+        let refined = refine(&result, &target, &RefineConfig::default(), &cache).unwrap();
         assert_eq!(refined.params_folded, refined.params.len());
         assert_eq!(refined.params, exact);
         assert!(refined.infidelity < 1e-10);

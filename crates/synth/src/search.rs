@@ -19,7 +19,7 @@ use qudit_trace::TraceRegistry;
 
 use crate::frontier::{evaluate_frontier, Candidate, EvaluatedCandidate};
 use crate::layers::LayerGenerator;
-use crate::refine::{fold_constants, refine_deletions, FoldConfig, RefineConfig};
+use crate::refine::{attempt_policy, fold_constants, refine_deletions, FoldConfig, RefineConfig};
 use crate::topology::CouplingGraph;
 use crate::SynthesisError;
 
@@ -119,15 +119,16 @@ impl SynthesisConfig {
     }
 
     /// The refinement (gate-deletion) configuration the default pipeline derives from
-    /// this search configuration — exactly the derivation the monolithic
-    /// `synthesize_with_cache` entry point has always used, factored out so a
-    /// pass-based pipeline reproduces the legacy path byte for byte.
+    /// this search configuration: the frontier's instantiation settings with
+    /// refine's plateau stop on every LM run. The monolithic `synthesize_with_cache`
+    /// entry point uses the same derivation, so a pass-based pipeline reproduces it
+    /// byte for byte.
     pub fn refine_config(&self) -> RefineConfig {
         let instantiate = self.frontier_instantiate_config();
         RefineConfig {
             success_threshold: self.success_threshold,
             seed: instantiate.seed ^ 0xcafe_f00d_5eed_0001,
-            instantiate,
+            instantiate: attempt_policy(instantiate),
             gate_set: Some(self.gate_set.clone()),
             ..RefineConfig::default()
         }

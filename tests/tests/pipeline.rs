@@ -212,6 +212,30 @@ fn partitioned_pipeline_synthesizes_a_four_qubit_target() {
 }
 
 #[test]
+#[ignore = "slow in debug builds; CI runs it in release"]
+fn refine_shrinks_an_escalated_wide_sketch() {
+    // A wide target whose partitioned sketch needs four escalation rounds (12
+    // blocks): the case where refine's deletion attempts pay off. Refine must take
+    // it down to the six blocks its template was built from.
+    use openqudit::circuit::builders;
+    let stream = 0x381d_6eb7_566e_77fc;
+    let template =
+        builders::pqc_template(&[2; 4], &[(0, 1), (2, 3), (1, 2), (0, 1), (2, 3), (1, 2)]).unwrap();
+    let target = reachable_target(&template, stream);
+    let mut config = SynthesisConfig::with_radices(vec![2; 4]);
+    config.max_blocks = 8;
+    config.seed = stream >> 11;
+    let report = Compiler::with_cache(ExpressionCache::new())
+        .partitioned_passes()
+        .compile(CompilationTask::new(target, config))
+        .unwrap();
+    assert!(report.result.success, "infidelity {}", report.result.infidelity);
+    assert_eq!(report.data.get_usize("partition.rounds"), Some(4));
+    assert_eq!(report.result.blocks.len(), 6, "{:?}", report.result.blocks);
+    assert!(report.metrics.get("refine.attempts.accepted").is_some_and(|&n| n >= 1));
+}
+
+#[test]
 fn partitioned_pipeline_passes_narrow_targets_through_unchanged() {
     // On a ≤3-qudit task the partition pass must skip and the tail of the pipeline
     // must produce exactly what the default pipeline produces.

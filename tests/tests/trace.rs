@@ -60,7 +60,7 @@ fn tiers_agree_on_algorithm_counters_and_split_kernel_dispatch() {
         flops,
         metric("tnvm.evaluations"),
     );
-    assert_eq!(totals, (104, 1871, 232_864, 328), "{:?}", report.metrics);
+    assert_eq!(totals, (104, 1362, 184_000, 221), "{:?}", report.metrics);
 }
 
 #[test]
