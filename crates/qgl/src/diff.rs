@@ -4,6 +4,13 @@
 //! symbolic differentiation engine: every [`Expr`]/[`ComplexExpr`] can be differentiated
 //! with respect to a named parameter, producing another symbolic expression that is then
 //! simplified by the e-graph pass and compiled alongside the original.
+//!
+//! Gate elements share most of their subtrees through `Arc`s, and the product and
+//! chain rules copy their operands into both terms, so a plain recursive walk would
+//! differentiate a shared subtree once per path that reaches it: exponentially often in
+//! a chain of shared products. A [`Differentiator`] walks each shared subtree once.
+
+use std::collections::HashMap;
 
 use crate::expr::{ComplexExpr, Expr};
 
@@ -12,67 +19,107 @@ use crate::expr::{ComplexExpr, Expr};
 /// The resulting expression is built with the simplifying constructors on [`Expr`], so
 /// trivially-zero branches collapse immediately.
 pub fn diff(expr: &Expr, var: &str) -> Expr {
-    match expr {
-        Expr::Const(_) | Expr::Pi => Expr::zero(),
-        Expr::Var(name) => {
-            if name == var {
-                Expr::one()
-            } else {
-                Expr::zero()
-            }
-        }
-        Expr::Neg(a) => Expr::neg(diff(a, var)),
-        Expr::Add(a, b) => Expr::add(diff(a, var), diff(b, var)),
-        Expr::Sub(a, b) => Expr::sub(diff(a, var), diff(b, var)),
-        Expr::Mul(a, b) => {
-            // Product rule: a'b + ab'
-            Expr::add(
-                Expr::mul(diff(a, var), b.as_ref().clone()),
-                Expr::mul(a.as_ref().clone(), diff(b, var)),
-            )
-        }
-        Expr::Div(a, b) => {
-            // Quotient rule: (a'b - ab') / b²
-            let da = diff(a, var);
-            let db = diff(b, var);
-            if db.is_zero() {
-                return Expr::div(da, b.as_ref().clone());
-            }
-            Expr::div(
-                Expr::sub(Expr::mul(da, b.as_ref().clone()), Expr::mul(a.as_ref().clone(), db)),
-                Expr::mul(b.as_ref().clone(), b.as_ref().clone()),
-            )
-        }
-        Expr::Pow(a, b) => {
-            let da = diff(a, var);
-            let db = diff(b, var);
-            if db.is_zero() {
-                // d/dx a^c = c·a^(c-1)·a'
-                let c = b.as_ref().clone();
-                let cm1 = Expr::sub(c.clone(), Expr::one());
-                Expr::mul(Expr::mul(c, Expr::pow(a.as_ref().clone(), cm1)), da)
-            } else {
-                // General case: a^b = exp(b·ln a); d = a^b (b'·ln a + b·a'/a)
-                let term1 = Expr::mul(db, Expr::ln(a.as_ref().clone()));
-                let term2 = Expr::div(Expr::mul(b.as_ref().clone(), da), a.as_ref().clone());
-                Expr::mul(expr.clone(), Expr::add(term1, term2))
-            }
-        }
-        Expr::Sin(a) => Expr::mul(Expr::cos(a.as_ref().clone()), diff(a, var)),
-        Expr::Cos(a) => Expr::neg(Expr::mul(Expr::sin(a.as_ref().clone()), diff(a, var))),
-        Expr::Sqrt(a) => {
-            // d/dx √a = a' / (2√a)
-            Expr::div(diff(a, var), Expr::mul(Expr::constant(2.0), Expr::sqrt(a.as_ref().clone())))
-        }
-        Expr::Exp(a) => Expr::mul(Expr::exp(a.as_ref().clone()), diff(a, var)),
-        Expr::Ln(a) => Expr::div(diff(a, var), a.as_ref().clone()),
-    }
+    Differentiator::new(var).diff(expr)
 }
 
 /// Differentiates a complex symbolic element component-wise (∂/∂θ of a real parameter
 /// commutes with taking real and imaginary parts).
 pub fn diff_complex(expr: &ComplexExpr, var: &str) -> ComplexExpr {
-    ComplexExpr { re: diff(&expr.re, var), im: diff(&expr.im, var) }
+    Differentiator::new(var).diff_complex(expr)
+}
+
+/// Differentiates expressions with respect to one variable, walking every subtree once.
+///
+/// The memo is keyed on node addresses, the way `EGraph::add_exprs` walks its inputs: a
+/// subtree reached again through the same `Arc` reuses the derivative it got the first
+/// time, so the derivatives share that subtree's result too. Every input is borrowed for
+/// `'a`, so no memoized node can be freed, and its address reused, while the memo lives.
+/// One differentiator per parameter serves every element of a gate, so subtrees shared
+/// across elements are walked once as well. The result is structurally identical to a
+/// walk without the memo.
+pub struct Differentiator<'a> {
+    var: &'a str,
+    memo: HashMap<*const Expr, Expr>,
+}
+
+impl<'a> Differentiator<'a> {
+    /// A differentiator with respect to `var`, with an empty memo.
+    pub fn new(var: &'a str) -> Self {
+        Differentiator { var, memo: HashMap::new() }
+    }
+
+    /// Differentiates a complex element component-wise.
+    pub fn diff_complex(&mut self, expr: &'a ComplexExpr) -> ComplexExpr {
+        ComplexExpr { re: self.diff(&expr.re), im: self.diff(&expr.im) }
+    }
+
+    /// Differentiates `expr`, reusing the derivative of every node already walked.
+    pub fn diff(&mut self, expr: &'a Expr) -> Expr {
+        let key: *const Expr = expr;
+        if let Some(done) = self.memo.get(&key) {
+            return done.clone();
+        }
+        let out = match expr {
+            Expr::Const(_) | Expr::Pi => Expr::zero(),
+            Expr::Var(name) => {
+                if name == self.var {
+                    Expr::one()
+                } else {
+                    Expr::zero()
+                }
+            }
+            Expr::Neg(a) => Expr::neg(self.diff(a)),
+            Expr::Add(a, b) => Expr::add(self.diff(a), self.diff(b)),
+            Expr::Sub(a, b) => Expr::sub(self.diff(a), self.diff(b)),
+            Expr::Mul(a, b) => {
+                // Product rule: a'b + ab'
+                let (da, db) = (self.diff(a), self.diff(b));
+                Expr::add(Expr::mul(da, b.as_ref().clone()), Expr::mul(a.as_ref().clone(), db))
+            }
+            Expr::Div(a, b) => {
+                // Quotient rule: (a'b - ab') / b²
+                let (da, db) = (self.diff(a), self.diff(b));
+                if db.is_zero() {
+                    Expr::div(da, b.as_ref().clone())
+                } else {
+                    Expr::div(
+                        Expr::sub(
+                            Expr::mul(da, b.as_ref().clone()),
+                            Expr::mul(a.as_ref().clone(), db),
+                        ),
+                        Expr::mul(b.as_ref().clone(), b.as_ref().clone()),
+                    )
+                }
+            }
+            Expr::Pow(a, b) => {
+                let (da, db) = (self.diff(a), self.diff(b));
+                if db.is_zero() {
+                    // d/dx a^c = c·a^(c-1)·a'
+                    let c = b.as_ref().clone();
+                    let cm1 = Expr::sub(c.clone(), Expr::one());
+                    Expr::mul(Expr::mul(c, Expr::pow(a.as_ref().clone(), cm1)), da)
+                } else {
+                    // General case: a^b = exp(b·ln a); d = a^b (b'·ln a + b·a'/a)
+                    let term1 = Expr::mul(db, Expr::ln(a.as_ref().clone()));
+                    let term2 = Expr::div(Expr::mul(b.as_ref().clone(), da), a.as_ref().clone());
+                    Expr::mul(expr.clone(), Expr::add(term1, term2))
+                }
+            }
+            Expr::Sin(a) => Expr::mul(Expr::cos(a.as_ref().clone()), self.diff(a)),
+            Expr::Cos(a) => Expr::neg(Expr::mul(Expr::sin(a.as_ref().clone()), self.diff(a))),
+            Expr::Sqrt(a) => {
+                // d/dx √a = a' / (2√a)
+                Expr::div(
+                    self.diff(a),
+                    Expr::mul(Expr::constant(2.0), Expr::sqrt(a.as_ref().clone())),
+                )
+            }
+            Expr::Exp(a) => Expr::mul(Expr::exp(a.as_ref().clone()), self.diff(a)),
+            Expr::Ln(a) => Expr::div(self.diff(a), a.as_ref().clone()),
+        };
+        self.memo.insert(key, out.clone());
+        out
+    }
 }
 
 /// Central finite-difference approximation used by tests to validate the symbolic
@@ -178,6 +225,44 @@ mod tests {
         let (re, im) = dz.eval_with(&ns, &[0.77]);
         assert!((re + 0.77f64.sin()).abs() < 1e-14);
         assert!((im - 0.77f64.cos()).abs() < 1e-14);
+    }
+
+    #[test]
+    fn shared_subtrees_are_differentiated_once() {
+        // eₖ₊₁ = eₖ·eₖ through one Arc per level: the 16-level chain reaches its leaf
+        // along 2¹⁶ paths, and a walk per path builds a derivative of ~460,000 nodes.
+        const LEVELS: usize = 16;
+        let mut e = Expr::sin(Expr::var("x"));
+        for _ in 0..LEVELS {
+            let a = std::sync::Arc::new(e);
+            e = Expr::Mul(a.clone(), a);
+        }
+        fn distinct_nodes(e: &Expr, seen: &mut std::collections::HashSet<*const Expr>) {
+            if !seen.insert(e) {
+                return;
+            }
+            match e {
+                Expr::Const(_) | Expr::Pi | Expr::Var(_) => {}
+                Expr::Neg(a)
+                | Expr::Sin(a)
+                | Expr::Cos(a)
+                | Expr::Sqrt(a)
+                | Expr::Exp(a)
+                | Expr::Ln(a) => distinct_nodes(a, seen),
+                Expr::Add(a, b)
+                | Expr::Sub(a, b)
+                | Expr::Mul(a, b)
+                | Expr::Div(a, b)
+                | Expr::Pow(a, b) => {
+                    distinct_nodes(a, seen);
+                    distinct_nodes(b, seen);
+                }
+            }
+        }
+        let d = diff(&e, "x");
+        let mut seen = std::collections::HashSet::new();
+        distinct_nodes(&d, &mut seen);
+        assert!(seen.len() <= 8 * LEVELS, "derivative has {} distinct nodes", seen.len());
     }
 
     #[test]

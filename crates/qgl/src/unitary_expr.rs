@@ -7,7 +7,7 @@
 //! the hand-written boilerplate of Listing 1 in the paper with the one-line definition of
 //! Listing 2.
 
-use crate::diff::diff_complex;
+use crate::diff::Differentiator;
 use crate::error::{QglError, Result};
 use crate::expr::{ComplexExpr, Expr};
 use crate::lower::{lower, Value};
@@ -205,23 +205,21 @@ impl UnitaryExpression {
                 detail: format!("gate '{}' has no parameter '{param}'", self.name),
             });
         }
-        Ok(self
-            .elements
-            .iter()
-            .map(|row| row.iter().map(|el| diff_complex(el, param)).collect())
-            .collect())
+        Ok(self.derivative(param))
     }
 
     /// The full symbolic gradient: one element matrix per parameter, in parameter order.
     pub fn gradient(&self) -> Vec<Vec<Vec<ComplexExpr>>> {
-        self.params
+        self.params.iter().map(|p| self.derivative(p)).collect()
+    }
+
+    /// ∂/∂`param` of every element, with one memo across the elements so that a subtree
+    /// they share is differentiated once.
+    fn derivative(&self, param: &str) -> Vec<Vec<ComplexExpr>> {
+        let mut differentiator = Differentiator::new(param);
+        self.elements
             .iter()
-            .map(|p| {
-                self.elements
-                    .iter()
-                    .map(|row| row.iter().map(|el| diff_complex(el, p)).collect())
-                    .collect()
-            })
+            .map(|row| row.iter().map(|el| differentiator.diff_complex(el)).collect())
             .collect()
     }
 
