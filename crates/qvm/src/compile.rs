@@ -175,8 +175,21 @@ impl CompiledExpression {
 
 /// Emits a register program computing `exprs` (interpreted as interleaved re/im pairs)
 /// with global CSE.
+///
+/// Each distinct subexpression gets one register, found through two memos. The first is
+/// keyed on node address: a subtree reached again through the same `Arc` is not walked
+/// again, and every input is borrowed until emission ends, so no address is reused. The
+/// second value-numbers the node by its [`Value`], its operation with its constant bits
+/// or parameter index and its operand registers, so structurally equal subtrees at
+/// different addresses share a register without hashing or comparing whole subtrees.
 fn emit_program(exprs: &[Expr], params: &[String]) -> ExprProgram {
-    let mut emitter = Emitter { params, instrs: Vec::new(), memo: HashMap::new(), next_reg: 0 };
+    let mut emitter = Emitter {
+        params,
+        instrs: Vec::new(),
+        by_node: HashMap::new(),
+        by_value: HashMap::new(),
+        next_reg: 0,
+    };
     let regs: Vec<Reg> = exprs.iter().map(|e| emitter.emit(e)).collect();
     let outputs =
         regs.chunks_exact(2).map(|pair| OutputSlot { re: pair[0], im: pair[1] }).collect();
@@ -188,80 +201,96 @@ fn emit_program(exprs: &[Expr], params: &[String]) -> ExprProgram {
     }
 }
 
+/// The value number of one emitted instruction: the instruction without its
+/// destination. `Pi` keeps its own tag, apart from a constant with π's bits.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Value {
+    Const(u64),
+    Pi,
+    Param(u32),
+    Neg(Reg),
+    Sin(Reg),
+    Cos(Reg),
+    Sqrt(Reg),
+    Exp(Reg),
+    Ln(Reg),
+    Add(Reg, Reg),
+    Sub(Reg, Reg),
+    Mul(Reg, Reg),
+    Div(Reg, Reg),
+    Pow(Reg, Reg),
+}
+
+impl Value {
+    /// The instruction computing this value into `dst`.
+    fn instr(self, dst: Reg) -> Instr {
+        match self {
+            Value::Const(bits) => Instr::LoadConst { dst, value: f64::from_bits(bits) },
+            Value::Pi => Instr::LoadConst { dst, value: std::f64::consts::PI },
+            Value::Param(index) => Instr::LoadParam { dst, index },
+            Value::Neg(src) => Instr::Neg { dst, src },
+            Value::Sin(src) => Instr::Sin { dst, src },
+            Value::Cos(src) => Instr::Cos { dst, src },
+            Value::Sqrt(src) => Instr::Sqrt { dst, src },
+            Value::Exp(src) => Instr::Exp { dst, src },
+            Value::Ln(src) => Instr::Ln { dst, src },
+            Value::Add(a, b) => Instr::Add { dst, a, b },
+            Value::Sub(a, b) => Instr::Sub { dst, a, b },
+            Value::Mul(a, b) => Instr::Mul { dst, a, b },
+            Value::Div(a, b) => Instr::Div { dst, a, b },
+            Value::Pow(a, b) => Instr::Pow { dst, a, b },
+        }
+    }
+}
+
 struct Emitter<'a> {
     params: &'a [String],
     instrs: Vec<Instr>,
-    memo: HashMap<Expr, Reg>,
+    by_node: HashMap<*const Expr, Reg>,
+    by_value: HashMap<Value, Reg>,
     next_reg: Reg,
 }
 
 impl<'a> Emitter<'a> {
-    fn fresh(&mut self) -> Reg {
-        let r = self.next_reg;
-        self.next_reg += 1;
-        r
-    }
-
-    fn emit(&mut self, expr: &Expr) -> Reg {
-        if let Some(&r) = self.memo.get(expr) {
-            return r;
+    fn emit(&mut self, expr: &'a Expr) -> Reg {
+        let node: *const Expr = expr;
+        if let Some(&reg) = self.by_node.get(&node) {
+            return reg;
         }
-        let reg = match expr {
-            Expr::Const(c) => {
-                let dst = self.fresh();
-                self.instrs.push(Instr::LoadConst { dst, value: *c });
-                dst
-            }
-            Expr::Pi => {
-                let dst = self.fresh();
-                self.instrs.push(Instr::LoadConst { dst, value: std::f64::consts::PI });
-                dst
-            }
-            Expr::Var(name) => {
-                let index = self
-                    .params
+        let value = match expr {
+            Expr::Const(c) => Value::Const(c.to_bits()),
+            Expr::Pi => Value::Pi,
+            Expr::Var(name) => Value::Param(
+                self.params
                     .iter()
                     .position(|p| p == name)
                     .unwrap_or_else(|| panic!("unbound parameter '{name}' during emission"))
-                    as u32;
-                let dst = self.fresh();
-                self.instrs.push(Instr::LoadParam { dst, index });
-                dst
-            }
-            Expr::Neg(a) => {
-                let src = self.emit(a);
-                let dst = self.fresh();
-                self.instrs.push(Instr::Neg { dst, src });
-                dst
-            }
-            Expr::Add(a, b) => self.emit_binary(a, b, |dst, a, b| Instr::Add { dst, a, b }),
-            Expr::Sub(a, b) => self.emit_binary(a, b, |dst, a, b| Instr::Sub { dst, a, b }),
-            Expr::Mul(a, b) => self.emit_binary(a, b, |dst, a, b| Instr::Mul { dst, a, b }),
-            Expr::Div(a, b) => self.emit_binary(a, b, |dst, a, b| Instr::Div { dst, a, b }),
-            Expr::Pow(a, b) => self.emit_binary(a, b, |dst, a, b| Instr::Pow { dst, a, b }),
-            Expr::Sin(a) => self.emit_unary(a, |dst, src| Instr::Sin { dst, src }),
-            Expr::Cos(a) => self.emit_unary(a, |dst, src| Instr::Cos { dst, src }),
-            Expr::Sqrt(a) => self.emit_unary(a, |dst, src| Instr::Sqrt { dst, src }),
-            Expr::Exp(a) => self.emit_unary(a, |dst, src| Instr::Exp { dst, src }),
-            Expr::Ln(a) => self.emit_unary(a, |dst, src| Instr::Ln { dst, src }),
+                    as u32,
+            ),
+            Expr::Neg(a) => Value::Neg(self.emit(a)),
+            Expr::Sin(a) => Value::Sin(self.emit(a)),
+            Expr::Cos(a) => Value::Cos(self.emit(a)),
+            Expr::Sqrt(a) => Value::Sqrt(self.emit(a)),
+            Expr::Exp(a) => Value::Exp(self.emit(a)),
+            Expr::Ln(a) => Value::Ln(self.emit(a)),
+            Expr::Add(a, b) => Value::Add(self.emit(a), self.emit(b)),
+            Expr::Sub(a, b) => Value::Sub(self.emit(a), self.emit(b)),
+            Expr::Mul(a, b) => Value::Mul(self.emit(a), self.emit(b)),
+            Expr::Div(a, b) => Value::Div(self.emit(a), self.emit(b)),
+            Expr::Pow(a, b) => Value::Pow(self.emit(a), self.emit(b)),
         };
-        self.memo.insert(expr.clone(), reg);
+        let reg = match self.by_value.get(&value) {
+            Some(&reg) => reg,
+            None => {
+                let dst = self.next_reg;
+                self.next_reg += 1;
+                self.instrs.push(value.instr(dst));
+                self.by_value.insert(value, dst);
+                dst
+            }
+        };
+        self.by_node.insert(node, reg);
         reg
-    }
-
-    fn emit_unary(&mut self, a: &Expr, make: impl Fn(Reg, Reg) -> Instr) -> Reg {
-        let src = self.emit(a);
-        let dst = self.fresh();
-        self.instrs.push(make(dst, src));
-        dst
-    }
-
-    fn emit_binary(&mut self, a: &Expr, b: &Expr, make: impl Fn(Reg, Reg, Reg) -> Instr) -> Reg {
-        let ra = self.emit(a);
-        let rb = self.emit(b);
-        let dst = self.fresh();
-        self.instrs.push(make(dst, ra, rb));
-        dst
     }
 }
 
