@@ -13,10 +13,10 @@ use std::collections::HashMap;
 
 use qudit_qgl::UnitaryExpression;
 
-use crate::compile::{CompileOptions, CompiledExpression, DiffMode};
+use crate::compile::{CompileOptions, CompiledExpression};
 
 /// A thread-safe cache of compiled expressions, keyed by the expression's canonical text
-/// and the requested differentiation mode.
+/// and the full [`CompileOptions`].
 ///
 /// By default the cache grows without bound — the right policy for a single
 /// compilation, whose working set is the gate set. A long-lived service sharing one
@@ -31,7 +31,7 @@ pub struct ExpressionCache {
 
 #[derive(Debug, Default)]
 struct CacheInner {
-    compiled: HashMap<(String, bool), CacheEntry>,
+    compiled: HashMap<CacheKey, CacheEntry>,
     /// Maximum number of stored artifacts (`0` = unbounded).
     capacity: usize,
     /// Logical clock advanced on every touch; drives least-recently-used eviction.
@@ -41,6 +41,9 @@ struct CacheInner {
     evictions: u64,
 }
 
+/// The expression's canonical text and every compile option.
+type CacheKey = (String, CompileOptions);
+
 #[derive(Debug)]
 struct CacheEntry {
     artifact: Arc<CompiledExpression>,
@@ -49,7 +52,7 @@ struct CacheEntry {
 
 impl CacheInner {
     /// Marks `key` used now and returns its artifact, if present.
-    fn touch(&mut self, key: &(String, bool)) -> Option<Arc<CompiledExpression>> {
+    fn touch(&mut self, key: &CacheKey) -> Option<Arc<CompiledExpression>> {
         self.tick += 1;
         let tick = self.tick;
         self.compiled.get_mut(key).map(|entry| {
@@ -116,7 +119,7 @@ impl ExpressionCache {
     }
 
     /// Returns the compiled form of `expr`, compiling it (and caching the result) if
-    /// this is the first time the expression is seen with this differentiation mode.
+    /// this is the first time the expression is seen with these options.
     pub fn get_or_compile(
         &self,
         expr: &UnitaryExpression,
@@ -139,7 +142,7 @@ impl ExpressionCache {
         expr: &UnitaryExpression,
         options: &CompileOptions,
     ) -> (Arc<CompiledExpression>, bool) {
-        let key = (expr.canonical_key(), options.diff_mode == DiffMode::Gradient);
+        let key = (expr.canonical_key(), options.clone());
         // Fast path: shared lock-and-lookup.
         {
             let mut inner = self.inner.lock();
@@ -217,6 +220,22 @@ mod tests {
         let cache = ExpressionCache::new();
         let _ = cache.get_or_compile(&rx(), &CompileOptions::default());
         let _ = cache.get_or_compile(&rx(), &CompileOptions::with_gradient());
+        assert_eq!(cache.stats().entries, 2);
+    }
+
+    #[test]
+    fn skip_simplification_is_a_distinct_entry() {
+        let cache = ExpressionCache::new();
+        let raw_options =
+            CompileOptions { skip_simplification: true, ..CompileOptions::with_gradient() };
+        let _ = cache.get_or_compile(&rx(), &CompileOptions::with_gradient());
+        let raw = cache.get_or_compile(&rx(), &raw_options);
+        let expected = CompiledExpression::compile(&rx(), &raw_options);
+        assert_eq!(
+            raw.gradient_program().map(|p| &p.instrs),
+            expected.gradient_program().map(|p| &p.instrs),
+            "an unsimplified request must not get the simplified artifact"
+        );
         assert_eq!(cache.stats().entries, 2);
     }
 

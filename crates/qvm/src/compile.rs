@@ -15,7 +15,7 @@ use qudit_tensor::{Complex, Float, Matrix};
 use crate::program::{ExprProgram, Instr, OutputSlot, Reg};
 
 /// Which derivative artifacts to compile alongside the unitary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum DiffMode {
     /// Only the unitary itself.
     #[default]
@@ -25,7 +25,9 @@ pub enum DiffMode {
 }
 
 /// Options controlling expression compilation.
-#[derive(Debug, Clone, Default)]
+///
+/// Every field is part of the [`ExpressionCache`](crate::ExpressionCache) key.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct CompileOptions {
     /// Differentiation artifacts to generate.
     pub diff_mode: DiffMode,
