@@ -38,10 +38,10 @@ const GOLDEN: &[(&str, u64, usize, usize)] = &[
     ("3q.serial", 0x01759cc374bac240, 1, 16),
     ("3q_deep.parallel", 0x4418ef6364fdac38, 8, 404),
     ("3q_deep.serial", 0x4418ef6364fdac38, 8, 404),
-    ("2qt.parallel", 0xab33e8cb3a0cb6d5, 2, 29),
-    ("2qt.serial", 0xab33e8cb3a0cb6d5, 2, 29),
-    ("2q3.parallel", 0xcf691cc898477a7b, 2, 29),
-    ("2q3.serial", 0xcf691cc898477a7b, 2, 29),
+    ("2qt.parallel", 0x38949d513ab47f6f, 1, 21),
+    ("2qt.serial", 0x38949d513ab47f6f, 1, 21),
+    ("2q3.parallel", 0x28d7139f1602e79e, 2, 29),
+    ("2q3.serial", 0x28d7139f1602e79e, 2, 29),
     ("2qq.parallel", 0xa87a0bca2db146c7, 3, 66),
     ("2qq.serial", 0xa87a0bca2db146c7, 3, 66),
     ("baseline.2q", 0xa74b2ab1891433de, 1, 18),

@@ -7,8 +7,16 @@
 //! instruction, operand or constant bit fails here. Refactors of the JIT must keep the
 //! table unchanged; a deliberate change to the emitted programs regenerates it from the
 //! failure message.
+//!
+//! A guard beside the table checks that simplification pays: no program compiled by
+//! default may cost more, under the Table-I weights, than the same program compiled
+//! with `skip_simplification`.
 
+use openqudit::egraph::cost::{
+    COST_ADDITIVE, COST_CONST, COST_FREE, COST_MULTIPLICATIVE, COST_TRANSCENDENTAL, COST_TRIG,
+};
 use openqudit::prelude::*;
+use openqudit::qvm::Instr;
 
 /// 64-bit FNV-1a. Written out here because `DefaultHasher`'s output may change between
 /// Rust releases, which would break a committed table.
@@ -25,27 +33,27 @@ fn fnv1a(text: &str) -> u64 {
 /// `DiffMode::None`; `unitary` and `gradient` are the two programs compiled with
 /// `DiffMode::Gradient`.
 const GOLDEN: &[(&str, &str, u64)] = &[
-    ("U3", "none", 0x2a2d2c7f6747d541),
-    ("U3", "unitary", 0x100ae024ec4c896b),
-    ("U3", "gradient", 0x61b5233349f414ae),
-    ("U2", "none", 0x72aadc561a0457df),
-    ("U2", "unitary", 0xdf79a79c3aca2cde),
-    ("U2", "gradient", 0x94c5fedc89e2752f),
+    ("U3", "none", 0xb28c31906809ecb2),
+    ("U3", "unitary", 0xbb8be2560b22401f),
+    ("U3", "gradient", 0x07953ab818c945ee),
+    ("U2", "none", 0x76c93f0c1af28cd4),
+    ("U2", "unitary", 0xe6c5b6bc019b4d48),
+    ("U2", "gradient", 0x90e2020579848a26),
     ("U1", "none", 0xfb8f0eb23dfd2427),
     ("U1", "unitary", 0xfb8f0eb23dfd2427),
     ("U1", "gradient", 0x95190688e7655b69),
-    ("RX", "none", 0x7899f22c7526e39f),
-    ("RX", "unitary", 0x7899f22c7526e39f),
-    ("RX", "gradient", 0xa22a4ff60e760c5d),
-    ("RY", "none", 0xf4815fa0d4c8bd05),
-    ("RY", "unitary", 0xf4815fa0d4c8bd05),
-    ("RY", "gradient", 0xed6ee08c2c61e4ad),
+    ("RX", "none", 0x443a8d2ae30626cf),
+    ("RX", "unitary", 0x443a8d2ae30626cf),
+    ("RX", "gradient", 0xcd331c46deb387cd),
+    ("RY", "none", 0x246017fa519fb7f0),
+    ("RY", "unitary", 0x246017fa519fb7f0),
+    ("RY", "gradient", 0xa71e68a735a8c919),
     ("RZ", "none", 0xa61a7d70b3379888),
     ("RZ", "unitary", 0xa61a7d70b3379888),
-    ("RZ", "gradient", 0x04dac275d8dddded),
+    ("RZ", "gradient", 0xc6aa8beec3a3d0fd),
     ("RZZ", "none", 0xa61a7d70b3379888),
     ("RZZ", "unitary", 0xa61a7d70b3379888),
-    ("RZZ", "gradient", 0x04dac275d8dddded),
+    ("RZZ", "gradient", 0xc6aa8beec3a3d0fd),
     ("H", "none", 0x61e6ea6137038223),
     ("H", "unitary", 0x61e6ea6137038223),
     ("H", "gradient", 0x61e6ea6137038223),
@@ -88,35 +96,55 @@ const GOLDEN: &[(&str, &str, u64)] = &[
     ("P3", "none", 0x28c1e2f30c0f9b21),
     ("P3", "unitary", 0x28c1e2f30c0f9b21),
     ("P3", "gradient", 0x962a6ffd952bb43c),
-    ("QutritU", "none", 0x7fa9e0abb551c882),
-    ("QutritU", "unitary", 0x083cbf85b00331b8),
-    ("QutritU", "gradient", 0x43fbf13300a3e9b0),
-    ("QuquartU", "none", 0xac13fabaee80317e),
-    ("QuquartU", "unitary", 0x7a53413212b33644),
-    ("QuquartU", "gradient", 0x3032df496d434366),
+    ("QutritU", "none", 0x8cba411f986915c2),
+    ("QutritU", "unitary", 0x8cba411f986915c2),
+    ("QutritU", "gradient", 0xcfa4aa0ef4a14c70),
+    ("QuquartU", "none", 0xc74bfca9f5204ac2),
+    ("QuquartU", "unitary", 0x93c486a19a7798c8),
+    ("QuquartU", "gradient", 0xc07048950d69d3eb),
 ];
+
+/// The `none`, `unitary` and `gradient` programs of one gate.
+fn programs(
+    name: &str,
+    gate: &UnitaryExpression,
+    skip_simplification: bool,
+) -> [(&'static str, Vec<Instr>); 3] {
+    let options = |diff_mode| CompileOptions { diff_mode, skip_simplification };
+    let plain = CompiledExpression::compile(gate, &options(DiffMode::None));
+    assert!(plain.gradient_program().is_none(), "{name}: DiffMode::None emitted a gradient");
+    let diff = CompiledExpression::compile(gate, &options(DiffMode::Gradient));
+    let gradient = diff.gradient_program().expect("gradient mode emits a gradient program");
+    [
+        ("none", plain.unitary_program().instrs.clone()),
+        ("unitary", diff.unitary_program().instrs.clone()),
+        ("gradient", gradient.instrs.clone()),
+    ]
+}
 
 fn fingerprints() -> Vec<(String, &'static str, u64)> {
     let mut out = Vec::new();
     for (name, gate) in gates::all_gates() {
-        let plain = CompiledExpression::compile(&gate, &CompileOptions::default());
-        assert!(plain.gradient_program().is_none(), "{name}: DiffMode::None emitted a gradient");
-        out.push((
-            name.to_string(),
-            "none",
-            fnv1a(&format!("{:?}", plain.unitary_program().instrs)),
-        ));
-
-        let diff = CompiledExpression::compile(&gate, &CompileOptions::with_gradient());
-        let gradient = diff.gradient_program().expect("gradient mode emits a gradient program");
-        out.push((
-            name.to_string(),
-            "unitary",
-            fnv1a(&format!("{:?}", diff.unitary_program().instrs)),
-        ));
-        out.push((name.to_string(), "gradient", fnv1a(&format!("{:?}", gradient.instrs))));
+        for (program, instrs) in programs(name, &gate, false) {
+            out.push((name.to_string(), program, fnv1a(&format!("{instrs:?}"))));
+        }
     }
     out
+}
+
+/// A program's cost: the Table-I weight of each instruction's operation, summed.
+fn table_one_cost(instrs: &[Instr]) -> f64 {
+    instrs
+        .iter()
+        .map(|instr| match instr {
+            Instr::LoadParam { .. } => COST_FREE,
+            Instr::LoadConst { .. } => COST_CONST,
+            Instr::Neg { .. } | Instr::Add { .. } | Instr::Sub { .. } => COST_ADDITIVE,
+            Instr::Mul { .. } | Instr::Div { .. } => COST_MULTIPLICATIVE,
+            Instr::Sqrt { .. } | Instr::Sin { .. } | Instr::Cos { .. } => COST_TRIG,
+            Instr::Exp { .. } | Instr::Ln { .. } | Instr::Pow { .. } => COST_TRANSCENDENTAL,
+        })
+        .sum()
 }
 
 #[test]
@@ -139,4 +167,19 @@ fn compiled_programs_match_golden_table() {
         actual == expected,
         "compiled JIT programs differ from the golden table; the current table is:\n{table}"
     );
+}
+
+#[test]
+fn simplification_never_makes_a_program_costlier() {
+    let mut costlier = Vec::new();
+    for (name, gate) in gates::all_gates() {
+        let raw = programs(name, &gate, true);
+        for ((program, simplified), (_, raw)) in programs(name, &gate, false).iter().zip(&raw) {
+            let (cost, raw_cost) = (table_one_cost(simplified), table_one_cost(raw));
+            if cost > raw_cost {
+                costlier.push(format!("{name} {program}: {cost} > {raw_cost} unsimplified"));
+            }
+        }
+    }
+    assert!(costlier.is_empty(), "simplification made programs costlier:\n{}", costlier.join("\n"));
 }
