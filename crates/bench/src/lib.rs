@@ -1,9 +1,8 @@
 //! Benchmark harness for the OpenQudit reproduction.
 //!
-//! This crate holds the workload definitions shared by the Criterion benches and the
-//! `report_*` binaries that regenerate every figure and table of the paper's evaluation
-//! (see `DESIGN.md` §4 for the experiment index and `EXPERIMENTS.md` for recorded
-//! results).
+//! This crate holds the workload definitions of the `report_*` binaries that regenerate
+//! every figure and table of the paper's evaluation (see `DESIGN.md` §4 for the
+//! experiment index and `EXPERIMENTS.md` for recorded results).
 
 use std::time::{Duration, Instant};
 
@@ -43,15 +42,6 @@ pub fn fig5_workloads() -> Vec<PqcWorkload> {
             circuit: builders::pqc_qutrit_ladder(3, 3).expect("valid builder arguments"),
         },
     ]
-}
-
-/// The subset of Fig. 5 workloads whose baseline evaluation is fast enough for quick CI
-/// runs (used by the Criterion benches; the report binaries run the full set).
-pub fn fig5_workloads_small() -> Vec<PqcWorkload> {
-    fig5_workloads()
-        .into_iter()
-        .filter(|w| matches!(w.name, "2-qubit shallow" | "3-qubit shallow"))
-        .collect()
 }
 
 /// Generates `count` instantiation targets for a workload: unitaries produced by the
@@ -250,55 +240,6 @@ pub fn synthesis_config(workload: &SynthWorkload) -> SynthesisConfig {
     config
 }
 
-/// Builds a deliberately over-deep, already-instantiated synthesis result for the
-/// refinement workloads: the target is reachable at `lean_blocks.len()` entangling
-/// blocks, but the result carries `padding` extra blocks for `refine` to delete.
-///
-/// # Panics
-///
-/// Panics if the padded template fails to instantiate below the success threshold
-/// (it is overcomplete for the target, so multi-start instantiation converges).
-pub fn padded_synthesis_result(
-    radices: &[usize],
-    lean_blocks: &[(usize, usize)],
-    padding: usize,
-    seed: u64,
-    cache: &ExpressionCache,
-) -> (SynthesisResult, Matrix<f64>) {
-    use openqudit::circuit::builders;
-    let lean = builders::pqc_template(radices, lean_blocks).expect("valid template");
-    let target = reachable_target(&lean, seed);
-    let mut blocks = lean_blocks.to_vec();
-    for k in 0..padding {
-        blocks.push(lean_blocks[k % lean_blocks.len()]);
-    }
-    let circuit = builders::pqc_template(radices, &blocks).expect("valid padded template");
-    let outcome = instantiate_circuit(
-        &circuit,
-        &target,
-        &InstantiateConfig { starts: 8, seed: seed ^ 0x9e37, ..Default::default() },
-        cache,
-    );
-    assert!(
-        outcome.success,
-        "padded template failed to instantiate: infidelity {}",
-        outcome.infidelity
-    );
-    let result = SynthesisResult {
-        blocks,
-        params: outcome.params,
-        infidelity: outcome.infidelity,
-        success: true,
-        nodes_expanded: 0,
-        blocks_deleted: 0,
-        refined_infidelity: None,
-        params_folded: 0,
-        gates_constified: 0,
-        circuit,
-    };
-    (result, target)
-}
-
 /// Formats a duration in engineering units for report tables.
 pub fn fmt_duration(d: Duration) -> String {
     let secs = d.as_secs_f64();
@@ -321,7 +262,6 @@ mod tests {
             assert!(w.circuit.num_params() > 0, "{} should be parameterized", w.name);
             assert!(w.circuit.num_ops() > 0);
         }
-        assert!(fig5_workloads_small().len() < fig5_workloads().len());
     }
 
     #[test]
@@ -334,7 +274,7 @@ mod tests {
 
     #[test]
     fn both_backends_instantiate_the_same_workload() {
-        let w = &fig5_workloads_small()[0];
+        let w = &fig5_workloads()[0];
         let target = reachable_targets(&w.circuit, 1, 3).remove(0);
         let cache = ExpressionCache::new();
         let config = InstantiateConfig { starts: 2, ..Default::default() };
