@@ -8,7 +8,7 @@
 //! Gate elements share most of their subtrees through `Arc`s, and the product and
 //! chain rules copy their operands into both terms, so a plain recursive walk would
 //! differentiate a shared subtree once per path that reaches it: exponentially often in
-//! a chain of shared products. A [`Differentiator`] walks each shared subtree once.
+//! a chain of shared products. A `Differentiator` walks each shared subtree once.
 
 use std::collections::HashMap;
 
@@ -37,24 +37,24 @@ pub fn diff_complex(expr: &ComplexExpr, var: &str) -> ComplexExpr {
 /// One differentiator per parameter serves every element of a gate, so subtrees shared
 /// across elements are walked once as well. The result is structurally identical to a
 /// walk without the memo.
-pub struct Differentiator<'a> {
+pub(crate) struct Differentiator<'a> {
     var: &'a str,
     memo: HashMap<*const Expr, Expr>,
 }
 
 impl<'a> Differentiator<'a> {
     /// A differentiator with respect to `var`, with an empty memo.
-    pub fn new(var: &'a str) -> Self {
+    pub(crate) fn new(var: &'a str) -> Self {
         Differentiator { var, memo: HashMap::new() }
     }
 
     /// Differentiates a complex element component-wise.
-    pub fn diff_complex(&mut self, expr: &'a ComplexExpr) -> ComplexExpr {
+    pub(crate) fn diff_complex(&mut self, expr: &'a ComplexExpr) -> ComplexExpr {
         ComplexExpr { re: self.diff(&expr.re), im: self.diff(&expr.im) }
     }
 
     /// Differentiates `expr`, reusing the derivative of every node already walked.
-    pub fn diff(&mut self, expr: &'a Expr) -> Expr {
+    pub(crate) fn diff(&mut self, expr: &'a Expr) -> Expr {
         let key: *const Expr = expr;
         if let Some(done) = self.memo.get(&key) {
             return done.clone();

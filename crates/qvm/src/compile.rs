@@ -185,19 +185,14 @@ impl CompiledExpression {
 /// or parameter index and its operand registers, so structurally equal subtrees at
 /// different addresses share a register without hashing or comparing whole subtrees.
 fn emit_program(exprs: &[Expr], params: &[String]) -> ExprProgram {
-    let mut emitter = Emitter {
-        params,
-        instrs: Vec::new(),
-        by_node: HashMap::new(),
-        by_value: HashMap::new(),
-        next_reg: 0,
-    };
+    let mut emitter =
+        Emitter { params, instrs: Vec::new(), by_node: HashMap::new(), by_value: HashMap::new() };
     let regs: Vec<Reg> = exprs.iter().map(|e| emitter.emit(e)).collect();
     let outputs =
         regs.chunks_exact(2).map(|pair| OutputSlot { re: pair[0], im: pair[1] }).collect();
     ExprProgram {
+        num_regs: emitter.instrs.len(),
         instrs: emitter.instrs,
-        num_regs: emitter.next_reg as usize,
         num_params: params.len(),
         outputs,
     }
@@ -250,7 +245,6 @@ struct Emitter<'a> {
     instrs: Vec<Instr>,
     by_node: HashMap<*const Expr, Reg>,
     by_value: HashMap<Value, Reg>,
-    next_reg: Reg,
 }
 
 impl<'a> Emitter<'a> {
@@ -281,16 +275,13 @@ impl<'a> Emitter<'a> {
             Expr::Div(a, b) => Value::Div(self.emit(a), self.emit(b)),
             Expr::Pow(a, b) => Value::Pow(self.emit(a), self.emit(b)),
         };
-        let reg = match self.by_value.get(&value) {
-            Some(&reg) => reg,
-            None => {
-                let dst = self.next_reg;
-                self.next_reg += 1;
-                self.instrs.push(value.instr(dst));
-                self.by_value.insert(value, dst);
-                dst
-            }
-        };
+        // Every instruction writes a fresh register, numbered in emission order.
+        let instrs = &mut self.instrs;
+        let reg = *self.by_value.entry(value).or_insert_with(|| {
+            let dst = instrs.len() as Reg;
+            instrs.push(value.instr(dst));
+            dst
+        });
         self.by_node.insert(node, reg);
         reg
     }
