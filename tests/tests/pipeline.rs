@@ -2,9 +2,9 @@
 //! differentiation → e-graph simplification → expression compilation → tensor-network
 //! lowering → TNVM execution → numerical instantiation, cross-checked against the
 //! baseline engine — plus the compiler-pass pipeline contracts: the default
-//! `Compiler` pipeline reproduces the legacy monolithic entry point byte for byte,
-//! and the partitioned pipeline synthesizes a 4-qubit target the monolith cannot
-//! practically reach.
+//! `Compiler` pipeline matches its pinned result bit for bit, and the partitioned
+//! pipeline synthesizes a 4-qubit target the monolithic search cannot practically
+//! reach.
 
 use openqudit::network::{compile_network, TensorNetwork};
 use openqudit::prelude::*;
@@ -131,43 +131,69 @@ fn qft_on_tnvm_matches_closed_form() {
     }
 }
 
+/// 64-bit FNV-1a over the little-endian bytes of `words` (as in `instantiate_golden`;
+/// `DefaultHasher`'s output may change between Rust releases).
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for word in words {
+        for byte in word.to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// A pinned compile: `(blocks, FNV-1a of the params' and infidelity's bits,
+/// nodes_expanded, blocks_deleted, params_folded, gates_constified,
+/// refined_infidelity bits)`.
+type CompilePin = (&'static [(usize, usize)], u64, usize, usize, usize, usize, Option<u64>);
+
+/// The seed-404 3-qubit compile through `Compiler::default_passes`.
+const DEFAULT_PIPELINE_PIN: CompilePin =
+    (&[(0, 1), (1, 2)], 0x0e56a9061989cb91, 5, 0, 0, 0, Some(0x0000000000000000));
+
 #[test]
-fn default_pipeline_is_byte_identical_to_the_legacy_entry_point() {
-    // The api_redesign acceptance pin: at the same seed, `Compiler::default_pipeline`
-    // (synthesis → refine → fold) must reproduce the deprecated
-    // `synthesize_with_cache` wrapper byte for byte — blocks, parameters, infidelity,
-    // node counts, and the refinement/fold metrics. A multi-edge 3-qubit target
-    // exercises the racy frontier path.
+fn default_pipeline_matches_its_pinned_result() {
+    // At a fixed seed, `synthesis → refine → fold` must return the same bits as
+    // when it was pinned: blocks, parameters, infidelity, node count, and the
+    // refinement and fold metrics. A multi-edge 3-qubit target exercises the racy
+    // frontier path. A deliberate numerical change re-pins from the failure message.
     use openqudit::circuit::builders;
     let template = builders::pqc_template(&[2, 2, 2], &[(0, 1), (1, 2)]).unwrap();
     let target = reachable_target(&template, 404);
     let mut config = SynthesisConfig::qubits(3);
     config.max_blocks = 3;
 
-    #[allow(deprecated)]
-    let legacy = synthesize_with_cache(&target, &config, &ExpressionCache::new()).unwrap();
     let report = Compiler::with_cache(ExpressionCache::new())
         .default_passes()
-        .compile(CompilationTask::new(target.clone(), config.clone()))
+        .compile(CompilationTask::new(target, config))
         .unwrap();
-    let piped = &report.result;
-
-    assert_eq!(legacy.blocks, piped.blocks, "block sequences diverged");
-    assert_eq!(legacy.nodes_expanded, piped.nodes_expanded);
-    assert_eq!(legacy.blocks_deleted, piped.blocks_deleted);
-    assert_eq!(legacy.params_folded, piped.params_folded);
-    assert_eq!(legacy.gates_constified, piped.gates_constified);
-    let legacy_bits: Vec<u64> = legacy.params.iter().map(|p| p.to_bits()).collect();
-    let piped_bits: Vec<u64> = piped.params.iter().map(|p| p.to_bits()).collect();
-    assert_eq!(legacy_bits, piped_bits, "parameters diverged");
-    assert_eq!(legacy.infidelity.to_bits(), piped.infidelity.to_bits());
-    assert_eq!(
-        legacy.refined_infidelity.map(f64::to_bits),
-        piped.refined_infidelity.map(f64::to_bits)
+    let r = &report.result;
+    let hash = fnv1a(r.params.iter().chain([&r.infidelity]).map(|x| x.to_bits()));
+    let refined = r.refined_infidelity.map(f64::to_bits);
+    let actual = (
+        r.blocks.as_slice(),
+        hash,
+        r.nodes_expanded,
+        r.blocks_deleted,
+        r.params_folded,
+        r.gates_constified,
+        refined,
     );
-    assert_eq!(legacy.circuit.num_ops(), piped.circuit.num_ops());
-    assert_eq!(legacy.circuit.num_params(), piped.circuit.num_params());
-    // The report carries per-pass structure the monolith never exposed.
+    assert!(
+        actual == DEFAULT_PIPELINE_PIN,
+        "default pipeline differs from its pin; it is now (&{:?}, 0x{hash:016x}, {}, {}, {}, {}, \
+         {})",
+        r.blocks,
+        r.nodes_expanded,
+        r.blocks_deleted,
+        r.params_folded,
+        r.gates_constified,
+        refined.map_or("None".to_string(), |bits| format!("Some(0x{bits:016x})")),
+    );
+    assert_eq!(r.params.len(), r.circuit.num_params());
+    // The report carries per-pass structure.
     let passes: Vec<&str> = report.timings.iter().map(|t| t.pass.as_str()).collect();
     assert_eq!(passes, vec!["synthesis", "refine", "fold"]);
     assert!(report.data.get_usize("synthesis.nodes_expanded").is_some());
