@@ -4,10 +4,9 @@
 //! as JSON, one row per workload.
 //!
 //! Every workload runs through [`Compiler::partitioned_passes`]: narrow targets skip
-//! the partition pass and behave exactly like the legacy monolithic entry point
-//! (pinned byte-for-byte by the integration tests), while the 4-qubit workload
-//! exercises the partitioning front-end the monolith never had. The output is
-//! committed as `BENCH_synthesis.json`.
+//! the partition pass and compile exactly as the default pipeline does, while the
+//! 4-qubit workload exercises the partitioning front-end. The output is committed as
+//! `BENCH_synthesis.json`.
 //!
 //! Run with `cargo run --release -p qudit-bench --bin report_synthesis`.
 //! Set `OPENQUDIT_SYNTH_TRIALS=<n>` to repeat each workload (default 1; the report

@@ -7,9 +7,9 @@
 //! **cooperative** — nothing is interrupted preemptively. The
 //! [`Compiler`](crate::Compiler) checks the token at every pass boundary, and
 //! long-running passes ([`PartitionPass`](crate::PartitionPass) between escalation
-//! rounds and nested per-block pipelines) poll it at their own internal checkpoints
-//! via [`PassContext::cancel`](crate::PassContext::cancel), so a cancelled
-//! compilation stops at the next checkpoint with
+//! rounds) poll it at their own internal checkpoints via
+//! [`PassContext::cancel`](crate::PassContext::cancel), so a cancelled compilation
+//! stops at the next checkpoint with
 //! [`CompileError::Cancelled`](crate::CompileError::Cancelled) instead of running to
 //! completion.
 //!

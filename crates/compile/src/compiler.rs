@@ -95,9 +95,9 @@ impl Compiler {
     }
 
     /// The standard pipeline — `SynthesisPass → RefinePass → FoldPass` — over the
-    /// process-wide cache. At the same seed this reproduces the deprecated
-    /// `qudit_synth::synthesize_with_cache` byte for byte (pinned by the integration
-    /// tests).
+    /// process-wide cache. It is the one place search, refine and fold are composed;
+    /// for the raw search result, build a pipeline of `SynthesisPass` alone. The
+    /// integration tests pin its result at a fixed seed.
     pub fn default_pipeline() -> Self {
         Compiler::new().default_passes()
     }
@@ -113,7 +113,7 @@ impl Compiler {
     /// Appends the standard `SynthesisPass → RefinePass → FoldPass` sequence.
     #[must_use]
     pub fn default_passes(self) -> Self {
-        self.add_pass(SynthesisPass).add_pass(RefinePass::default()).add_pass(FoldPass::default())
+        self.add_pass(SynthesisPass).add_pass(RefinePass).add_pass(FoldPass)
     }
 
     /// Appends `PartitionPass` followed by the standard sequence.
@@ -141,8 +141,7 @@ impl Compiler {
     /// Overrides the observability registry compilations record into. By default
     /// every [`Compiler::compile`] call creates a fresh enabled registry (so the
     /// report's counters describe exactly one compilation); installing a registry
-    /// here makes all compilations share it — the partition pass threads the outer
-    /// registry into its nested per-block pipelines this way.
+    /// here makes all compilations share it.
     #[must_use]
     pub fn trace(mut self, trace: TraceRegistry) -> Self {
         self.trace = Some(trace);

@@ -12,15 +12,16 @@
 //!
 //! | Pass | Stage |
 //! |---|---|
-//! | [`PartitionPass`] | splits a wide target along a coupling cut, sketches it partition-first, re-synthesizes each block through a nested pipeline, and stitches |
+//! | [`PartitionPass`] | splits a wide target along a coupling cut and sketches it partition-first, escalating round by round |
 //! | [`SynthesisPass`] | the bottom-up A*/beam search ([`qudit_synth::run_search`]) |
 //! | [`RefinePass`] | speculative gate deletion ([`qudit_synth::refine_deletions`]) |
 //! | [`FoldPass`] | symbolic constant snapping + gate constification ([`qudit_synth::fold_constants`]) |
 //!
-//! [`Compiler::default_pipeline`] is `synthesis → refine → fold` and reproduces the
-//! deprecated `qudit_synth::synthesize_with_cache` byte for byte at the same seed;
-//! [`Compiler::partitioned_pipeline`] puts [`PartitionPass`] in front, opening
-//! >3-qudit targets while passing narrow ones through unchanged.
+//! [`Compiler::default_pipeline`] is `synthesis → refine → fold`, the only place
+//! those stages are composed; [`Compiler::partitioned_pipeline`] puts
+//! [`PartitionPass`] in front, opening >3-qudit targets while passing narrow ones
+//! through unchanged. A pipeline of [`SynthesisPass`] alone returns the raw search
+//! result.
 //!
 //! ## Writing a custom pass
 //!

@@ -2,27 +2,18 @@
 //! coupling-graph cut and compiles it partition-first, opening the >3-qudit workload
 //! the monolithic search cannot practically reach.
 //!
-//! The pass works in two phases:
-//!
-//! 1. **Partitioned sketch.** The qudits are grouped along the coupling graph
-//!    (deterministic BFS growth, groups of at most
-//!    [`PartitionConfig::group_size`] qudits); the coupling edges split into
-//!    *internal* edges (both endpoints in one group) and *cut* edges (crossing
-//!    groups). The pass then instantiates an escalating sequence of partitioned
-//!    templates — each round appends one building block per internal edge, then one
-//!    per cut edge — warm-starting every round from the previous optimum, until the
-//!    instantiated Hilbert–Schmidt infidelity drops below the success threshold.
-//!    Structure discovery is thereby replaced by the partition layout: no search tree
-//!    over the exponentially wide candidate space is ever built, which is exactly why
-//!    this front-end scales past the A* engine's practical width limit.
-//! 2. **Per-block re-synthesis and stitching.** Each entangling block of the sketch
-//!    is a ≤ 2-qudit sub-unitary; the pass re-synthesizes every one of them through a
-//!    **nested pipeline** (a `Compiler` with the standard synthesis → refine → fold
-//!    passes, sharing the outer expression cache). Blocks whose re-synthesis needs
-//!    *no* entangler are provably local: they are stitched out of the wide template
-//!    (deleted and warm-start re-instantiated through the exact parameter mapping),
-//!    shrinking the sketch before the ordinary [`RefinePass`](crate::RefinePass) /
-//!    [`FoldPass`](crate::FoldPass) tail polishes the survivor.
+//! The qudits are grouped along the coupling graph (deterministic BFS growth, groups
+//! of at most [`PartitionConfig::group_size`] qudits); the coupling edges split into
+//! *internal* edges (both endpoints in one group) and *cut* edges (crossing groups).
+//! The pass then instantiates an escalating sequence of partitioned templates — each
+//! round appends one building block per internal edge, then one per cut edge —
+//! warm-starting every round from the previous optimum, until the instantiated
+//! Hilbert–Schmidt infidelity drops below the success threshold. Structure discovery
+//! is thereby replaced by the partition layout: no search tree over the exponentially
+//! wide candidate space is ever built, which is exactly why this front-end scales
+//! past the A* engine's practical width limit. The sketch is the pass's result; the
+//! ordinary [`RefinePass`](crate::RefinePass) / [`FoldPass`](crate::FoldPass) tail
+//! deletes the blocks it does not need and folds the survivor.
 //!
 //! Narrow targets (width ≤ [`PartitionConfig::max_width`]) skip the pass entirely, so
 //! it composes transparently in front of the standard pipeline.
@@ -34,12 +25,9 @@
 use std::collections::BTreeMap;
 
 use qudit_circuit::builders;
-use qudit_optimize::{instantiate_circuit, instantiate_circuit_mapped};
-use qudit_synth::{
-    block_unitary, candidate_seed, validate_target, CouplingGraph, SynthesisConfig, SynthesisResult,
-};
+use qudit_optimize::instantiate_circuit;
+use qudit_synth::{candidate_seed, validate_target, CouplingGraph, SynthesisResult};
 
-use crate::compiler::Compiler;
 use crate::error::CompileError;
 use crate::pass::{Pass, PassContext};
 use crate::task::CompilationTask;
@@ -66,10 +54,6 @@ impl EdgeIndex {
 
 /// Seed salt separating the partitioned rounds' instantiations from every other stage.
 const ROUND_SALT: u64 = 0x9a27_7171_0bed_0005;
-/// Seed salt for the nested per-block re-synthesis pipelines.
-const NESTED_SALT: u64 = 0x5717_7c4e_d00d_0007;
-/// Seed salt for stitch (deletion) re-instantiations.
-const STITCH_SALT: u64 = 0xc0de_57e9_1447_000b;
 
 /// Configuration of [`PartitionPass`].
 #[derive(Debug, Clone)]
@@ -83,14 +67,11 @@ pub struct PartitionConfig {
     /// Maximum number of escalation rounds (each adds one building block per
     /// coupling edge). Default 4.
     pub max_rounds: usize,
-    /// Whether to run phase 2 — nested per-block re-synthesis and stitching — on a
-    /// successful sketch. Default `true`.
-    pub resynthesize: bool,
 }
 
 impl Default for PartitionConfig {
     fn default() -> Self {
-        PartitionConfig { max_width: 3, group_size: 2, max_rounds: 4, resynthesize: true }
+        PartitionConfig { max_width: 3, group_size: 2, max_rounds: 4 }
     }
 }
 
@@ -128,7 +109,7 @@ impl Pass for PartitionPass {
         }
         validate_target(&task.target, &task.config)?;
 
-        // Phase 1: group the qudits along the coupling graph and classify the edges.
+        // Group the qudits along the coupling graph and classify the edges.
         let groups = partition_groups(&task.config.coupling, self.config.group_size.max(1));
         let mut group_of = vec![0usize; n];
         for (g, members) in groups.iter().enumerate() {
@@ -213,69 +194,6 @@ impl Pass for PartitionPass {
         result.nodes_expanded = attempts;
         task.data.set("partition.rounds", rounds);
         task.data.set("partition.attempts", attempts);
-        task.data.set("partition.sketch_infidelity", result.infidelity);
-
-        // Phase 2: re-synthesize every block through a nested pipeline and stitch out
-        // the ones that proved local.
-        if self.config.resynthesize && result.success {
-            let mut local_blocks: Vec<usize> = Vec::new();
-            let mut nested_nodes = 0usize;
-            for i in 0..result.blocks.len() {
-                ctx.checkpoint(&format!("partition:block-{i}"))?;
-                let sub_target = block_unitary(&result.circuit, &result.params, i)?;
-                let entangler = &result.circuit.ops()[n + 3 * i];
-                let (a, b) = (entangler.location[0], entangler.location[1]);
-                let mut nested = SynthesisConfig::with_radices(vec![
-                    task.config.radices[a],
-                    task.config.radices[b],
-                ]);
-                nested.gate_set = task.config.gate_set.clone();
-                nested.max_blocks = 1;
-                nested.max_nodes = 4;
-                nested.success_threshold = task.config.success_threshold;
-                nested.instantiate = task.config.instantiate.clone();
-                nested.threads = task.config.threads;
-                nested.seed = candidate_seed(task.config.seed ^ NESTED_SALT, &[i]);
-                // The nested pipeline shares the outer compilation's registry, so
-                // per-block re-synthesis counters (and spans) fold into the same
-                // report. Blocks are re-synthesized serially — deterministic order.
-                // The nested pipeline inherits the outer compilation's cancellation
-                // token, so a deadline cuts through per-block re-synthesis too.
-                let nested_report = Compiler::with_cache(ctx.cache().clone())
-                    .trace(ctx.trace().clone())
-                    .default_passes()
-                    .compile_with_cancel(CompilationTask::new(sub_target, nested), ctx.cancel())?;
-                nested_nodes += nested_report.result.nodes_expanded;
-                if nested_report.result.success && nested_report.result.blocks.is_empty() {
-                    local_blocks.push(i);
-                }
-            }
-            task.data.set("partition.blocks_resynthesized", result.blocks.len());
-            task.data.set("partition.nested_nodes_expanded", nested_nodes);
-
-            let mut stitched_out = 0usize;
-            if !local_blocks.is_empty() {
-                // Batch first — one re-instantiation usually absorbs every local
-                // block — then one at a time for stragglers.
-                if let Some(next) = attempt_stitch(task, &result, &local_blocks, ctx, &edge_index)?
-                {
-                    stitched_out = local_blocks.len();
-                    result = next;
-                } else {
-                    for &block in local_blocks.iter().rev() {
-                        if let Some(next) =
-                            attempt_stitch(task, &result, &[block], ctx, &edge_index)?
-                        {
-                            stitched_out += 1;
-                            result = next;
-                        }
-                    }
-                }
-            }
-            result.blocks_deleted = stitched_out;
-            task.data.set("partition.blocks_stitched_out", stitched_out);
-        }
-
         task.data.set("partition.infidelity", result.infidelity);
         task.result = Some(result);
         Ok(())
@@ -312,71 +230,6 @@ fn partition_groups(coupling: &CouplingGraph, group_size: usize) -> Vec<Vec<usiz
         groups.push(group);
     }
     groups
-}
-
-/// Attempts to stitch the given blocks out of the sketch: rebuilds the smaller
-/// template, projects the surviving parameters through the deletions' exact mapping,
-/// and warm-start re-instantiates. Returns the new state only when the infidelity
-/// stays under the success threshold; `Ok(None)` means the stitch did not hold.
-///
-/// # Errors
-///
-/// Returns [`CompileError::DegenerateCoupling`] when a surviving block edge is
-/// missing from the coupling graph (a broken invariant, reported typed).
-fn attempt_stitch(
-    task: &CompilationTask,
-    result: &SynthesisResult,
-    delete: &[usize],
-    ctx: &PassContext<'_>,
-    edge_index: &EdgeIndex,
-) -> Result<Option<SynthesisResult>, CompileError> {
-    let mut trial = result.circuit.clone();
-    let mut sorted = delete.to_vec();
-    sorted.sort_unstable();
-    let mut mapping: Option<Vec<usize>> = None;
-    for &block in sorted.iter().rev() {
-        let Ok(step) = builders::delete_pqc_block(&mut trial, block) else {
-            return Ok(None);
-        };
-        mapping = Some(match mapping {
-            None => step,
-            Some(previous) => step.into_iter().map(|idx| previous[idx]).collect(),
-        });
-    }
-    let Some(mapping) = mapping else {
-        return Ok(None);
-    };
-    let edges: Vec<(usize, usize)> = result
-        .blocks
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !sorted.contains(i))
-        .map(|(_, &e)| e)
-        .collect();
-    let surviving_indices: Vec<usize> =
-        edges.iter().map(|&e| edge_index.get(e)).collect::<Result<_, _>>()?;
-    let mut icfg = task.config.frontier_instantiate_config();
-    icfg.seed = candidate_seed(icfg.seed ^ STITCH_SALT, &surviving_indices);
-    let outcome = instantiate_circuit_mapped(
-        &trial,
-        &task.target,
-        &result.params,
-        &mapping,
-        &icfg,
-        ctx.cache(),
-    );
-    if outcome.infidelity < task.config.success_threshold {
-        Ok(Some(SynthesisResult {
-            blocks: edges,
-            params: outcome.params,
-            infidelity: outcome.infidelity,
-            success: true,
-            circuit: trial,
-            ..result.clone()
-        }))
-    } else {
-        Ok(None)
-    }
 }
 
 #[cfg(test)]

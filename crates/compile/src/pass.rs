@@ -63,15 +63,13 @@ impl<'a> PassContext<'a> {
     }
 
     /// The shared expression cache. Cloning it is cheap (`Arc` under the hood) and
-    /// yields a handle to the *same* cache — nested pipelines (e.g. the partitioning
-    /// pass's per-block re-synthesis) share compiled gates this way.
+    /// yields a handle to the *same* cache, so compiled gates are shared.
     pub fn cache(&self) -> &'a ExpressionCache {
         self.cache
     }
 
     /// The observability registry this pass invocation records into. Disabled (a
-    /// no-op handle) unless the compiler installed one; cloning shares the sink, so
-    /// nested pipelines fold their counters into the outer compilation's registry.
+    /// no-op handle) unless the compiler installed one; cloning shares the sink.
     pub fn trace(&self) -> &TraceRegistry {
         &self.trace
     }

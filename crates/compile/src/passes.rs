@@ -3,12 +3,11 @@
 //! (symbolic constant snapping + gate constification).
 //!
 //! Each pass derives its settings deterministically from the task's
-//! [`SynthesisConfig`](qudit_synth::SynthesisConfig) unless an explicit configuration
-//! is supplied, so the default pipeline reproduces the legacy monolithic entry point
-//! byte for byte at the same seed.
+//! [`SynthesisConfig`](qudit_synth::SynthesisConfig), so the same task compiles to
+//! the same bits at any thread count.
 
 use qudit_analyze::VerifyLevel;
-use qudit_synth::{fold_constants, refine_deletions, run_search, FoldConfig, RefineConfig};
+use qudit_synth::{fold_constants, refine_deletions, run_search};
 
 use crate::error::CompileError;
 use crate::pass::{Pass, PassContext};
@@ -48,24 +47,13 @@ impl Pass for SynthesisPass {
 
 /// The speculative gate-deletion stage ([`qudit_synth::refine_deletions`]).
 ///
-/// Runs only on successful results with [`SynthesisConfig::refine`] enabled
-/// (recording a skip flag otherwise); without an explicit configuration it derives
-/// [`SynthesisConfig::refine_config`] from the task — the exact derivation the legacy
-/// monolith used.
+/// Runs only on successful results (recording a skip flag otherwise), with the
+/// configuration [`SynthesisConfig::refine_config`] derives from the task. To keep
+/// the raw search result, leave this pass out of the pipeline.
 ///
-/// [`SynthesisConfig::refine`]: qudit_synth::SynthesisConfig::refine
 /// [`SynthesisConfig::refine_config`]: qudit_synth::SynthesisConfig::refine_config
-#[derive(Debug, Clone, Default)]
-pub struct RefinePass {
-    config: Option<RefineConfig>,
-}
-
-impl RefinePass {
-    /// A refine pass with an explicit configuration instead of the task-derived one.
-    pub fn with_config(config: RefineConfig) -> Self {
-        RefinePass { config: Some(config) }
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RefinePass;
 
 impl Pass for RefinePass {
     fn name(&self) -> &str {
@@ -83,16 +71,12 @@ impl Pass for RefinePass {
                 detail: "no synthesized result to refine; order a synthesis pass first".to_string(),
             });
         };
-        if !task.config.refine {
-            task.data.set("refine.disabled", true);
-            return Ok(());
-        }
         if !result.success {
             task.data.set("refine.skipped_unsuccessful", true);
             return Ok(());
         }
-        let config = self.config.clone().unwrap_or_else(|| task.config.refine_config());
-        let refined = refine_deletions(result, &task.target, &config, ctx.cache())?;
+        let refined =
+            refine_deletions(result, &task.target, &task.config.refine_config(), ctx.cache())?;
         task.data.set("refine.blocks_deleted", refined.blocks_deleted);
         task.data.set("refine.infidelity", refined.infidelity);
         task.result = Some(refined);
@@ -104,20 +88,13 @@ impl Pass for RefinePass {
 /// parameters that landed on symbolic constants (0, ±π/2, ±π, ±2π), verifies the
 /// substituted expressions e-graph-fold consistently, and **constifies** gates whose
 /// parameters all snapped — rewriting them as constant gate applications so the JIT
-/// compiles cheaper, constant-folded expressions. Records
-/// `"fold.params_folded"` / `"fold.gates_constified"`.
-#[derive(Debug, Clone, Default)]
-pub struct FoldPass {
-    config: Option<FoldConfig>,
-}
-
-impl FoldPass {
-    /// A fold pass with an explicit configuration instead of the task-derived one
-    /// (constification enabled).
-    pub fn with_config(config: FoldConfig) -> Self {
-        FoldPass { config: Some(config) }
-    }
-}
+/// compiles cheaper, constant-folded expressions. Runs only on successful results,
+/// with the configuration [`SynthesisConfig::fold_config`] derives from the task.
+/// Records `"fold.params_folded"` / `"fold.gates_constified"`.
+///
+/// [`SynthesisConfig::fold_config`]: qudit_synth::SynthesisConfig::fold_config
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FoldPass;
 
 impl Pass for FoldPass {
     fn name(&self) -> &str {
@@ -135,17 +112,12 @@ impl Pass for FoldPass {
                 detail: "no synthesized result to fold; order a synthesis pass first".to_string(),
             });
         };
-        if !task.config.refine {
-            task.data.set("fold.disabled", true);
-            return Ok(());
-        }
         if !result.success {
             task.data.set("fold.skipped_unsuccessful", true);
             return Ok(());
         }
-        let config = self.config.clone().unwrap_or_else(|| task.config.fold_config());
         let (prior_folded, prior_constified) = (result.params_folded, result.gates_constified);
-        let folded = fold_constants(result, &task.target, &config, ctx.cache())?;
+        let folded = fold_constants(result, &task.target, &task.config.fold_config(), ctx.cache())?;
         task.data.set("fold.params_folded", folded.params_folded);
         task.data.set("fold.gates_constified", folded.gates_constified);
         // `fold_constants` takes no instantiate config, so the fold stage's counters
@@ -226,8 +198,8 @@ mod tests {
     fn refine_and_fold_demand_a_prior_result() {
         let target = gates::cnot().to_matrix::<f64>(&[]).unwrap();
         for compiler in [
-            Compiler::with_cache(ExpressionCache::new()).add_pass(RefinePass::default()),
-            Compiler::with_cache(ExpressionCache::new()).add_pass(FoldPass::default()),
+            Compiler::with_cache(ExpressionCache::new()).add_pass(RefinePass),
+            Compiler::with_cache(ExpressionCache::new()).add_pass(FoldPass),
         ] {
             let task = CompilationTask::new(target.clone(), SynthesisConfig::qubits(2));
             match compiler.compile(task) {
@@ -237,21 +209,6 @@ mod tests {
                 other => panic!("expected a pipeline-order error, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn refine_disabled_passes_through_with_a_flag() {
-        let target = gates::cnot().to_matrix::<f64>(&[]).unwrap();
-        let mut config = SynthesisConfig::qubits(2);
-        config.refine = false;
-        let report = Compiler::with_cache(ExpressionCache::new())
-            .default_passes()
-            .compile(CompilationTask::new(target, config))
-            .unwrap();
-        assert_eq!(report.data.get_bool("refine.disabled"), Some(true));
-        assert_eq!(report.data.get_bool("fold.disabled"), Some(true));
-        assert_eq!(report.result.blocks_deleted, 0);
-        assert_eq!(report.result.refined_infidelity, None);
     }
 
     #[test]
@@ -287,8 +244,7 @@ mod tests {
         config.instantiate = InstantiateConfig { starts: 2, ..Default::default() };
         let mut task = CompilationTask::new(target.clone(), config);
         task.result = Some(result);
-        let report =
-            Compiler::with_cache(cache).add_pass(FoldPass::default()).compile(task).unwrap();
+        let report = Compiler::with_cache(cache).add_pass(FoldPass).compile(task).unwrap();
         let folded = &report.result;
         assert_eq!(folded.params_folded, 12);
         // The four U3 gates constify; the parameterless CNOT stays as-is.

@@ -91,11 +91,9 @@ pub mod prelude {
     pub use qudit_qgl::{ComplexExpr, Expr, QglError, UnitaryExpression};
     pub use qudit_qvm::{CompileOptions, CompiledExpression, DiffMode, ExpressionCache};
     pub use qudit_synth::{
-        fold_constants, refine, refine_deletions, run_search, CouplingGraph, FoldConfig,
-        RefineConfig, SynthesisConfig, SynthesisError, SynthesisResult,
+        fold_constants, refine_deletions, run_search, CouplingGraph, FoldConfig, RefineConfig,
+        SynthesisConfig, SynthesisError, SynthesisResult,
     };
-    #[allow(deprecated)]
-    pub use qudit_synth::{synthesize, synthesize_with_cache};
     pub use qudit_tensor::{Complex, Matrix, Tensor, C64};
     pub use qudit_tnvm::{EvalResult, KernelCounters, Tnvm};
     pub use qudit_trace::{Span, SpanEvent, TraceRegistry};

@@ -14,8 +14,8 @@ use crate::cost::{jacobian_column_into, residual_len, residuals_into, sum_of_squ
 
 /// Anything that can produce a unitary and its gradient for a parameter vector.
 ///
-/// Implemented by the TNVM adapter (`qudit-optimize::tnvm_eval`) and by the baseline
-/// engine in `qudit-baseline`.
+/// Implemented by the TNVM adapter ([`TnvmEvaluator`](crate::TnvmEvaluator), in
+/// `instantiate.rs`) and by the baseline engine in `qudit-baseline`.
 ///
 /// # Deferred gradients
 ///

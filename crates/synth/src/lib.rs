@@ -27,9 +27,10 @@
 //!   speculatively deleted — greedily batched, then one at a time — with the shrunken
 //!   template warm-start re-instantiated through exact parameter mappings, and
 //!   parameters that landed on symbolic constants (0, ±π/2, ±π, ±2π) are snapped and
-//!   e-graph constant-folded. Enabled by default via
-//!   [`SynthesisConfig::refine`](search::SynthesisConfig::refine); a deletion is kept
-//!   only when the re-instantiated infidelity stays under the success threshold.
+//!   e-graph constant-folded. A deletion is kept only when the re-instantiated
+//!   infidelity stays under the success threshold. The two stages
+//!   ([`refine_deletions`], [`fold_constants`]) are composed only by `qudit-compile`'s
+//!   pass pipeline.
 //!
 //! # Determinism guarantees
 //!
@@ -106,13 +107,8 @@ pub mod topology;
 pub use frontier::{candidate_seed, evaluate_frontier, Candidate, EvaluatedCandidate};
 pub use layers::LayerGenerator;
 pub use qudit_circuit::GateSet;
-pub use refine::{
-    block_unitary, entangling_residual, fold_constants, refine, refine_deletions, FoldConfig,
-    RefineConfig,
-};
+pub use refine::{entangling_residual, fold_constants, refine_deletions, FoldConfig, RefineConfig};
 pub use search::{run_search, validate_target, SynthesisConfig, SynthesisResult};
-#[allow(deprecated)]
-pub use search::{synthesize, synthesize_with_cache};
 pub use topology::CouplingGraph;
 
 /// Errors produced while configuring or running a synthesis search.

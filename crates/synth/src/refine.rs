@@ -34,10 +34,9 @@
 //! guarantee.
 //!
 //! The two stages are exposed separately — [`refine_deletions`] (steps 1–2) and
-//! [`fold_constants`] (step 3, optionally also *constifying* fully-snapped
-//! parameterized gates into constant gate applications) — so the `qudit-compile`
-//! pass pipeline can schedule, time, and replace them independently. [`refine`] is
-//! their composition with constification disabled (the historical behavior).
+//! [`fold_constants`] (step 3, which also *constifies* fully-snapped parameterized
+//! gates into constant gate applications) — and only the `qudit-compile` pass
+//! pipeline composes them, so it can schedule, time, and replace each on its own.
 
 use qudit_circuit::{builders, embed_gate, GateSet, QuditCircuit};
 use qudit_egraph::fold;
@@ -60,11 +59,8 @@ pub struct RefineConfig {
     /// Entangling-residual tolerance below which a block counts as near-identity and
     /// joins the greedy deletion batch (0 disables the batch, leaving only the scan).
     pub identity_threshold: f64,
-    /// Infidelity bound a deletion (or constant fold) must preserve.
+    /// Infidelity bound a deletion must preserve.
     pub success_threshold: f64,
-    /// Snap tolerance for folding parameters onto symbolic constants (0, ±π/2, ±π,
-    /// ±2π). Non-positive disables folding.
-    pub fold_tolerance: f64,
     /// Per-attempt instantiation settings (the warm start is managed by the pass).
     /// Every attempt first runs the warm start alone; only a near miss goes on to
     /// all `starts`. The default stops each LM run once its cost has flattened
@@ -76,7 +72,10 @@ pub struct RefineConfig {
     /// rebuilding shrunken templates. `None` (the default) recovers the registry
     /// from the result circuit's own expressions ([`GateSet::from_circuit`]), so
     /// custom-gate-set results refine without further configuration;
-    /// [`crate::synthesize`] threads its configured registry through explicitly.
+    /// [`SynthesisConfig::refine_config`] threads the search's registry through
+    /// explicitly.
+    ///
+    /// [`SynthesisConfig::refine_config`]: crate::SynthesisConfig::refine_config
     pub gate_set: Option<GateSet>,
 }
 
@@ -85,7 +84,6 @@ impl Default for RefineConfig {
         RefineConfig {
             identity_threshold: 1e-3,
             success_threshold: SUCCESS_THRESHOLD,
-            fold_tolerance: 1e-6,
             instantiate: attempt_policy(InstantiateConfig { starts: 4, ..Default::default() }),
             seed: 0,
             gate_set: None,
@@ -174,16 +172,14 @@ struct State {
 /// The instantiated sub-unitary of entangling block `block_index` of a
 /// template-shaped circuit — the entangler followed by the two trailing locals,
 /// embedded in the block's two-qudit pair space (in the entangler op's wire order).
-///
-/// Refinement scores this matrix's entangling content; the partitioning front-end in
-/// `qudit-compile` re-synthesizes it through a nested pipeline.
+/// Refinement scores this matrix's entangling content.
 ///
 /// # Errors
 ///
 /// Returns [`SynthesisError::InvalidTarget`] when the circuit is not shaped like a
 /// `pqc_template` at this block (the ops at `n + 3·block_index..` must be an
 /// entangler plus two locals) or a gate fails to evaluate.
-pub fn block_unitary(
+fn block_unitary(
     circuit: &QuditCircuit,
     params: &[f64],
     block_index: usize,
@@ -219,7 +215,7 @@ impl Refiner<'_> {
     /// The Schmidt cut's dimensions follow the *entangler op's* wire order, not the
     /// normalized coupling edge: a mixed-radix entangler registered for `(2, 3)` is
     /// applied with its wires reversed when the lower wire is the qutrit, and
-    /// [`Refiner::block_unitary`] builds the pair space in that op order — scoring a
+    /// [`block_unitary`] builds the pair space in that op order — scoring a
     /// 2×3 cut as 3×2 would realign the wrong matrix.
     fn residuals(&self, state: &State) -> Result<Vec<(usize, f64)>, SynthesisError> {
         let n = self.radices.len();
@@ -325,44 +321,17 @@ impl Refiner<'_> {
     }
 }
 
-/// Refines a successful synthesis result by deleting redundant entangling blocks and
-/// folding parameters that landed on symbolic constants. See the module docs for the
-/// pass structure. Unsuccessful results (infidelity at or above the configured
-/// threshold) are returned unchanged — there is no baseline to validate deletions
-/// against.
-///
-/// This is the composition [`refine_deletions`] → [`fold_constants`] with
-/// constification disabled; the `qudit-compile` pipeline runs the stages as separate
-/// passes instead.
-///
-/// The returned result describes the refined circuit: `blocks_deleted` counts the
-/// removed entangling blocks (the pre-refine depth is `blocks.len() + blocks_deleted`),
-/// `refined_infidelity` is `Some` of its final infidelity, and `params_folded` counts
-/// parameters snapped to exact symbolic constants.
-///
-/// # Errors
-///
-/// See [`refine_deletions`].
-pub fn refine(
-    result: &SynthesisResult,
-    target: &Matrix<f64>,
-    config: &RefineConfig,
-    cache: &ExpressionCache,
-) -> Result<SynthesisResult, SynthesisError> {
-    let refined = refine_deletions(result, target, config, cache)?;
-    let fold_config = FoldConfig {
-        fold_tolerance: config.fold_tolerance,
-        success_threshold: config.success_threshold,
-        constify: false,
-    };
-    fold_constants(&refined, target, &fold_config, cache)
-}
-
 /// The gate-deletion stage of refinement: speculatively deletes entangling blocks
 /// (greedy near-identity batch first, then one at a time) and warm-start
 /// re-instantiates the shrunken template, keeping a deletion only when the infidelity
 /// stays under the success threshold. Does **not** fold constants — that is
-/// [`fold_constants`]' job.
+/// [`fold_constants`]' job. Unsuccessful results (infidelity at or above the
+/// configured threshold) are returned unchanged — there is no baseline to validate
+/// deletions against.
+///
+/// The returned result describes the refined circuit: `blocks_deleted` counts the
+/// removed entangling blocks (the pre-refine depth is `blocks.len() + blocks_deleted`)
+/// and `refined_infidelity` is `Some` of its final infidelity.
 ///
 /// # Errors
 ///
@@ -523,26 +492,21 @@ pub struct FoldConfig {
     pub fold_tolerance: f64,
     /// Infidelity bound the snapped (and constified) circuit must preserve.
     pub success_threshold: f64,
-    /// Whether to additionally *constify* every parameterized gate whose parameters
-    /// all snapped: the operation is rewritten as a constant gate application
-    /// ([`QuditCircuit::constify_op`]), removing its entries from the parameter vector
-    /// so a re-compile JITs the cheaper, constant-folded expression.
-    pub constify: bool,
 }
 
 impl Default for FoldConfig {
     fn default() -> Self {
-        FoldConfig { fold_tolerance: 1e-6, success_threshold: SUCCESS_THRESHOLD, constify: false }
+        FoldConfig { fold_tolerance: 1e-6, success_threshold: SUCCESS_THRESHOLD }
     }
 }
 
 /// The constant-folding stage of refinement: snaps parameters that landed on symbolic
 /// constants (0, ±π/2, ±π, ±2π), verifies the substituted gate expressions e-graph
 /// fold consistently, and keeps the snapped vector only if the circuit still meets
-/// the threshold. With [`FoldConfig::constify`] set, gates whose parameters *all*
-/// snapped are then converted into constant gate applications (`gates_constified` in
-/// the result), shrinking the free-parameter vector and letting the JIT compile
-/// constant-folded expressions for them.
+/// the threshold. Gates whose parameters *all* snapped are then converted into
+/// constant gate applications ([`QuditCircuit::constify_op`], counted as
+/// `gates_constified` in the result), shrinking the free-parameter vector and letting
+/// the JIT compile constant-folded expressions for them.
 ///
 /// Unsuccessful results pass through unchanged. Unlike [`refine_deletions`] this
 /// stage accepts any circuit shape — it never rebuilds templates.
@@ -602,43 +566,42 @@ pub fn fold_constants(
     refined.success = true;
     refined.params_folded = result.params_folded + folded.folded;
 
-    if config.constify {
-        // Every fully-snapped parameterized gate was just verified to fold; bake its
-        // values in, threading the parameter vector through each conversion's mapping.
-        let mut circuit = result.circuit.clone();
-        let mut params = folded.params.clone();
-        let targets: Vec<(usize, Vec<f64>)> = circuit
-            .ops()
-            .iter()
-            .enumerate()
-            .filter_map(|(index, op)| {
-                let qudit_circuit::OpParams::Parameterized { offset } = op.params else {
-                    return None;
-                };
-                let count = circuit.expression(op.expr).ok()?.num_params();
-                let fully_snapped =
-                    count > 0 && (offset..offset + count).all(|k| folded.symbolic[k].is_some());
-                fully_snapped.then(|| (index, folded.params[offset..offset + count].to_vec()))
-            })
-            .collect();
-        if !targets.is_empty() {
-            for (index, values) in &targets {
-                let mapping = circuit.constify_op(*index, values.clone())?;
-                params = mapping.iter().map(|&k| params[k]).collect();
-            }
-            // The constant path evaluates through a different (cheaper) kernel, so
-            // re-verify before committing the rewritten circuit.
-            let mut evaluator = TnvmEvaluator::new(&circuit, cache);
-            let (unitary, _) = evaluator.evaluate_trial(&params);
-            let const_infidelity = qudit_optimize::hs_infidelity(target, &unitary);
-            if const_infidelity < config.success_threshold {
-                refined.circuit = circuit;
-                refined.params = params;
-                refined.infidelity = const_infidelity;
-                refined.refined_infidelity = Some(const_infidelity);
-                refined.gates_constified = result.gates_constified + targets.len();
-            }
-        }
+    // Every fully-snapped parameterized gate was just verified to fold; bake its
+    // values in, threading the parameter vector through each conversion's mapping.
+    let mut circuit = result.circuit.clone();
+    let mut params = folded.params.clone();
+    let targets: Vec<(usize, Vec<f64>)> = circuit
+        .ops()
+        .iter()
+        .enumerate()
+        .filter_map(|(index, op)| {
+            let qudit_circuit::OpParams::Parameterized { offset } = op.params else {
+                return None;
+            };
+            let count = circuit.expression(op.expr).ok()?.num_params();
+            let fully_snapped =
+                count > 0 && (offset..offset + count).all(|k| folded.symbolic[k].is_some());
+            fully_snapped.then(|| (index, folded.params[offset..offset + count].to_vec()))
+        })
+        .collect();
+    if targets.is_empty() {
+        return Ok(refined);
+    }
+    for (index, values) in &targets {
+        let mapping = circuit.constify_op(*index, values.clone())?;
+        params = mapping.iter().map(|&k| params[k]).collect();
+    }
+    // The constant path evaluates through a different (cheaper) kernel, so re-verify
+    // before committing the rewritten circuit.
+    let mut evaluator = TnvmEvaluator::new(&circuit, cache);
+    let (unitary, _) = evaluator.evaluate_trial(&params);
+    let const_infidelity = qudit_optimize::hs_infidelity(target, &unitary);
+    if const_infidelity < config.success_threshold {
+        refined.circuit = circuit;
+        refined.params = params;
+        refined.infidelity = const_infidelity;
+        refined.refined_infidelity = Some(const_infidelity);
+        refined.gates_constified = result.gates_constified + targets.len();
     }
     Ok(refined)
 }
@@ -744,7 +707,7 @@ mod tests {
         let padded = instantiated_result(&[2, 2], &[(0, 1), (0, 1), (0, 1)], &target, &cache, 5);
         assert!(padded.success, "padded instantiation failed: {}", padded.infidelity);
 
-        let refined = refine(&padded, &target, &RefineConfig::default(), &cache).unwrap();
+        let refined = refine_deletions(&padded, &target, &RefineConfig::default(), &cache).unwrap();
         assert!(refined.blocks_deleted >= 1, "no blocks deleted");
         assert_eq!(refined.blocks.len() + refined.blocks_deleted, 3);
         assert!(refined.infidelity < 1e-8, "refined infidelity {}", refined.infidelity);
@@ -759,7 +722,8 @@ mod tests {
         let target = gates::cnot().to_matrix::<f64>(&[]).unwrap();
         let minimal = instantiated_result(&[2, 2], &[(0, 1)], &target, &cache, 3);
         assert!(minimal.success);
-        let refined = refine(&minimal, &target, &RefineConfig::default(), &cache).unwrap();
+        let refined =
+            refine_deletions(&minimal, &target, &RefineConfig::default(), &cache).unwrap();
         assert_eq!(refined.blocks_deleted, 0);
         assert_eq!(refined.blocks, minimal.blocks);
         assert_eq!(refined.circuit.num_ops(), minimal.circuit.num_ops());
@@ -773,7 +737,7 @@ mod tests {
         let mut result = instantiated_result(&[2, 2], &[(0, 1)], &target, &cache, 1);
         result.infidelity = result.infidelity.max(1e-3);
         result.success = false;
-        let refined = refine(&result, &target, &RefineConfig::default(), &cache).unwrap();
+        let refined = refine_deletions(&result, &target, &RefineConfig::default(), &cache).unwrap();
         assert_eq!(refined.blocks_deleted, 0);
         assert_eq!(refined.blocks, result.blocks);
     }
@@ -785,7 +749,7 @@ mod tests {
         let mut result = instantiated_result(&[2, 2], &[(0, 1)], &target, &cache, 3);
         result.blocks = vec![(0, 1), (0, 1)]; // claims one more block than the circuit has
         assert!(matches!(
-            refine(&result, &target, &RefineConfig::default(), &cache),
+            refine_deletions(&result, &target, &RefineConfig::default(), &cache),
             Err(SynthesisError::InvalidTarget(_))
         ));
 
@@ -793,7 +757,7 @@ mod tests {
         let mut short = instantiated_result(&[2, 2], &[(0, 1)], &target, &cache, 3);
         short.params.pop();
         assert!(matches!(
-            refine(&short, &target, &RefineConfig::default(), &cache),
+            refine_deletions(&short, &target, &RefineConfig::default(), &cache),
             Err(SynthesisError::InvalidTarget(_))
         ));
 
@@ -818,15 +782,16 @@ mod tests {
             circuit: flat,
         };
         assert!(matches!(
-            refine(&bogus, &target, &RefineConfig::default(), &cache),
+            refine_deletions(&bogus, &target, &RefineConfig::default(), &cache),
             Err(SynthesisError::InvalidTarget(_))
         ));
     }
 
     #[test]
-    fn refine_folds_symbolic_parameters() {
-        // A hand-built optimum exactly on symbolic constants, perturbed by 1e-8: the
+    fn fold_constants_snaps_symbolic_parameters() {
+        // A hand-built optimum exactly on symbolic constants, perturbed by 1e-9: the
         // fold must snap the perturbed values back and keep the (tiny) infidelity.
+        // Every gate's parameters snap, so every gate is constified with them.
         let cache = ExpressionCache::new();
         let circuit = builders::pqc_template(&[2, 2], &[(0, 1)]).unwrap();
         let exact: Vec<f64> = (0..circuit.num_params())
@@ -851,9 +816,17 @@ mod tests {
             gates_constified: 0,
             circuit,
         };
-        let refined = refine(&result, &target, &RefineConfig::default(), &cache).unwrap();
-        assert_eq!(refined.params_folded, refined.params.len());
-        assert_eq!(refined.params, exact);
-        assert!(refined.infidelity < 1e-10);
+        let folded = fold_constants(&result, &target, &FoldConfig::default(), &cache).unwrap();
+        assert_eq!(folded.params_folded, exact.len());
+        assert!(folded.params.is_empty());
+        // Read back in op order, the baked-in values are exactly the constants.
+        let snapped: Vec<f64> = folded
+            .circuit
+            .ops()
+            .iter()
+            .flat_map(|op| folded.circuit.op_values(op, &folded.params).unwrap())
+            .collect();
+        assert_eq!(snapped, exact);
+        assert!(folded.infidelity < 1e-10);
     }
 }

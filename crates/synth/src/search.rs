@@ -19,7 +19,7 @@ use qudit_trace::TraceRegistry;
 
 use crate::frontier::{evaluate_frontier, Candidate, EvaluatedCandidate};
 use crate::layers::LayerGenerator;
-use crate::refine::{attempt_policy, fold_constants, refine_deletions, FoldConfig, RefineConfig};
+use crate::refine::{attempt_policy, FoldConfig, RefineConfig};
 use crate::topology::CouplingGraph;
 use crate::SynthesisError;
 
@@ -54,9 +54,6 @@ pub struct SynthesisConfig {
     pub threads: usize,
     /// Base seed for all per-candidate deterministic seeds.
     pub seed: u64,
-    /// Whether to run the post-synthesis refinement pass (gate deletion and
-    /// re-instantiation, then symbolic constant folding) on a successful result.
-    pub refine: bool,
     /// Element-wise tolerance for the up-front `target` unitarity validation. Long
     /// mixed-precision pipelines produce targets whose deviation exceeds the strict
     /// default; widen this instead of pre-polishing the matrix.
@@ -86,7 +83,6 @@ impl SynthesisConfig {
             instantiate: InstantiateConfig { starts: 4, ..Default::default() },
             threads: 0,
             seed: 0,
-            refine: true,
             unitary_tolerance: 1e-8,
             trace: TraceRegistry::disabled(),
         }
@@ -120,9 +116,7 @@ impl SynthesisConfig {
 
     /// The refinement (gate-deletion) configuration the default pipeline derives from
     /// this search configuration: the frontier's instantiation settings with
-    /// refine's plateau stop on every LM run. The monolithic `synthesize_with_cache`
-    /// entry point uses the same derivation, so a pass-based pipeline reproduces it
-    /// byte for byte.
+    /// refine's plateau stop on every LM run.
     pub fn refine_config(&self) -> RefineConfig {
         let instantiate = self.frontier_instantiate_config();
         RefineConfig {
@@ -135,14 +129,9 @@ impl SynthesisConfig {
     }
 
     /// The constant-folding configuration the default pipeline derives from this
-    /// search configuration. Constification (fully-snapped parameterized gates turned
-    /// into constant gates, so the JIT compiles cheaper expressions) is enabled.
+    /// search configuration.
     pub fn fold_config(&self) -> FoldConfig {
-        FoldConfig {
-            success_threshold: self.success_threshold,
-            constify: true,
-            ..FoldConfig::default()
-        }
+        FoldConfig { success_threshold: self.success_threshold, ..FoldConfig::default() }
     }
 }
 
@@ -206,70 +195,10 @@ impl Ord for OpenNode {
     }
 }
 
-/// Synthesizes a circuit implementing `target` over the configured template space,
-/// running the full legacy pipeline (search, then gate-deletion refinement and
-/// constant folding when [`SynthesisConfig::refine`] is set).
-///
-/// # Errors
-///
-/// Returns a [`SynthesisError`] when the configuration is inconsistent (unsupported
-/// radices, disconnected or mismatched coupling graph) or the target's dimension does
-/// not match the configured radices (or is not unitary).
-#[deprecated(
-    since = "0.2.0",
-    note = "compose passes with qudit-compile's `Compiler` (e.g. \
-            `Compiler::default_pipeline()`); this wrapper runs that same pipeline"
-)]
-pub fn synthesize(
-    target: &Matrix<f64>,
-    config: &SynthesisConfig,
-) -> Result<SynthesisResult, SynthesisError> {
-    let cache = ExpressionCache::new();
-    #[allow(deprecated)]
-    synthesize_with_cache(target, config, &cache)
-}
-
-/// [`synthesize`] with an externally managed expression cache, so many synthesis calls
-/// (e.g. the partitions of a large circuit) share one set of compiled gates.
-///
-/// This is a thin wrapper over the default pass pipeline: [`run_search`], then —
-/// when [`SynthesisConfig::refine`] is set and the search succeeded —
-/// [`refine_deletions`] and [`fold_constants`] with the configurations
-/// [`SynthesisConfig::refine_config`] / [`SynthesisConfig::fold_config`] derive. A
-/// `qudit-compile` `Compiler::default_pipeline()` run is byte-identical at the same
-/// seed (pinned by the integration tests).
-///
-/// **Behavioral change vs. the pre-pipeline monolith:** because the wrapper tracks
-/// the default pipeline, its fold stage now also *constifies* gates whose parameters
-/// all snapped to symbolic constants — such gates come back as constant operations
-/// and their entries leave `params` (see [`SynthesisResult::gates_constified`]).
-/// Callers that need the old always-parameterized shape should call [`run_search`] +
-/// [`crate::refine`](fn@crate::refine) (whose fold keeps constification off) instead.
-///
-/// # Errors
-///
-/// See [`synthesize`].
-#[deprecated(
-    since = "0.2.0",
-    note = "compose passes with qudit-compile's `Compiler` (e.g. \
-            `Compiler::default_pipeline()`); this wrapper runs that same pipeline"
-)]
-pub fn synthesize_with_cache(
-    target: &Matrix<f64>,
-    config: &SynthesisConfig,
-    cache: &ExpressionCache,
-) -> Result<SynthesisResult, SynthesisError> {
-    let result = run_search(target, config, cache)?;
-    if config.refine && result.success {
-        let result = refine_deletions(&result, target, &config.refine_config(), cache)?;
-        return fold_constants(&result, target, &config.fold_config(), cache);
-    }
-    Ok(result)
-}
-
 /// The bottom-up A*/beam search itself — the engine stage behind `SynthesisPass` in
 /// the `qudit-compile` pipeline. Never refines: gate deletion and constant folding are
-/// separate pipeline stages ([`refine_deletions`], [`fold_constants`]).
+/// separate pipeline stages ([`refine_deletions`](crate::refine_deletions),
+/// [`fold_constants`](crate::fold_constants)).
 ///
 /// The search is bottom-up and instantiation-driven: every candidate's quality is the
 /// numerically instantiated Hilbert–Schmidt infidelity, produced by the TNVM pipeline
@@ -532,12 +461,16 @@ fn infidelity_order(a: &EvaluatedCandidate, b: &EvaluatedCandidate) -> CmpOrderi
 
 #[cfg(test)]
 mod tests {
-    // The deprecated wrappers stay pinned by these tests until they are removed.
-    #![allow(deprecated)]
-
     use super::*;
     use qudit_circuit::gates;
     use qudit_optimize::{haar_random_unitary, reachable_target};
+
+    fn search(
+        target: &Matrix<f64>,
+        config: &SynthesisConfig,
+    ) -> Result<SynthesisResult, SynthesisError> {
+        run_search(target, config, &ExpressionCache::new())
+    }
 
     fn quick(mut config: SynthesisConfig) -> SynthesisConfig {
         config.instantiate.starts = 4;
@@ -548,7 +481,7 @@ mod tests {
     #[test]
     fn synthesizes_cnot_with_one_block() {
         let target = gates::cnot().to_matrix::<f64>(&[]).unwrap();
-        let result = synthesize(&target, &quick(SynthesisConfig::qubits(2))).unwrap();
+        let result = search(&target, &quick(SynthesisConfig::qubits(2))).unwrap();
         assert!(result.success, "infidelity {}", result.infidelity);
         assert!(result.infidelity < SUCCESS_THRESHOLD);
         assert_eq!(result.blocks, vec![(0, 1)]);
@@ -564,7 +497,7 @@ mod tests {
         circuit.append_ref_constant(h, vec![0], vec![]).unwrap();
         circuit.append_ref_constant(h, vec![1], vec![]).unwrap();
         let target = circuit.unitary::<f64>(&[]).unwrap();
-        let result = synthesize(&target, &quick(SynthesisConfig::qubits(2))).unwrap();
+        let result = search(&target, &quick(SynthesisConfig::qubits(2))).unwrap();
         assert!(result.success);
         assert!(result.blocks.is_empty(), "expected no entanglers, got {:?}", result.blocks);
         assert_eq!(result.nodes_expanded, 1);
@@ -578,7 +511,7 @@ mod tests {
         config.max_blocks = 1;
         config.max_nodes = 8;
         config.instantiate.starts = 1;
-        let result = synthesize(&target, &config).unwrap();
+        let result = search(&target, &config).unwrap();
         assert!(!result.success);
         assert!(result.infidelity > 1e-3);
         assert!(result.nodes_expanded <= 8);
@@ -589,12 +522,12 @@ mod tests {
         let config = SynthesisConfig::qubits(2);
         // Wrong dimension.
         assert!(matches!(
-            synthesize(&haar_random_unitary(8, 1), &config),
+            search(&haar_random_unitary(8, 1), &config),
             Err(SynthesisError::InvalidTarget(_))
         ));
         // Non-unitary, with the measured deviation in the message.
         let bad = Matrix::<f64>::zeros(4, 4);
-        match synthesize(&bad, &config) {
+        match search(&bad, &config) {
             Err(SynthesisError::InvalidTarget(message)) => {
                 assert!(message.contains("not unitary"), "{message}");
                 assert!(message.contains("tolerance"), "{message}");
@@ -604,12 +537,12 @@ mod tests {
         // A NaN-poisoned target must be rejected, not synthesized to `success`.
         let mut poisoned = Matrix::<f64>::identity(4);
         poisoned.set(0, 0, qudit_tensor::C64::new(f64::NAN, 0.0));
-        assert!(matches!(synthesize(&poisoned, &config), Err(SynthesisError::InvalidTarget(_))));
+        assert!(matches!(search(&poisoned, &config), Err(SynthesisError::InvalidTarget(_))));
         // Disconnected coupling.
         let mut disconnected = SynthesisConfig::qubits(4);
         disconnected.coupling = CouplingGraph::new(4, [(0, 1), (2, 3)]).unwrap();
         assert!(matches!(
-            synthesize(&haar_random_unitary(16, 2), &disconnected),
+            search(&haar_random_unitary(16, 2), &disconnected),
             Err(SynthesisError::InvalidCoupling(_))
         ));
     }
@@ -631,7 +564,7 @@ mod tests {
         let target = reachable_target(&template, 12);
         let mut config = quick(SynthesisConfig::qutrits(2));
         config.max_blocks = 2;
-        let result = synthesize(&target, &config).unwrap();
+        let result = search(&target, &config).unwrap();
         assert!(result.success, "infidelity {}", result.infidelity);
         assert_eq!(result.circuit.radices(), &[3, 3]);
     }

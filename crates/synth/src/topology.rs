@@ -97,8 +97,8 @@ impl CouplingGraph {
     }
 
     /// Whether every qudit can reach every other through coupling edges. Synthesis of
-    /// a generic target is impossible on a disconnected graph, so [`crate::synthesize`]
-    /// rejects those up front.
+    /// a generic target is impossible on a disconnected graph, so
+    /// [`crate::validate_target`] rejects those up front.
     pub fn is_connected(&self) -> bool {
         if self.num_qudits <= 1 {
             return true;

@@ -132,9 +132,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Partitioned compile: `--partition` splits a 4-qubit target along the
-    // [0,1]|[2,3] coupling cut, sketches it partition-first, re-synthesizes each
-    // block through a nested pipeline, and stitches — the plain search never sees
-    // the exponentially wide 4-qubit candidate space.
+    // [0,1]|[2,3] coupling cut and sketches it partition-first, round by round, and
+    // refine and fold polish the sketch — the plain search never sees the
+    // exponentially wide 4-qubit candidate space.
     if std::env::args().any(|a| a == "--partition") {
         println!("\n-- partitioned compile: 4 qubits --");
         let round = [(0, 1), (2, 3), (1, 2)];

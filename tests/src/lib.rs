@@ -3,8 +3,7 @@
 use openqudit::prelude::*;
 
 /// Compiles `target` through the standard pass pipeline (`synthesis → refine → fold`)
-/// over a fresh expression cache — the test suite's replacement for the deprecated
-/// monolithic `synthesize` entry point.
+/// over a fresh expression cache.
 ///
 /// # Errors
 ///

@@ -172,7 +172,7 @@ fn refine_recovers_a_custom_registry_from_the_result_circuit() {
         circuit: padded,
     };
 
-    let refined = refine(&result, &target, &RefineConfig::default(), &cache).unwrap();
+    let refined = refine_deletions(&result, &target, &RefineConfig::default(), &cache).unwrap();
     assert!(refined.blocks_deleted >= 1, "padded RZZ block was not deleted");
     assert!(refined.infidelity < 1e-8, "refined infidelity {}", refined.infidelity);
     let names: std::collections::BTreeSet<&str> =

@@ -204,8 +204,8 @@ fn partitioned_pipeline_synthesizes_a_four_qubit_target() {
     // The workload the monolithic search cannot practically reach: a 4-qubit unitary
     // entangling across the [0,1]|[2,3] cut (its template carries a block on the cut
     // edge (1, 2)). The target is reachable by a one-round partitioned template, so
-    // the sketch phase must drive the infidelity below the threshold and the
-    // stitched result must hold it under 1e-6 end to end. (The CI benchmark report
+    // the sketch must drive the infidelity below the threshold and the refined,
+    // folded result must hold it under 1e-6 end to end. (The CI benchmark report
     // runs a deeper two-round partitioned workload in release mode.)
     use openqudit::circuit::builders;
     let round = [(0, 1), (2, 3), (1, 2)];

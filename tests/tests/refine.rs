@@ -7,7 +7,7 @@ use openqudit::prelude::*;
 use openqudit_integration_tests::compile_default;
 
 /// Instantiates a pqc template against `target` and wraps it as a synthesis result,
-/// the shape `refine` consumes.
+/// the shape `refine_deletions` consumes.
 fn instantiated_result(
     radices: &[usize],
     blocks: &[(usize, usize)],
@@ -47,7 +47,7 @@ fn refine_shrinks_an_over_deep_two_qubit_template() {
     let target = reachable_target(&lean, 2026);
     let padded = instantiated_result(&[2, 2], &[(0, 1), (0, 1), (0, 1)], &target, &cache, 9);
 
-    let refined = refine(&padded, &target, &RefineConfig::default(), &cache).unwrap();
+    let refined = refine_deletions(&padded, &target, &RefineConfig::default(), &cache).unwrap();
     assert!(refined.blocks_deleted >= 1, "refine deleted nothing from the padded template");
     assert!(refined.infidelity < 1e-8, "refined infidelity {}", refined.infidelity);
     assert_eq!(refined.blocks.len() + refined.blocks_deleted, 3);
@@ -75,7 +75,7 @@ fn refine_shrinks_an_over_deep_mixed_radix_template() {
     let target = reachable_target(&lean, 2033);
     let padded = instantiated_result(&[2, 3], &[(0, 1), (0, 1)], &target, &cache, 11);
 
-    let refined = refine(&padded, &target, &RefineConfig::default(), &cache).unwrap();
+    let refined = refine_deletions(&padded, &target, &RefineConfig::default(), &cache).unwrap();
     assert!(refined.blocks_deleted >= 1, "refine deleted no mixed-radix block");
     assert_eq!(refined.blocks.len() + refined.blocks_deleted, 2);
     assert!(refined.infidelity < 1e-8, "refined infidelity {}", refined.infidelity);
@@ -103,7 +103,7 @@ fn refine_scores_reversed_mixed_blocks_with_op_order_dimensions() {
     let target = reachable_target(&lean, 909);
     let padded = instantiated_result(&[3, 2], &[(0, 1), (0, 1)], &target, &cache, 13);
 
-    let refined = refine(&padded, &target, &RefineConfig::default(), &cache).unwrap();
+    let refined = refine_deletions(&padded, &target, &RefineConfig::default(), &cache).unwrap();
     assert!(refined.blocks_deleted >= 1, "refine deleted no reversed mixed-radix block");
     assert!(refined.infidelity < 1e-8, "refined infidelity {}", refined.infidelity);
 }
@@ -114,7 +114,7 @@ fn refine_never_touches_a_minimal_cnot_result() {
     let target = openqudit::circuit::gates::cnot().to_matrix::<f64>(&[]).unwrap();
     let minimal = instantiated_result(&[2, 2], &[(0, 1)], &target, &cache, 4);
 
-    let refined = refine(&minimal, &target, &RefineConfig::default(), &cache).unwrap();
+    let refined = refine_deletions(&minimal, &target, &RefineConfig::default(), &cache).unwrap();
     assert_eq!(refined.blocks_deleted, 0, "a CNOT cannot be synthesized without its block");
     assert_eq!(refined.blocks, minimal.blocks);
     assert_eq!(refined.circuit.num_ops(), minimal.circuit.num_ops());
@@ -124,9 +124,9 @@ fn refine_never_touches_a_minimal_cnot_result() {
 
 #[test]
 fn pipeline_runs_refine_automatically() {
-    // With `SynthesisConfig::refine` (the default), the search result reports the
-    // refinement fields; disabling it leaves `refined_infidelity` unset. Same seed,
-    // so the two runs explore identical search trees.
+    // The default pipeline reports the refinement fields; a pipeline of the search
+    // pass alone leaves `refined_infidelity` unset. Same seed, so the two runs
+    // explore identical search trees.
     let template = builders::pqc_template(&[2, 2], &[(0, 1)]).unwrap();
     let target = reachable_target(&template, 31);
     let mut config = SynthesisConfig::qubits(2);
@@ -137,8 +137,11 @@ fn pipeline_runs_refine_automatically() {
     assert!(refined.refined_infidelity.is_some());
     assert!(refined.infidelity < 1e-8);
 
-    config.refine = false;
-    let unrefined = compile_default(&target, &config).unwrap();
+    let unrefined = Compiler::with_cache(ExpressionCache::new())
+        .add_pass(SynthesisPass)
+        .compile(CompilationTask::new(target, config))
+        .unwrap()
+        .result;
     assert!(unrefined.success);
     assert!(unrefined.refined_infidelity.is_none());
     assert_eq!(unrefined.blocks_deleted, 0);

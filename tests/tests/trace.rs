@@ -44,6 +44,12 @@ fn same_seed_counter_snapshots_are_byte_identical() {
     }
     assert_one_stop_per_start(&a);
     assert!(a.metrics.keys().any(|k| k.starts_with("tnvm.dispatch.")), "{:?}", a.metrics);
+    // The search and its frontier evaluations show up in the span log.
+    let events = a.trace.span_events();
+    let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
+    for stage in ["search", "frontier"] {
+        assert!(names.contains(&stage), "missing span {stage} in {names:?}");
+    }
 }
 
 #[test]
@@ -79,16 +85,24 @@ fn partitioned_run_emits_chrome_trace_and_counters() {
         .unwrap();
     assert!(report.result.success);
     // The snapshot covers the whole pipeline: partition-round instantiations,
-    // nested per-block re-synthesis (search/frontier), LM, cache, and kernels.
-    for key in ["search.nodes_expanded", "lm.iterations", "cache.hits", "instantiate.calls"] {
+    // refine's deletion attempts, LM, cache, and kernels.
+    for key in ["lm.iterations", "cache.hits", "instantiate.calls"] {
         assert!(report.metrics.contains_key(key), "missing {key} in {:?}", report.metrics);
     }
     assert_one_stop_per_start(&report);
     assert!(report.metrics.keys().any(|k| k.starts_with("tnvm.dispatch.")));
+    // The counters describe this compile only: the search pass skipped, so no
+    // search or frontier work is counted, and fold's counter matches the result.
+    assert_eq!(report.data.get_bool("synthesis.skipped"), Some(true));
+    for key in ["search.nodes_expanded", "frontier.candidates"] {
+        assert!(!report.metrics.contains_key(key), "unexpected {key} in {:?}", report.metrics);
+    }
+    let params_folded = report.metrics.get("fold.params_folded").copied().unwrap_or(0);
+    assert_eq!(params_folded, report.result.params_folded as u64, "{:?}", report.metrics);
     // Every pipeline stage shows up in the span log, nested sanely.
     let events = report.trace.span_events();
     let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
-    for stage in ["partition", "synthesis", "refine", "fold", "search", "frontier"] {
+    for stage in ["partition", "synthesis", "refine", "fold"] {
         assert!(names.contains(&stage), "missing span {stage} in {names:?}");
     }
     // The Chrome export is a JSON array of "X" complete events with the required
