@@ -12,6 +12,7 @@
 
 use openqudit::circuit::builders;
 use openqudit::prelude::*;
+use openqudit_integration_tests::fnv1a;
 use proptest::prelude::*;
 
 /// Deterministic pseudo-random parameters in (−2, 2).
@@ -23,19 +24,6 @@ fn param_vector(count: usize, seed: u64) -> Vec<f64> {
             ((state >> 33) as f64 / (1u64 << 30) as f64) - 2.0
         })
         .collect()
-}
-
-/// 64-bit FNV-1a over the little-endian bytes of `words`. Written out here because
-/// `DefaultHasher`'s output may change between Rust releases.
-fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for word in words {
-        for byte in word.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    hash
 }
 
 /// Fingerprint of one evaluation: the unitary's bits, then every gradient block's.

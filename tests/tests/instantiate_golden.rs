@@ -10,19 +10,7 @@
 //! message.
 
 use openqudit::prelude::*;
-
-/// 64-bit FNV-1a over the little-endian bytes of `words`. Written out here because
-/// `DefaultHasher`'s output may change between Rust releases.
-fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for word in words {
-        for byte in word.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    hash
-}
+use openqudit_integration_tests::fnv1a;
 
 fn result_hash(params: &[f64], infidelity: f64) -> u64 {
     fnv1a(params.iter().chain([&infidelity]).map(|x| x.to_bits()))

@@ -8,6 +8,7 @@
 
 use openqudit::network::{compile_network, TensorNetwork};
 use openqudit::prelude::*;
+use openqudit_integration_tests::fnv1a;
 
 fn params_for(n: usize, seed: u64) -> Vec<f64> {
     let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
@@ -129,19 +130,6 @@ fn qft_on_tnvm_matches_closed_form() {
             assert!(u.get(j, k).dist(expect) < 1e-10);
         }
     }
-}
-
-/// 64-bit FNV-1a over the little-endian bytes of `words` (as in `instantiate_golden`;
-/// `DefaultHasher`'s output may change between Rust releases).
-fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for word in words {
-        for byte in word.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    hash
 }
 
 /// A pinned compile: `(blocks, FNV-1a of the params' and infidelity's bits,
