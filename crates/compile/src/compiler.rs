@@ -58,7 +58,6 @@ pub struct CompilationReport {
 pub struct Compiler {
     cache: ExpressionCache,
     threads: usize,
-    trace: Option<TraceRegistry>,
     verify: VerifyLevel,
     passes: Vec<Box<dyn Pass>>,
 }
@@ -85,13 +84,7 @@ impl Compiler {
     /// binaries pay nothing while CI exports `full` — override per compiler with
     /// [`Compiler::verify`].
     pub fn with_cache(cache: ExpressionCache) -> Self {
-        Compiler {
-            cache,
-            threads: 0,
-            trace: None,
-            verify: VerifyLevel::from_env(),
-            passes: Vec::new(),
-        }
+        Compiler { cache, threads: 0, verify: VerifyLevel::from_env(), passes: Vec::new() }
     }
 
     /// The standard pipeline — `SynthesisPass → RefinePass → FoldPass` — over the
@@ -135,16 +128,6 @@ impl Compiler {
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Overrides the observability registry compilations record into. By default
-    /// every [`Compiler::compile`] call creates a fresh enabled registry (so the
-    /// report's counters describe exactly one compilation); installing a registry
-    /// here makes all compilations share it.
-    #[must_use]
-    pub fn trace(mut self, trace: TraceRegistry) -> Self {
-        self.trace = Some(trace);
         self
     }
 
@@ -209,15 +192,13 @@ impl Compiler {
             task.config.threads = self.threads;
             task.config.instantiate.threads = self.threads;
         }
-        // Install the observability registry everywhere the pipeline can reach:
+        // Install a fresh observability registry everywhere the pipeline can reach:
         // the synthesis config (search, frontier, refine derive from it), the
-        // instantiate config (direct instantiation paths), and each PassContext.
-        // (`TraceRegistry::default()` is the *disabled* handle — the fallback must
-        // be an enabled `new()` so every compile records a snapshot.)
-        let trace = match &self.trace {
-            Some(trace) => trace.clone(),
-            None => TraceRegistry::new(),
-        };
+        // instantiate config (direct instantiation paths), and each PassContext, so
+        // the report's counters describe exactly this compilation.
+        // (`TraceRegistry::default()` is the *disabled* handle — it must be an
+        // enabled `new()` so every compile records a snapshot.)
+        let trace = TraceRegistry::new();
         task.config.trace = trace.clone();
         task.config.instantiate.trace = trace.clone();
         let mut timings = Vec::with_capacity(self.passes.len());
