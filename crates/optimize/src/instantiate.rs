@@ -26,7 +26,7 @@ use qudit_tnvm::{KernelCounters, Tnvm};
 use qudit_trace::TraceRegistry;
 
 use crate::cost::hs_infidelity;
-use crate::lm::{minimize, GradientEvaluator, LmConfig, LmStats};
+use crate::lm::{minimize_until, never, GradientEvaluator, LmConfig, LmStats};
 
 /// The infidelity below which an instantiation is considered successful, matching the
 /// convention used for synthesis sub-calls.
@@ -164,6 +164,19 @@ pub fn instantiate(
     target: &Matrix<f64>,
     config: &InstantiateConfig,
 ) -> InstantiationResult {
+    instantiate_until(evaluator, target, config, &never).expect("a run nobody abandons finishes")
+}
+
+/// [`instantiate`] that gives the whole run up, returning `None`, as soon as
+/// `abandon` answers `true`. LM polls the probe once per iteration. An abandoned run
+/// drains the kernel counters its unfinished start left in `evaluator`, so a caller
+/// that reuses the evaluator attributes none of that work to its next run.
+pub fn instantiate_until(
+    evaluator: &mut dyn GradientEvaluator,
+    target: &Matrix<f64>,
+    config: &InstantiateConfig,
+    abandon: &dyn Fn() -> bool,
+) -> Option<InstantiationResult> {
     assert!(config.starts >= 1, "at least one start is required");
     let n = evaluator.num_params();
     let mut best: Option<(Vec<f64>, f64)> = None;
@@ -177,7 +190,10 @@ pub fn instantiate(
     for start_idx in 0..config.starts {
         starts_used += 1;
         let x0 = start_point(n, config, start_idx);
-        let result = minimize(evaluator, target, &x0, &config.lm);
+        let Some(result) = minimize_until(evaluator, target, &x0, &config.lm, abandon) else {
+            evaluator.take_kernel_counters();
+            return None;
+        };
         total_iterations += result.iterations;
         lm.merge(&LmStats::of(&result));
         let params = result.params;
@@ -205,7 +221,7 @@ pub fn instantiate(
         lm,
     };
     record_instantiation(&config.trace, &result);
-    result
+    Some(result)
 }
 
 /// One finished start of a parallel run.
@@ -229,7 +245,9 @@ struct CompletedStart {
 /// after `s` completes nor counted if thread timing let them finish first, so the
 /// returned parameters, infidelity, and `starts_used` match what the serial
 /// [`instantiate`] loop produces for the same configuration — regardless of the
-/// worker-pool size or thread interleaving.
+/// worker-pool size or thread interleaving. A start running above the lowest
+/// successful index found so far is abandoned at its next LM iteration: the cutoff
+/// only decreases, so its result would be discarded anyway.
 pub fn instantiate_parallel<E, F>(
     make_evaluator: F,
     target: &Matrix<f64>,
@@ -239,11 +257,27 @@ where
     E: GradientEvaluator,
     F: Fn() -> E + Sync,
 {
+    instantiate_parallel_until(make_evaluator, target, config, &never)
+        .expect("a run nobody abandons finishes")
+}
+
+/// [`instantiate_parallel`] that gives the whole run up, returning `None`, once
+/// `abandon` answers `true`; every start polls it at each LM iteration.
+pub fn instantiate_parallel_until<E, F>(
+    make_evaluator: F,
+    target: &Matrix<f64>,
+    config: &InstantiateConfig,
+    abandon: &(dyn Fn() -> bool + Sync),
+) -> Option<InstantiationResult>
+where
+    E: GradientEvaluator,
+    F: Fn() -> E + Sync,
+{
     assert!(config.starts >= 1, "at least one start is required");
     let threads = config.effective_threads();
     if threads <= 1 || config.starts == 1 {
         let mut evaluator = make_evaluator();
-        return instantiate(&mut evaluator, target, config);
+        return instantiate_until(&mut evaluator, target, config, abandon);
     }
 
     let next_start = AtomicUsize::new(0);
@@ -276,7 +310,16 @@ where
                         break;
                     }
                     let x0 = start_point(n, config, start_idx);
-                    let result = minimize(&mut evaluator, target, &x0, &config.lm);
+                    // Past the cutoff so far, this start's result is already lost. Every
+                    // later index is past it too, and this worker's evaluator (with the
+                    // abandoned start's counters) is dropped with it.
+                    let past_cutoff =
+                        || start_idx > min_success.load(Ordering::Relaxed) || abandon();
+                    let Some(result) =
+                        minimize_until(&mut evaluator, target, &x0, &config.lm, &past_cutoff)
+                    else {
+                        break;
+                    };
                     let (unitary, _) = evaluator.evaluate_trial(&result.params);
                     let infidelity = hs_infidelity(target, &unitary);
                     let kernels = evaluator.take_kernel_counters();
@@ -300,6 +343,10 @@ where
         }
     });
 
+    if abandon() {
+        // Some start may have been given up below the cutoff.
+        return None;
+    }
     let mut runs = completed.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);
     // Keep exactly the deterministic prefix: starts past the winning index may or may
     // not have completed depending on thread timing, so they must not influence the
@@ -330,7 +377,7 @@ where
         lm,
     };
     record_instantiation(&config.trace, &result);
-    result
+    Some(result)
 }
 
 /// A [`GradientEvaluator`] backed by the TNVM — the "OpenQudit side" of the evaluation.
@@ -680,6 +727,53 @@ mod tests {
         // Evaluation counts come only from the retained start prefix (construction
         // performs no `evaluate`), so they agree across schedules too.
         assert_eq!(parallel.kernels.evaluations, serial.kernels.evaluations);
+    }
+
+    /// `RZ(θ)` whose reported gradient is a million times too steep, so every LM step
+    /// is a millionth of the right one: a start away from `θ = 0` creeps toward it,
+    /// lowering its cost at every iteration until the cap. Counts its evaluations.
+    struct Creeper<'a> {
+        evaluations: &'a AtomicUsize,
+    }
+
+    impl GradientEvaluator for Creeper<'_> {
+        fn num_params(&self) -> usize {
+            1
+        }
+        fn dim(&self) -> usize {
+            2
+        }
+        fn evaluate(&mut self, params: &[f64]) -> (Matrix<f64>, Vec<Matrix<f64>>) {
+            self.evaluations.fetch_add(1, Ordering::Relaxed);
+            let half = params[0] / 2.0;
+            let diagonal =
+                |a: C64, b: C64| Matrix::from_rows(&[vec![a, C64::zero()], vec![C64::zero(), b]]);
+            let unitary = diagonal(C64::cis(-half), C64::cis(half));
+            let steep = C64::new(0.0, 0.5e6);
+            (unitary, vec![diagonal(-steep * C64::cis(-half), steep * C64::cis(half))])
+        }
+    }
+
+    #[test]
+    fn parallel_starts_past_the_cutoff_are_abandoned() {
+        // Start 0 is warm-started on the solution and succeeds at once; start 1 would
+        // creep through all CAP iterations, each costing at least one evaluation.
+        const CAP: usize = 1_000_000;
+        let evaluations = AtomicUsize::new(0);
+        let config = InstantiateConfig {
+            starts: 2,
+            threads: 2,
+            warm_start: Some(vec![0.0]),
+            lm: LmConfig { max_iterations: CAP, ..LmConfig::default() },
+            ..Default::default()
+        };
+        let target = Matrix::<f64>::identity(2);
+        let result =
+            instantiate_parallel(|| Creeper { evaluations: &evaluations }, &target, &config);
+        assert!(result.success && result.params == [0.0], "{result:?}");
+        assert_eq!((result.starts_used, result.total_iterations), (1, 1));
+        let evaluations = evaluations.load(Ordering::Relaxed);
+        assert!(evaluations < CAP / 10, "start 1 ran on past the cutoff: {evaluations}");
     }
 
     #[test]

@@ -27,8 +27,9 @@ pub mod lm;
 pub use cost::{hs_infidelity, jacobian_column_into, residual_len, residuals_into, sum_of_squares};
 pub use instantiate::{
     haar_random_unitary, instantiate, instantiate_circuit, instantiate_circuit_mapped,
-    instantiate_parallel, reachable_target, resolve_threads, warm_start_from_mapping,
-    InstantiateConfig, InstantiationResult, TnvmEvaluator, SUCCESS_THRESHOLD,
+    instantiate_parallel, instantiate_parallel_until, instantiate_until, reachable_target,
+    resolve_threads, warm_start_from_mapping, InstantiateConfig, InstantiationResult,
+    TnvmEvaluator, SUCCESS_THRESHOLD,
 };
 pub use lm::{
     minimize, solve_linear_system, GradientEvaluator, LmConfig, LmResult, LmStats, LmStop,

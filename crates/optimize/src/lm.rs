@@ -356,21 +356,40 @@ pub fn minimize(
     x0: &[f64],
     config: &LmConfig,
 ) -> LmResult {
-    minimize_with(evaluator, target, x0, config, assemble_normal_equations)
+    minimize_until(evaluator, target, x0, config, &never).expect("a run nobody abandons finishes")
+}
+
+/// A stop probe that never fires: the probe of every run nobody abandons.
+pub(crate) fn never() -> bool {
+    false
+}
+
+/// [`minimize`] that polls `abandon` at the top of every iteration and gives the run
+/// up, returning `None`, as soon as it answers `true`. The parallel drivers pass a
+/// probe that fires once a run's result can no longer be kept.
+pub(crate) fn minimize_until(
+    evaluator: &mut dyn GradientEvaluator,
+    target: &Matrix<f64>,
+    x0: &[f64],
+    config: &LmConfig,
+    abandon: &dyn Fn() -> bool,
+) -> Option<LmResult> {
+    minimize_with(evaluator, target, x0, config, assemble_normal_equations, abandon)
 }
 
 /// The shape of a normal-equations assembly: `(J, r, m, n, JᵀJ, −Jᵀr, scratch)`.
 type Assembly = fn(&[f64], &[f64], usize, usize, &mut [f64], &mut [f64], &mut Vec<f64>);
 
-/// [`minimize`] with the normal-equations assembly as a parameter, so the tests can
-/// run the serial oracle through the same loop.
+/// [`minimize_until`] with the normal-equations assembly as a parameter, so the tests
+/// can run the serial oracle through the same loop.
 fn minimize_with(
     evaluator: &mut dyn GradientEvaluator,
     target: &Matrix<f64>,
     x0: &[f64],
     config: &LmConfig,
     assemble: Assembly,
-) -> LmResult {
+    abandon: &dyn Fn() -> bool,
+) -> Option<LmResult> {
     let n = evaluator.num_params();
     assert_eq!(x0.len(), n, "initial guess has wrong length");
     let dim = evaluator.dim();
@@ -391,7 +410,7 @@ fn minimize_with(
     let (mut trials, mut rejected) = (0, 0);
     if !cost.is_finite() {
         let stop = LmStop::NonFinite;
-        return LmResult { params, cost, iterations, stop, trials, rejected };
+        return Some(LmResult { params, cost, iterations, stop, trials, rejected });
     }
     let mut stop = LmStop::IterationCap;
     // Ring of the costs at the top of the last `window` iterations: iteration `t`
@@ -400,6 +419,9 @@ fn minimize_with(
     let mut recent = vec![0.0; window];
 
     while iterations < config.max_iterations {
+        if abandon() {
+            return None;
+        }
         iterations += 1;
         if cost < config.cost_tolerance {
             stop = LmStop::CostTolerance;
@@ -466,7 +488,7 @@ fn minimize_with(
             break;
         }
     }
-    LmResult { params, cost, iterations, stop, trials, rejected }
+    Some(LmResult { params, cost, iterations, stop, trials, rejected })
 }
 
 /// Solves a dense symmetric positive-definite-ish system `A x = b` by Gaussian elimination
@@ -880,10 +902,12 @@ mod tests {
             let n = evaluator.num_params();
             let (target, _) = evaluator.evaluate(&lcg_values(n, 5));
             let x0 = lcg_values(n, 9);
-            let lanes =
-                minimize_with(&mut *evaluator, &target, &x0, &config, assemble_normal_equations);
-            let serial =
-                minimize_with(&mut *evaluator, &target, &x0, &config, reference_normal_equations);
+            let mut run = |assemble| {
+                minimize_with(&mut *evaluator, &target, &x0, &config, assemble, &never)
+                    .expect("never abandoned")
+            };
+            let lanes = run(assemble_normal_equations as Assembly);
+            let serial = run(reference_normal_equations as Assembly);
             assert_eq!((lanes.iterations, lanes.stop), (serial.iterations, serial.stop), "n={n}");
             assert_eq!((lanes.trials, lanes.rejected), (serial.trials, serial.rejected), "n={n}");
             assert_eq!(lanes.cost.to_bits(), serial.cost.to_bits(), "n={n}");

@@ -11,7 +11,7 @@ use std::sync::Mutex;
 
 use qudit_network::{compile_network, TensorNetwork};
 use qudit_optimize::{
-    instantiate, instantiate_parallel, InstantiateConfig, LmStats, TnvmEvaluator,
+    instantiate_parallel_until, instantiate_until, InstantiateConfig, LmStats, TnvmEvaluator,
 };
 use qudit_qvm::ExpressionCache;
 use qudit_tensor::Matrix;
@@ -75,7 +75,10 @@ pub fn candidate_seed(base: u64, blocks: &[usize]) -> u64 {
 /// `instantiate_cfg.success_threshold`. Candidate issuance is monotonic, so every
 /// index below `s` is always evaluated; higher-indexed candidates that thread timing
 /// happened to finish are discarded, so identical runs return identical results and
-/// the search layer's winner selection sees the same successes every time.
+/// the search layer's winner selection sees the same successes every time. A
+/// candidate above the lowest success so far is abandoned at its next LM iteration,
+/// whether its starts run serially or in a nested multi-start: the cutoff only
+/// decreases, so it would be discarded anyway.
 ///
 /// Results are returned in candidate order. The thread budget is split across
 /// candidates first: a wide frontier runs one serial multi-start per worker (reusing
@@ -120,9 +123,11 @@ pub fn evaluate_frontier(
             trace: TraceRegistry::disabled(),
             ..instantiate_cfg.clone()
         };
+        let past_cutoff = || index > min_success.load(Ordering::Relaxed);
         let outcome = if per_candidate_threads > 1 && config.starts > 1 {
             // Narrow frontier: spend the spare workers on this candidate's starts.
-            instantiate_parallel(|| TnvmEvaluator::from_program(&program, cache), target, &config)
+            let make = || TnvmEvaluator::from_program(&program, cache);
+            instantiate_parallel_until(make, target, &config, &past_cutoff)
         } else {
             let evaluator = match evaluator_slot.as_mut() {
                 Some(evaluator) => {
@@ -131,8 +136,10 @@ pub fn evaluate_frontier(
                 }
                 None => evaluator_slot.insert(TnvmEvaluator::from_program(&program, cache)),
             };
-            instantiate(evaluator, target, &config)
+            instantiate_until(evaluator, target, &config, &past_cutoff)
         };
+        // Abandoned past the cutoff, like every later index.
+        let Some(outcome) = outcome else { break };
         if stop_on_success && outcome.infidelity < config.success_threshold {
             // detlint: allow(thread-accumulation) — min is commutative and every
             // candidate below the final value is still evaluated
@@ -249,6 +256,48 @@ mod tests {
         assert_eq!(warm.len(), 2);
         assert_eq!(cache.stats().entries, 2, "warm evaluation must not recompile");
         assert!(cache.stats().hits > 0);
+    }
+
+    #[test]
+    fn candidates_past_a_success_are_abandoned() {
+        // Candidate 0 starts near its solution and succeeds from there, after long
+        // enough for the second worker to pick up candidate 1. Candidate 1 holds local
+        // gates only, so it cannot reach the entangling target: every one of its
+        // starts runs LM until it stalls or hits the cap. Raced behind candidate 0 with
+        // 256 starts, it must cost less than 16 of those starts alone — through its
+        // serial starts (two workers) and through a nested multi-start (four).
+        let generator = LayerGenerator::new(&[2, 2], &CouplingGraph::linear(2)).unwrap();
+        let seed_net = generator.seed_network().unwrap();
+        let circuit = generator.circuit_for(&[0]).unwrap();
+        let solution: Vec<f64> = (0..circuit.num_params()).map(|k| 0.3 + 0.1 * k as f64).collect();
+        let target = circuit.unitary::<f64>(&solution).unwrap();
+        let good = Candidate {
+            blocks: vec![0],
+            network: generator.extend_network(&seed_net, 0),
+            warm_start: Some(solution.iter().map(|p| p + 0.3).collect()),
+        };
+        let hopeless = Candidate { blocks: Vec::new(), network: seed_net, warm_start: None };
+        let raced = [good, hopeless];
+        let cache = ExpressionCache::new();
+        let timed = |candidates: &[Candidate], starts: usize, threads: usize| {
+            let config = InstantiateConfig { starts, ..Default::default() };
+            let clock = std::time::Instant::now();
+            let evaluated = evaluate_frontier(&target, candidates, &config, threads, &cache, true);
+            (evaluated, clock.elapsed())
+        };
+        timed(&raced[..1], 1, 1); // warms the cache
+        let (alone, sixteen_starts) = timed(&raced[1..], 16, 1);
+        assert!(alone[0].infidelity > 1e-3, "{alone:?}");
+        for threads in [2, 4] {
+            let (evaluated, elapsed) = timed(&raced, 256, threads);
+            assert_eq!(evaluated.len(), 1, "{evaluated:?}");
+            assert!(evaluated[0].infidelity < 1e-8, "{evaluated:?}");
+            assert!(
+                elapsed < sixteen_starts,
+                "{threads} workers: the raced frontier took {elapsed:?}, 16 hopeless starts \
+                 alone {sixteen_starts:?}"
+            );
+        }
     }
 
     #[test]
