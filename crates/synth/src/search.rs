@@ -262,7 +262,9 @@ pub fn run_search(
     }
 
     let threads = config.effective_threads();
-    let frontier_cfg = config.frontier_instantiate_config();
+    // Most candidates fail, and a failing start's cost flattens long before LM stalls
+    // or hits its cap: stop each run at its plateau, as refine's attempts do.
+    let frontier_cfg = attempt_policy(config.frontier_instantiate_config());
 
     let mut nodes_expanded = 0usize;
 

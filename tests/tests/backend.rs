@@ -116,8 +116,8 @@ fn blocked_tier_reports_workspace_and_larger_memory() {
 fn backend_threads_through_the_whole_stack() {
     // The CNOT compile at the default seed, pinned: parameter and infidelity bits
     // and the chosen blocks.
-    const PARAMS_PIN: u64 = 0x1822_dc7f_9414_9480;
-    const INFIDELITY_BITS: u64 = 0x3cb0_0000_0000_0000;
+    const PARAMS_PIN: u64 = 0x111a_32ec_7bb1_d026;
+    const INFIDELITY_BITS: u64 = 0x0;
     const BLOCKS: &[(usize, usize)] = &[(0, 1)];
     let target = openqudit::circuit::gates::cnot().to_matrix::<f64>(&[]).unwrap();
     let report = Compiler::with_cache(ExpressionCache::new())

@@ -53,6 +53,20 @@ fn same_seed_counter_snapshots_are_byte_identical() {
 }
 
 #[test]
+fn search_runs_stop_at_their_cost_plateau() {
+    // The search's own LM runs, without refine's: a failing start stops once its cost
+    // has flattened, and every start still records exactly one stop reason.
+    let target = gates::cnot().to_matrix::<f64>(&[]).unwrap();
+    let report = Compiler::with_cache(ExpressionCache::new())
+        .add_pass(SynthesisPass)
+        .compile(CompilationTask::new(target, SynthesisConfig::qubits(2)))
+        .unwrap();
+    assert!(report.result.success);
+    assert!(report.metrics.get("lm.stop.plateau").is_some_and(|&n| n > 0), "{:?}", report.metrics);
+    assert_one_stop_per_start(&report);
+}
+
+#[test]
 fn tiers_agree_on_algorithm_counters_and_split_kernel_dispatch() {
     // The CNOT compile's kernel work, pinned: MATMUL and KRON dispatches, the flop
     // estimate summed over its keys, and the evaluation count.
@@ -66,7 +80,7 @@ fn tiers_agree_on_algorithm_counters_and_split_kernel_dispatch() {
         flops,
         metric("tnvm.evaluations"),
     );
-    assert_eq!(totals, (104, 1362, 184_000, 221), "{:?}", report.metrics);
+    assert_eq!(totals, (104, 672, 117_760, 101), "{:?}", report.metrics);
 }
 
 #[test]
