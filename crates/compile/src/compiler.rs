@@ -112,7 +112,7 @@ impl Compiler {
     /// Appends `PartitionPass` followed by the standard sequence.
     #[must_use]
     pub fn partitioned_passes(self) -> Self {
-        self.add_pass(PartitionPass::default()).default_passes()
+        self.add_pass(PartitionPass).default_passes()
     }
 
     /// Appends a pass to the pipeline (builder style).

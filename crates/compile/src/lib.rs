@@ -92,7 +92,7 @@ pub mod verify;
 pub use cancel::{CancelReason, CancelToken};
 pub use compiler::{CompilationReport, Compiler};
 pub use error::CompileError;
-pub use partition::{PartitionConfig, PartitionPass};
+pub use partition::PartitionPass;
 pub use pass::{Pass, PassContext, PassTiming};
 pub use passes::{FoldPass, RefinePass, SynthesisPass, VerifyPass};
 pub use qudit_analyze::VerifyLevel;

@@ -3,20 +3,22 @@
 //! the monolithic search cannot practically reach.
 //!
 //! The qudits are grouped along the coupling graph (deterministic BFS growth, groups
-//! of at most [`PartitionConfig::group_size`] qudits); the coupling edges split into
+//! of at most two qudits); the coupling edges split into
 //! *internal* edges (both endpoints in one group) and *cut* edges (crossing groups).
 //! The pass then instantiates an escalating sequence of partitioned templates — each
 //! round appends one building block per internal edge, then one per cut edge —
 //! warm-starting every round from the previous optimum, until the instantiated
-//! Hilbert–Schmidt infidelity drops below the success threshold. Structure discovery
+//! Hilbert–Schmidt infidelity drops below the success threshold, for at most four
+//! rounds. Structure discovery
 //! is thereby replaced by the partition layout: no search tree over the exponentially
 //! wide candidate space is ever built, which is exactly why this front-end scales
 //! past the A* engine's practical width limit. The sketch is the pass's result; the
 //! ordinary [`RefinePass`](crate::RefinePass) / [`FoldPass`](crate::FoldPass) tail
 //! deletes the blocks it does not need and folds the survivor.
 //!
-//! Narrow targets (width ≤ [`PartitionConfig::max_width`]) skip the pass entirely, so
-//! it composes transparently in front of the standard pipeline.
+//! Narrow targets (three qudits or fewer, the practical reach of the monolithic A*
+//! engine) skip the pass entirely, so it composes transparently in front of the
+//! standard pipeline.
 //!
 //! Every seed derives deterministically from the task configuration and the block
 //! layout, so partitioned compilation inherits the engine's byte-for-byte
@@ -55,38 +57,18 @@ impl EdgeIndex {
 /// Seed salt separating the partitioned rounds' instantiations from every other stage.
 const ROUND_SALT: u64 = 0x9a27_7171_0bed_0005;
 
-/// Configuration of [`PartitionPass`].
-#[derive(Debug, Clone)]
-pub struct PartitionConfig {
-    /// Widths at or below this skip the pass (the plain search handles them);
-    /// wider targets are partitioned. Default 3 — the practical reach of the
-    /// monolithic A* engine.
-    pub max_width: usize,
-    /// Maximum number of qudits per partition group. Default 2.
-    pub group_size: usize,
-    /// Maximum number of escalation rounds (each adds one building block per
-    /// coupling edge). Default 4.
-    pub max_rounds: usize,
-}
+/// Widths at or below this skip the pass: the plain search handles them.
+const MAX_SEARCH_WIDTH: usize = 3;
 
-impl Default for PartitionConfig {
-    fn default() -> Self {
-        PartitionConfig { max_width: 3, group_size: 2, max_rounds: 4 }
-    }
-}
+/// Maximum number of qudits per partition group.
+const GROUP_SIZE: usize = 2;
+
+/// Maximum number of escalation rounds, each adding one block per coupling edge.
+const MAX_ROUNDS: usize = 4;
 
 /// The partitioning front-end pass. See the [module docs](self) for the algorithm.
-#[derive(Debug, Clone, Default)]
-pub struct PartitionPass {
-    config: PartitionConfig,
-}
-
-impl PartitionPass {
-    /// A partition pass with an explicit configuration.
-    pub fn new(config: PartitionConfig) -> Self {
-        PartitionPass { config }
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PartitionPass;
 
 impl Pass for PartitionPass {
     fn name(&self) -> &str {
@@ -103,41 +85,16 @@ impl Pass for PartitionPass {
             return Ok(());
         }
         let n = task.config.radices.len();
-        if n <= self.config.max_width {
+        if n <= MAX_SEARCH_WIDTH {
             task.data.set("partition.skipped_narrow", true);
             return Ok(());
         }
         validate_target(&task.target, &task.config)?;
-
-        // Group the qudits along the coupling graph and classify the edges.
-        let groups = partition_groups(&task.config.coupling, self.config.group_size.max(1));
-        let mut group_of = vec![0usize; n];
-        for (g, members) in groups.iter().enumerate() {
-            for &q in members {
-                group_of[q] = g;
-            }
-        }
-        let mut internal: Vec<(usize, usize)> = Vec::new();
-        let mut cut: Vec<(usize, usize)> = Vec::new();
-        for &(a, b) in task.config.coupling.edges() {
-            if group_of[a] == group_of[b] {
-                internal.push((a, b));
-            } else {
-                cut.push((a, b));
-            }
-        }
-        let round_edges: Vec<(usize, usize)> = internal.iter().chain(cut.iter()).copied().collect();
-        if round_edges.is_empty() {
-            // A single-node or edgeless coupling graph: nothing to partition over.
-            // Degenerate input fails this task with a typed error, never the process.
-            return Err(CompileError::DegenerateCoupling {
-                detail: format!("coupling graph over {n} qudits has no edges to partition over"),
-            });
-        }
+        let Layout { groups, round_edges, cut_edges } = layout(&task.config.coupling)?;
         task.data.set("partition.width", n);
         task.data.set("partition.groups", groups.len());
         task.data.set("partition.groups_layout", format!("{groups:?}"));
-        task.data.set("partition.cut_edges", cut.len());
+        task.data.set("partition.cut_edges", cut_edges);
 
         // Escalating-round sketch instantiation, warm-started round over round.
         let instantiate_base = task.config.frontier_instantiate_config();
@@ -146,7 +103,7 @@ impl Pass for PartitionPass {
         let mut warm: Option<Vec<f64>> = None;
         let mut attempts = 0usize;
         let mut best: Option<(SynthesisResult, usize)> = None;
-        for round in 1..=self.config.max_rounds.max(1) {
+        for round in 1..=MAX_ROUNDS {
             // Cooperative cancellation checkpoint: rounds are the pass's unit of
             // work, so an expired deadline aborts before the next instantiation.
             ctx.checkpoint(&format!("partition:round-{round}"))?;
@@ -186,7 +143,7 @@ impl Pass for PartitionPass {
         }
         let Some((mut result, rounds)) = best else {
             // Defensive: the escalation loop always runs at least one round over a
-            // non-empty edge set, but a future config hole must fail typed, not panic.
+            // non-empty edge set, but a broken invariant must fail typed, not panic.
             return Err(CompileError::DegenerateCoupling {
                 detail: "no escalation round produced a candidate".to_string(),
             });
@@ -198,6 +155,46 @@ impl Pass for PartitionPass {
         task.result = Some(result);
         Ok(())
     }
+}
+
+/// The partition of a coupling graph that every escalation round follows.
+struct Layout {
+    /// The qudit groups, from [`partition_groups`].
+    groups: Vec<Vec<usize>>,
+    /// The blocks one round appends: the internal edges (both endpoints in one
+    /// group), then the cut edges.
+    round_edges: Vec<(usize, usize)>,
+    /// How many of `round_edges` cross groups.
+    cut_edges: usize,
+}
+
+/// Groups the qudits of `coupling` and orders its edges into one round.
+///
+/// # Errors
+///
+/// [`CompileError::DegenerateCoupling`] when the graph has no edges: there is
+/// nothing to partition over, and degenerate input fails its task, never the process.
+fn layout(coupling: &CouplingGraph) -> Result<Layout, CompileError> {
+    let groups = partition_groups(coupling, GROUP_SIZE);
+    let mut group_of = vec![0usize; coupling.num_qudits()];
+    for (g, members) in groups.iter().enumerate() {
+        for &q in members {
+            group_of[q] = g;
+        }
+    }
+    let (mut round_edges, cut): (Vec<_>, Vec<_>) =
+        coupling.edges().iter().copied().partition(|&(a, b)| group_of[a] == group_of[b]);
+    let cut_edges = cut.len();
+    round_edges.extend(cut);
+    if round_edges.is_empty() {
+        return Err(CompileError::DegenerateCoupling {
+            detail: format!(
+                "coupling graph over {} qudits has no edges to partition over",
+                coupling.num_qudits()
+            ),
+        });
+    }
+    Ok(Layout { groups, round_edges, cut_edges })
 }
 
 /// Deterministically partitions the coupling graph's qudits into connected groups of
@@ -256,7 +253,7 @@ mod tests {
         let mut task = CompilationTask::with_radices(target, vec![2, 2]);
         let cache = qudit_qvm::ExpressionCache::new();
         let mut ctx = PassContext::new(&cache);
-        PartitionPass::default().run(&mut task, &mut ctx).unwrap();
+        PartitionPass.run(&mut task, &mut ctx).unwrap();
         assert!(task.result.is_none());
         assert_eq!(task.data.get_bool("partition.skipped_narrow"), Some(true));
     }
@@ -267,7 +264,7 @@ mod tests {
         let mut task = CompilationTask::with_radices(target, vec![2, 2, 2, 2]);
         let cache = qudit_qvm::ExpressionCache::new();
         let mut ctx = PassContext::new(&cache);
-        let err = PartitionPass::default().run(&mut task, &mut ctx).unwrap_err();
+        let err = PartitionPass.run(&mut task, &mut ctx).unwrap_err();
         assert!(matches!(err, CompileError::Synthesis(SynthesisError::InvalidTarget(_))));
     }
 
@@ -281,7 +278,7 @@ mod tests {
         task.config.coupling = CouplingGraph::new(4, [(0, 1), (2, 3)]).unwrap();
         let cache = qudit_qvm::ExpressionCache::new();
         let mut ctx = PassContext::new(&cache);
-        let err = PartitionPass::default().run(&mut task, &mut ctx).unwrap_err();
+        let err = PartitionPass.run(&mut task, &mut ctx).unwrap_err();
         assert!(
             matches!(err, CompileError::Synthesis(SynthesisError::InvalidCoupling(_))),
             "{err:?}"
@@ -293,12 +290,9 @@ mod tests {
     // degenerate input as a typed error.
     #[test]
     fn edgeless_coupling_fails_typed_not_panicking() {
-        let target = qudit_tensor::Matrix::<f64>::identity(2);
-        let mut task = CompilationTask::with_radices(target, vec![2]);
-        let config = PartitionConfig { max_width: 0, ..PartitionConfig::default() };
-        let cache = qudit_qvm::ExpressionCache::new();
-        let mut ctx = PassContext::new(&cache);
-        let err = PartitionPass::new(config).run(&mut task, &mut ctx).unwrap_err();
+        let Err(err) = layout(&CouplingGraph::linear(1)) else {
+            panic!("an edgeless graph has no layout");
+        };
         match err {
             CompileError::DegenerateCoupling { detail } => {
                 assert!(detail.contains("no edges"), "{detail}");
