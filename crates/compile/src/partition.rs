@@ -3,18 +3,18 @@
 //! the monolithic search cannot practically reach.
 //!
 //! The qudits are grouped along the coupling graph (deterministic BFS growth, groups
-//! of at most two qudits); the coupling edges split into
-//! *internal* edges (both endpoints in one group) and *cut* edges (crossing groups).
-//! The pass then instantiates an escalating sequence of partitioned templates — each
-//! round appends one building block per internal edge, then one per cut edge —
-//! warm-starting every round from the previous optimum, until the instantiated
-//! Hilbert–Schmidt infidelity drops below the success threshold, for at most four
-//! rounds. Structure discovery
-//! is thereby replaced by the partition layout: no search tree over the exponentially
-//! wide candidate space is ever built, which is exactly why this front-end scales
-//! past the A* engine's practical width limit. The sketch is the pass's result; the
-//! ordinary [`RefinePass`](crate::RefinePass) / [`FoldPass`](crate::FoldPass) tail
-//! deletes the blocks it does not need and folds the survivor.
+//! of at most two qudits); the coupling edges split into *internal* edges (both
+//! endpoints in one group) and *cut* edges (crossing groups). The pass then
+//! instantiates an escalating sequence of partitioned templates — each round appends
+//! one building block per internal edge, then one per cut edge — warm-starting every
+//! round from the previous optimum, until the instantiated Hilbert–Schmidt
+//! infidelity drops below the success threshold, for at most four rounds. Structure
+//! discovery is thereby replaced by the partition layout: no search tree over the
+//! exponentially wide candidate space is ever built, which is exactly why this
+//! front-end scales past the A* engine's practical width limit. The sketch is the
+//! pass's result; the ordinary [`RefinePass`](crate::RefinePass) /
+//! [`FoldPass`](crate::FoldPass) tail deletes the blocks it does not need and folds
+//! the survivor.
 //!
 //! Narrow targets (three qudits or fewer, the practical reach of the monolithic A*
 //! engine) skip the pass entirely, so it composes transparently in front of the
