@@ -264,7 +264,7 @@ mod tests {
         // enough for the second worker to pick up candidate 1. Candidate 1 holds local
         // gates only, so it cannot reach the entangling target: every one of its
         // starts runs LM until it stalls or hits the cap. Raced behind candidate 0 with
-        // 256 starts, it must cost less than 16 of those starts alone — through its
+        // 1,024 starts, it must cost less than 64 of those starts alone — through its
         // serial starts (two workers) and through a nested multi-start (four).
         let generator = LayerGenerator::new(&[2, 2], &CouplingGraph::linear(2)).unwrap();
         let seed_net = generator.seed_network().unwrap();
@@ -286,16 +286,16 @@ mod tests {
             (evaluated, clock.elapsed())
         };
         timed(&raced[..1], 1, 1); // warms the cache
-        let (alone, sixteen_starts) = timed(&raced[1..], 16, 1);
+        let (alone, alone_elapsed) = timed(&raced[1..], 64, 1);
         assert!(alone[0].infidelity > 1e-3, "{alone:?}");
         for threads in [2, 4] {
-            let (evaluated, elapsed) = timed(&raced, 256, threads);
+            let (evaluated, elapsed) = timed(&raced, 1024, threads);
             assert_eq!(evaluated.len(), 1, "{evaluated:?}");
             assert!(evaluated[0].infidelity < 1e-8, "{evaluated:?}");
             assert!(
-                elapsed < sixteen_starts,
-                "{threads} workers: the raced frontier took {elapsed:?}, 16 hopeless starts \
-                 alone {sixteen_starts:?}"
+                elapsed < alone_elapsed,
+                "{threads} workers: the raced frontier took {elapsed:?}, 64 hopeless starts \
+                 alone {alone_elapsed:?}"
             );
         }
     }
