@@ -98,12 +98,14 @@
 //! registers the embedded controlled-shift entangler for the qubit–qutrit edge, and
 //! ququart (radix-4) systems draw on the registered `QuquartU`/`CSUM4` pair.
 
+pub mod bound;
 pub mod frontier;
 pub mod layers;
 pub mod refine;
 pub mod search;
 pub mod topology;
 
+pub use bound::{entangler_rank, CutBound};
 pub use frontier::{candidate_seed, evaluate_frontier, Candidate, EvaluatedCandidate};
 pub use layers::LayerGenerator;
 pub use qudit_circuit::GateSet;

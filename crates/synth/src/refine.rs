@@ -8,22 +8,27 @@
 //! (seeds 7, 11, 13, 17 and 19: 400 narrow and 40 wide targets), that win is
 //! concentrated: 16 of 1,232 deletion attempts held, all on the three wide
 //! partitioned sketches that escalated to four rounds, and none on a search result
-//! or a two-round sketch. So every attempt is kept cheap:
+//! or a two-round sketch. So every attempt is kept cheap, and most are not run:
 //!
-//! 1. **Detect** blocks whose instantiated sub-unitary is within tolerance of a
-//!    non-entangling operation (its entangling content is the identity): the dominant
-//!    operator-Schmidt weight of the block unitary across the pair cut, computed by a
-//!    deterministic power iteration — no external SVD needed.
-//! 2. **Delete speculatively** — the near-identity set as one greedy batch first, then
-//!    blocks one at a time (near-identity first, every block eventually) — rebuilding
-//!    the smaller template via [`qudit_circuit::builders::delete_pqc_block`] (shape-
+//! 1. **Rank** the blocks by their entangling residual: the dominant
+//!    operator-Schmidt weight deficit of the block's instantiated sub-unitary across
+//!    its pair cut, computed by a deterministic power iteration. On the default gate
+//!    sets every entangler is constant and every block ties at its entangler's
+//!    residual; the ranking orders attempts when an entangler has parameters.
+//! 2. **Certify** each deletion before running it: when the surviving blocks' cut
+//!    bound ([`CutBound`]) proves that no parameter vector reaches the threshold, the
+//!    attempt is skipped and counted as `refine.attempts.certified`. A failed attempt
+//!    leaves refine's state unchanged and every attempt's seed derives from its
+//!    surviving blocks, so a skip changes no result bit.
+//! 3. **Delete speculatively**, one block at a time in rank order, rebuilding the
+//!    smaller template via [`qudit_circuit::builders::delete_pqc_block`] (shape-
 //!    checked against [`LayerGenerator::circuit_for`]) and re-instantiating through
 //!    [`qudit_optimize::instantiate_circuit_mapped`] from the surviving parameters.
 //!    Each attempt is one LM run from that warm start, stopped once its cost has
 //!    flattened ([`LmConfig::plateau_window`]); only a near miss, within the square
 //!    root of the success threshold, pays for random restarts. A deletion is kept
 //!    only when the re-instantiated infidelity stays under the success threshold.
-//! 3. **Fold constants**: parameters that landed on symbolic constants (0, ±π/2, ±π,
+//! 4. **Fold constants**: parameters that landed on symbolic constants (0, ±π/2, ±π,
 //!    ±2π) are snapped via the `qudit-egraph` [`fold`] entry point,
 //!    the substituted gate expressions are e-graph-simplified to verify the fold, and
 //!    the snapped vector is accepted only if the circuit still meets the threshold.
@@ -33,8 +38,8 @@
 //! schedule-independent, so refinement preserves the engine's reproducibility
 //! guarantee.
 //!
-//! The two stages are exposed separately — [`refine_deletions`] (steps 1–2) and
-//! [`fold_constants`] (step 3, which also *constifies* fully-snapped parameterized
+//! The two stages are exposed separately — [`refine_deletions`] (steps 1–3) and
+//! [`fold_constants`] (step 4, which also *constifies* fully-snapped parameterized
 //! gates into constant gate applications) — and only the `qudit-compile` pass
 //! pipeline composes them, so it can schedule, time, and replace each on its own.
 
@@ -47,6 +52,7 @@ use qudit_optimize::{
 use qudit_qvm::ExpressionCache;
 use qudit_tensor::{Matrix, C64};
 
+use crate::bound::CutBound;
 use crate::frontier::candidate_seed;
 use crate::layers::LayerGenerator;
 use crate::search::SynthesisResult;
@@ -56,9 +62,6 @@ use crate::SynthesisError;
 /// Configuration of the refinement pass.
 #[derive(Debug, Clone)]
 pub struct RefineConfig {
-    /// Entangling-residual tolerance below which a block counts as near-identity and
-    /// joins the greedy deletion batch (0 disables the batch, leaving only the scan).
-    pub identity_threshold: f64,
     /// Infidelity bound a deletion must preserve.
     pub success_threshold: f64,
     /// Per-attempt instantiation settings (the warm start is managed by the pass).
@@ -82,7 +85,6 @@ pub struct RefineConfig {
 impl Default for RefineConfig {
     fn default() -> Self {
         RefineConfig {
-            identity_threshold: 1e-3,
             success_threshold: SUCCESS_THRESHOLD,
             instantiate: attempt_policy(InstantiateConfig { starts: 4, ..Default::default() }),
             seed: 0,
@@ -231,30 +233,19 @@ impl Refiner<'_> {
             .collect()
     }
 
-    /// Attempts to delete the given blocks (indices into `state.edges`, any order):
-    /// rebuilds the smaller template, projects the surviving parameters through the
-    /// deletion's exact mapping, and re-instantiates warm-started. Returns the new
-    /// state when the re-instantiated infidelity stays under the success threshold.
-    fn attempt_deletion(&self, state: &State, delete: &[usize]) -> Option<State> {
+    /// Attempts to delete block `block` (an index into `state.edges`, whose other
+    /// blocks are `edges`): rebuilds the
+    /// smaller template, projects the surviving parameters through the deletion's
+    /// exact mapping, and re-instantiates warm-started. Returns the new state when the
+    /// re-instantiated infidelity stays under the success threshold.
+    fn attempt_deletion(
+        &self,
+        state: &State,
+        block: usize,
+        edges: Vec<(usize, usize)>,
+    ) -> Option<State> {
         let mut trial = state.circuit.clone();
-        let mut mapping: Option<Vec<usize>> = None;
-        let mut sorted = delete.to_vec();
-        sorted.sort_unstable();
-        for &block in sorted.iter().rev() {
-            let step = builders::delete_pqc_block(&mut trial, block).ok()?;
-            mapping = Some(match mapping {
-                None => step,
-                Some(previous) => step.into_iter().map(|idx| previous[idx]).collect(),
-            });
-        }
-        let mapping = mapping?;
-        let edges: Vec<(usize, usize)> = state
-            .edges
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !sorted.contains(i))
-            .map(|(_, &e)| e)
-            .collect();
+        let mapping = builders::delete_pqc_block(&mut trial, block).ok()?;
         // The in-place deletion must agree with a from-scratch rebuild of the
         // surviving template (LayerGenerator::circuit_for → pqc_template).
         debug_assert_eq!(
@@ -323,10 +314,11 @@ impl Refiner<'_> {
     }
 }
 
-/// The gate-deletion stage of refinement: speculatively deletes entangling blocks
-/// (greedy near-identity batch first, then one at a time) and warm-start
-/// re-instantiates the shrunken template, keeping a deletion only when the infidelity
-/// stays under the success threshold. Does **not** fold constants — that is
+/// The gate-deletion stage of refinement: speculatively deletes entangling blocks one
+/// at a time and warm-start re-instantiates the shrunken template, keeping a deletion
+/// only when the infidelity stays under the success threshold. An attempt whose
+/// surviving blocks the target's cut bound ([`CutBound`]) certifies hopeless is
+/// skipped without an LM run. Does **not** fold constants — that is
 /// [`fold_constants`]' job. Unsuccessful results (infidelity at or above the
 /// configured threshold) are returned unchanged — there is no baseline to validate
 /// deletions against.
@@ -410,7 +402,8 @@ pub fn refine_deletions(
         params: result.params.clone(),
         infidelity: result.infidelity,
     };
-    let (mut attempts, mut accepted, mut blocks_deleted) = (0u64, 0u64, 0usize);
+    let (mut attempts, mut accepted, mut certified, mut blocks_deleted) =
+        (0u64, 0u64, 0u64, 0usize);
 
     if !state.edges.is_empty() {
         let coupling = CouplingGraph::new(n, state.edges.iter().copied())?;
@@ -427,35 +420,28 @@ pub fn refine_deletions(
             generator: LayerGenerator::with_gate_set(&radices, &coupling, gate_set)?,
         };
 
+        let bound =
+            CutBound::new(target, &radices, refiner.generator.gate_set(), config.success_threshold);
         loop {
             // Rank blocks by how little entanglement they contribute; the most
             // identity-like blocks are the best deletion candidates.
             let mut ranked = refiner.residuals(&state)?;
             ranked.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-            let near: Vec<usize> = ranked
-                .iter()
-                .filter(|&&(_, residual)| residual <= config.identity_threshold)
-                .map(|&(i, _)| i)
-                .collect();
-
-            // Greedily batch the whole near-identity set first: when several blocks
-            // collapsed to (almost) local operations, one re-instantiation usually
-            // absorbs them all.
-            if near.len() >= 2 {
-                attempts += 1;
-                if let Some(next) = refiner.attempt_deletion(&state, &near) {
-                    accepted += 1;
-                    blocks_deleted += near.len();
-                    state = next;
-                    continue;
-                }
-            }
-
-            // Otherwise one block at a time, most identity-like first.
             let mut deleted = false;
             for &(block, _) in &ranked {
                 attempts += 1;
-                if let Some(next) = refiner.attempt_deletion(&state, &[block]) {
+                let edges: Vec<(usize, usize)> = state
+                    .edges
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| i != block)
+                    .map(|(_, &e)| e)
+                    .collect();
+                if bound.certifies(&edges) {
+                    certified += 1;
+                    continue;
+                }
+                if let Some(next) = refiner.attempt_deletion(&state, block, edges) {
                     accepted += 1;
                     blocks_deleted += 1;
                     state = next;
@@ -479,6 +465,7 @@ pub fn refine_deletions(
     if attempts > 0 {
         trace.add("refine.attempts", attempts);
         trace.add("refine.attempts.accepted", accepted);
+        trace.add("refine.attempts.certified", certified);
     }
     if blocks_deleted > 0 {
         trace.add("refine.blocks_deleted", blocks_deleted as u64);

@@ -124,7 +124,6 @@ impl SynthesisConfig {
             seed: instantiate.seed ^ 0xcafe_f00d_5eed_0001,
             instantiate: attempt_policy(instantiate),
             gate_set: Some(self.gate_set.clone()),
-            ..RefineConfig::default()
         }
     }
 

@@ -10,7 +10,10 @@
 //!   network virtual machine needs (GEMM, Kronecker product, Hadamard product,
 //!   conjugate transpose, Hilbert–Schmidt inner products, unitarity checks),
 //! * [`Tensor`] — a dense complex tensor with shape/stride metadata and the
-//!   reshape–permute–reshape machinery used by the TTGT contraction strategy.
+//!   reshape–permute–reshape machinery used by the TTGT contraction strategy,
+//! * [`spectrum`] — a deterministic cyclic-Jacobi Hermitian eigensolver and the
+//!   operator-Schmidt spectrum of an operator across a cut of its qudits, which the
+//!   synthesis engine's infidelity lower bound reads.
 //!
 //! # Example
 //!
@@ -30,6 +33,7 @@ pub mod gemm;
 pub mod kron;
 pub mod matrix;
 pub mod permute;
+pub mod spectrum;
 pub mod tensor;
 
 pub use complex::{Complex, Float, C32, C64};

@@ -67,9 +67,10 @@ fn refine_shrinks_an_over_deep_two_qubit_template() {
 #[test]
 fn refine_shrinks_an_over_deep_mixed_radix_template() {
     // A qubit–qutrit target reachable at one (2, 3) block, instantiated on a padded
-    // two-block template: the padded block collapses to near-identity, refinement
-    // must delete it, and the warm-start re-instantiation of the shrunken template
-    // must stay under the success threshold.
+    // two-block template. Neither block collapses to near-identity, since a block
+    // keeps its constant CSHIFT23 entangler's Schmidt weights; but one block
+    // suffices, so refinement must delete one, and the warm-start re-instantiation of
+    // the shrunken template must stay under the success threshold.
     let cache = ExpressionCache::new();
     let lean = builders::pqc_template(&[2, 3], &[(0, 1)]).unwrap();
     let target = reachable_target(&lean, 2033);
@@ -114,8 +115,16 @@ fn refine_never_touches_a_minimal_cnot_result() {
     let target = openqudit::circuit::gates::cnot().to_matrix::<f64>(&[]).unwrap();
     let minimal = instantiated_result(&[2, 2], &[(0, 1)], &target, &cache, 4);
 
-    let refined = refine_deletions(&minimal, &target, &RefineConfig::default(), &cache).unwrap();
+    let mut config = RefineConfig::default();
+    config.instantiate.trace = TraceRegistry::new();
+    let refined = refine_deletions(&minimal, &target, &config, &cache).unwrap();
     assert_eq!(refined.blocks_deleted, 0, "a CNOT cannot be synthesized without its block");
+    // Deleting the only block leaves locals alone, which the cut bound certifies
+    // hopeless (1 − 1/√2 above the CNOT): the attempt is counted, never instantiated.
+    let metrics = config.instantiate.trace.counters();
+    assert_eq!(metrics.get("refine.attempts"), Some(&1), "{metrics:?}");
+    assert_eq!(metrics.get("refine.attempts.certified"), Some(&1), "{metrics:?}");
+    assert_eq!(metrics.get("instantiate.calls"), None, "{metrics:?}");
     assert_eq!(refined.blocks, minimal.blocks);
     assert_eq!(refined.circuit.num_ops(), minimal.circuit.num_ops());
     assert_eq!(refined.circuit.num_params(), minimal.circuit.num_params());

@@ -80,7 +80,7 @@ fn tiers_agree_on_algorithm_counters_and_split_kernel_dispatch() {
         flops,
         metric("tnvm.evaluations"),
     );
-    assert_eq!(totals, (104, 672, 117_760, 101), "{:?}", report.metrics);
+    assert_eq!(totals, (104, 572, 108_160, 85), "{:?}", report.metrics);
 }
 
 #[test]
