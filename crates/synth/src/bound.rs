@@ -65,7 +65,7 @@ impl CutBound {
     /// Computes the target's spectrum across every cut whose smaller side has
     /// dimension at most [`MAX_SIDE_DIM`], and the ranks of `gate_set`'s
     /// entanglers. `success_threshold` sets the level above which
-    /// [`CutBound::certifies`] holds.
+    /// [`CutBound::certify`] certifies a template.
     ///
     /// # Panics
     ///
@@ -120,10 +120,11 @@ impl CutBound {
             .fold(0.0, f64::max)
     }
 
-    /// Whether no parameter vector can bring a template with blocks on `edges` to the
-    /// success threshold: its [`bound`](CutBound::bound) exceeds 100× the threshold.
-    pub fn certifies(&self, edges: &[(usize, usize)]) -> bool {
-        self.bound(edges) > self.certify_above
+    /// The template's [`bound`](CutBound::bound) when it certifies that no parameter
+    /// vector brings a template with blocks on `edges` to the success threshold: when
+    /// it exceeds 100× the threshold.
+    pub fn certify(&self, edges: &[(usize, usize)]) -> Option<f64> {
+        Some(self.bound(edges)).filter(|&bound| bound > self.certify_above)
     }
 
     /// The rank of the entangler on qudits `a` and `b`, or the largest any two-qudit
@@ -216,7 +217,7 @@ mod tests {
         assert!((bound.bound(&[]) - hopeless).abs() < 1e-12);
         assert!((bound.bound(&[(0, 1)]) - hopeless).abs() < 1e-12);
         assert!(bound.bound(&[(1, 2)]) < 1e-12);
-        assert!(bound.certifies(&[(0, 1)]));
-        assert!(!bound.certifies(&[(2, 1)]));
+        assert_eq!(bound.certify(&[(0, 1)]), Some(bound.bound(&[(0, 1)])));
+        assert_eq!(bound.certify(&[(2, 1)]), None);
     }
 }

@@ -437,7 +437,7 @@ pub fn refine_deletions(
                     .filter(|&(i, _)| i != block)
                     .map(|(_, &e)| e)
                     .collect();
-                if bound.certifies(&edges) {
+                if bound.certify(&edges).is_some() {
                     certified += 1;
                     continue;
                 }

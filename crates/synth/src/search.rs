@@ -7,6 +7,10 @@
 //! as a child's instantiated Hilbert–Schmidt infidelity drops below the success
 //! threshold. The open list is pruned to `beam_width` nodes, turning plain A* into a
 //! beam search for large topologies.
+//!
+//! A node whose template the target's cut bound ([`CutBound`]) certifies hopeless is
+//! not instantiated. It enters the open list ranked by its bound, which never exceeds
+//! its infidelity, and its children start cold with twice the configured starts.
 
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
@@ -17,6 +21,7 @@ use qudit_qvm::{CompileOptions, ExpressionCache};
 use qudit_tensor::Matrix;
 use qudit_trace::TraceRegistry;
 
+use crate::bound::CutBound;
 use crate::frontier::{evaluate_frontier, Candidate, EvaluatedCandidate};
 use crate::layers::LayerGenerator;
 use crate::refine::{attempt_policy, FoldConfig, RefineConfig};
@@ -143,7 +148,9 @@ pub struct SynthesisResult {
     pub params: Vec<f64>,
     /// The Hilbert–Schmidt infidelity of `circuit(params)` against the target.
     pub infidelity: f64,
-    /// Number of candidate circuits instantiated during the search.
+    /// Number of candidate circuits the search visited, the root included. A visited
+    /// candidate is either instantiated or certified hopeless by the target's cut
+    /// bound ([`CutBound`]), which ranks it without an LM run.
     pub nodes_expanded: usize,
     /// The coupling-edge pairs of the chosen blocks, in circuit order.
     pub blocks: Vec<(usize, usize)>,
@@ -163,12 +170,17 @@ pub struct SynthesisResult {
     pub gates_constified: usize,
 }
 
+/// How many times the configured starts a child of a certified node runs with: it
+/// has no warm start, because its parent spent none.
+const COLD_START_FACTOR: usize = 2;
+
 /// One open-list entry. Ordered so that `BinaryHeap` pops the lowest `f` first, with
-/// deterministic tie-breaking on depth and then block sequence.
+/// deterministic tie-breaking on depth and then block sequence. A certified node has
+/// no parameters: its `f` comes from its bound, and its children start cold.
 struct OpenNode {
     f: f64,
     blocks: Vec<usize>,
-    params: Vec<f64>,
+    params: Option<Vec<f64>>,
     network: qudit_network::TensorNetwork,
 }
 
@@ -264,18 +276,13 @@ pub fn run_search(
     // Most candidates fail, and a failing start's cost flattens long before LM stalls
     // or hits its cap: stop each run at its plateau, as refine's attempts do.
     let frontier_cfg = attempt_policy(config.frontier_instantiate_config());
-
-    let mut nodes_expanded = 0usize;
-
-    // Evaluate the root (local gates only) first: single-qudit-equivalent targets
-    // synthesize without any entangler.
-    let root_candidate =
-        Candidate { blocks: Vec::new(), network: seed_network.clone(), warm_start: None };
-    let root = evaluate_frontier(target, &[root_candidate], &frontier_cfg, 1, cache, false)
-        .pop()
-        .expect("root evaluation always returns");
-    nodes_expanded += 1;
-    trace.add("search.nodes_expanded", 1);
+    // A child of a certified node has no warm start: it gets the starts its parent
+    // did not spend.
+    let cold_cfg = InstantiateConfig {
+        starts: COLD_START_FACTOR * frontier_cfg.starts,
+        ..frontier_cfg.clone()
+    };
+    let bound = CutBound::new(target, &config.radices, gate_set, config.success_threshold);
 
     let finish = |best: &EvaluatedCandidate, nodes_expanded: usize| {
         let circuit = generator.circuit_for(&best.blocks)?;
@@ -292,19 +299,49 @@ pub fn run_search(
             gates_constified: 0,
         })
     };
+    let visit = |visited: usize, certified: usize| {
+        trace.add("search.nodes_expanded", visited as u64);
+        if certified > 0 {
+            trace.add("search.nodes_certified", certified as u64);
+        }
+    };
 
-    if root.infidelity < config.success_threshold {
-        return finish(&root, nodes_expanded);
-    }
-
-    let mut best = root.clone();
+    // Evaluate the root (local gates only) first: single-qudit-equivalent targets
+    // synthesize without any entangler. A certified node, the root included, is
+    // never instantiated: it is ranked by its bound, which never exceeds its
+    // infidelity, and expanded as usual.
+    let mut nodes_expanded = 1usize;
     let mut open: BinaryHeap<OpenNode> = BinaryHeap::new();
-    open.push(OpenNode {
-        f: heuristic(root.infidelity, 0, config.block_weight),
-        blocks: root.blocks,
-        params: root.params,
-        network: seed_network,
-    });
+    // The best instantiated node, and the least hopeless certified one.
+    let mut best: Option<EvaluatedCandidate> = None;
+    let mut best_certified: Option<(f64, Vec<usize>)> = None;
+    if let Some(root_bound) = bound.certify(&[]) {
+        visit(1, 1);
+        best_certified = Some((root_bound, Vec::new()));
+        open.push(OpenNode {
+            f: heuristic(root_bound, 0, config.block_weight),
+            blocks: Vec::new(),
+            params: None,
+            network: seed_network.clone(),
+        });
+    } else {
+        let root_candidate =
+            Candidate { blocks: Vec::new(), network: seed_network.clone(), warm_start: None };
+        let root = evaluate_frontier(target, &[root_candidate], &frontier_cfg, 1, cache, false)
+            .pop()
+            .expect("root evaluation always returns");
+        visit(1, 0);
+        if root.infidelity < config.success_threshold {
+            return finish(&root, nodes_expanded);
+        }
+        open.push(OpenNode {
+            f: heuristic(root.infidelity, 0, config.block_weight),
+            blocks: root.blocks.clone(),
+            params: Some(root.params.clone()),
+            network: seed_network.clone(),
+        });
+        best = Some(root);
+    }
 
     while let Some(node) = open.pop() {
         if nodes_expanded >= config.max_nodes {
@@ -313,26 +350,45 @@ pub fn run_search(
         if node.blocks.len() >= config.max_blocks {
             continue;
         }
-        // Generate and evaluate every one-block expansion of this node in parallel.
-        let candidates: Vec<Candidate> = generator
+        // Generate every one-block expansion of this node, set the certified ones
+        // aside, and evaluate the rest in parallel.
+        let mut certified = Vec::new();
+        let mut indices = Vec::new();
+        let mut candidates = Vec::new();
+        for (index, blocks) in generator
             .expansions(&node.blocks)
             .into_iter()
-            .map(|blocks| {
-                let edge = *blocks.last().expect("expansions append one block");
-                Candidate {
-                    network: generator.extend_network(&node.network, edge),
-                    warm_start: Some(node.params.clone()),
-                    blocks,
-                }
-            })
             .take(config.max_nodes.saturating_sub(nodes_expanded))
-            .collect();
-        if candidates.is_empty() {
+            .enumerate()
+        {
+            let edge = *blocks.last().expect("expansions append one block");
+            let network = generator.extend_network(&node.network, edge);
+            match bound.certify(&generator.edges_of(&blocks)) {
+                Some(child_bound) => certified.push((index, child_bound, blocks, network)),
+                None => {
+                    indices.push(index);
+                    candidates.push(Candidate { blocks, network, warm_start: node.params.clone() });
+                }
+            }
+        }
+        if certified.is_empty() && candidates.is_empty() {
             break;
         }
-        let evaluated = evaluate_frontier(target, &candidates, &frontier_cfg, threads, cache, true);
-        nodes_expanded += evaluated.len();
-        trace.add("search.nodes_expanded", evaluated.len() as u64);
+        let instantiate = if node.params.is_some() { &frontier_cfg } else { &cold_cfg };
+        let evaluated = if candidates.is_empty() {
+            Vec::new()
+        } else {
+            evaluate_frontier(target, &candidates, instantiate, threads, cache, true)
+        };
+        // The frontier stops at its lowest-indexed success; a certified sibling past
+        // that success is not visited either.
+        let succeeded = evaluated.iter().any(|child| child.infidelity < config.success_threshold);
+        if succeeded {
+            let cutoff = indices[evaluated.len() - 1];
+            certified.retain(|(index, ..)| *index < cutoff);
+        }
+        nodes_expanded += evaluated.len() + certified.len();
+        visit(evaluated.len() + certified.len(), certified.len());
 
         // Deterministic winner selection: the frontier's evaluated set is itself
         // schedule-independent (see `evaluate_frontier`), and when several candidates
@@ -350,8 +406,14 @@ pub fn run_search(
         // approximation it evaluated, not the one the gate-count-penalized heuristic
         // happens to prefer.
         for child in &evaluated {
-            if infidelity_order(child, &best) == CmpOrdering::Less {
-                best = child.clone();
+            if best.as_ref().is_none_or(|best| infidelity_order(child, best) == CmpOrdering::Less) {
+                best = Some(child.clone());
+            }
+        }
+        for (_, child_bound, blocks, _) in &certified {
+            let key = (*child_bound, blocks.len(), blocks);
+            if best_certified.as_ref().is_none_or(|(b, least)| key < (*b, least.len(), least)) {
+                best_certified = Some((*child_bound, blocks.clone()));
             }
         }
 
@@ -369,7 +431,15 @@ pub fn run_search(
                 f: heuristic(child.infidelity, child.blocks.len(), config.block_weight),
                 network,
                 blocks: child.blocks,
-                params: child.params,
+                params: Some(child.params),
+            });
+        }
+        for (_, child_bound, blocks, network) in certified {
+            open.push(OpenNode {
+                f: heuristic(child_bound, blocks.len(), config.block_weight),
+                network,
+                blocks,
+                params: None,
             });
         }
 
@@ -384,6 +454,21 @@ pub fn run_search(
         }
     }
 
+    // A failed search reports a fitted infidelity, never a bound: when every node it
+    // visited was certified, it instantiates the least hopeless one.
+    let best = match best {
+        Some(best) => best,
+        None => {
+            let (_, blocks) = best_certified.expect("the root is always visited");
+            let network = blocks
+                .iter()
+                .fold(seed_network, |network, &edge| generator.extend_network(&network, edge));
+            let candidate = Candidate { blocks, network, warm_start: None };
+            evaluate_frontier(target, &[candidate], &cold_cfg, threads, cache, false)
+                .pop()
+                .expect("a one-candidate frontier always returns")
+        }
+    };
     finish(&best, nodes_expanded)
 }
 
@@ -512,10 +597,22 @@ mod tests {
         config.max_blocks = 1;
         config.max_nodes = 8;
         config.instantiate.starts = 1;
+        config.trace = TraceRegistry::new();
         let result = search(&target, &config).unwrap();
         assert!(!result.success);
         assert!(result.infidelity > 1e-3);
         assert!(result.nodes_expanded <= 8);
+        // The cut bound certifies every node the search visits, so the search fits
+        // just one of them at the end: the result's infidelity is that fit's, and its
+        // parameters reproduce it on its circuit.
+        let metrics = config.trace.counters();
+        let visited = Some(result.nodes_expanded as u64);
+        assert_eq!(metrics.get("search.nodes_certified").copied(), visited, "{metrics:?}");
+        assert_eq!(metrics.get("instantiate.calls"), Some(&1), "{metrics:?}");
+        assert_eq!(result.params.len(), result.circuit.num_params());
+        let unitary = result.circuit.unitary::<f64>(&result.params).unwrap();
+        let refit = qudit_optimize::hs_infidelity(&target, &unitary);
+        assert!((refit - result.infidelity).abs() < 1e-12, "{refit} vs {}", result.infidelity);
     }
 
     #[test]

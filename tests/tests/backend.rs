@@ -116,7 +116,7 @@ fn blocked_tier_reports_workspace_and_larger_memory() {
 fn backend_threads_through_the_whole_stack() {
     // The CNOT compile at the default seed, pinned: parameter and infidelity bits
     // and the chosen blocks.
-    const PARAMS_PIN: u64 = 0x111a_32ec_7bb1_d026;
+    const PARAMS_PIN: u64 = 0xb148_2d44_63a2_9e13;
     const INFIDELITY_BITS: u64 = 0x0;
     const BLOCKS: &[(usize, usize)] = &[(0, 1)];
     let target = openqudit::circuit::gates::cnot().to_matrix::<f64>(&[]).unwrap();

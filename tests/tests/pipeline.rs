@@ -139,7 +139,7 @@ type CompilePin = (&'static [(usize, usize)], u64, usize, usize, usize, usize, O
 
 /// The seed-404 3-qubit compile through `Compiler::default_passes`.
 const DEFAULT_PIPELINE_PIN: CompilePin =
-    (&[(0, 1), (1, 2)], 0xb04209d09c4fdf63, 9, 0, 0, 0, Some(0x3ca0000000000000));
+    (&[(0, 1), (1, 2)], 0x866fa7cb81571f4a, 5, 0, 0, 0, Some(0x0000000000000000));
 
 #[test]
 fn default_pipeline_matches_its_pinned_result() {

@@ -55,8 +55,11 @@ fn same_seed_counter_snapshots_are_byte_identical() {
 #[test]
 fn search_runs_stop_at_their_cost_plateau() {
     // The search's own LM runs, without refine's: a failing start stops once its cost
-    // has flattened, and every start still records exactly one stop reason.
-    let target = gates::cnot().to_matrix::<f64>(&[]).unwrap();
+    // has flattened, and every start still records exactly one stop reason. The
+    // target needs three CNOTs. Two already reach full Schmidt rank, so the cut bound
+    // passes the depth-2 nodes, yet no parameter vector fits them: their starts fail.
+    let template = builders::pqc_template(&[2, 2], &[(0, 1); 3]).unwrap();
+    let target = reachable_target(&template, 7);
     let report = Compiler::with_cache(ExpressionCache::new())
         .add_pass(SynthesisPass)
         .compile(CompilationTask::new(target, SynthesisConfig::qubits(2)))
@@ -80,7 +83,7 @@ fn tiers_agree_on_algorithm_counters_and_split_kernel_dispatch() {
         flops,
         metric("tnvm.evaluations"),
     );
-    assert_eq!(totals, (104, 572, 108_160, 85), "{:?}", report.metrics);
+    assert_eq!(totals, (64, 46, 37_184, 5), "{:?}", report.metrics);
 }
 
 #[test]
