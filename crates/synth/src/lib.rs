@@ -17,15 +17,20 @@
 //! * [`layers`] — [`LayerGenerator`]: expands a candidate by one two-qudit building
 //!   block (the pair's registered entangler + the per-wire registered locals) along a
 //!   coupling edge, incrementally extending both the circuit and its tensor network,
+//! * [`bound`] — [`CutBound`]: a lower bound on a template's infidelity at every
+//!   parameter vector, from the target's operator-Schmidt spectra across small qudit
+//!   cuts and the ranks of the template's crossing entanglers. A template whose bound
+//!   exceeds 100× the success threshold is *certified* hopeless, and no LM run is
+//!   spent on it,
 //! * [`search`] / [`frontier`] — an A*/beam search whose cost combines instantiated
-//!   Hilbert–Schmidt infidelity with gate count, evaluating all candidate expansions
-//!   of a node concurrently (one TNVM per worker, re-targeted in place per candidate,
-//!   all sharing one expression cache), and exiting as soon as a candidate drops below
-//!   the success threshold,
-//! * [`refine`](mod@refine) — a post-synthesis pass over the successful result: entangling blocks
-//!   whose instantiated sub-unitary carries (near-)zero entangling content are
-//!   speculatively deleted — greedily batched, then one at a time — with the shrunken
-//!   template warm-start re-instantiated through exact parameter mappings, and
+//!   Hilbert–Schmidt infidelity with gate count, evaluating all uncertified candidate
+//!   expansions of a node concurrently (one TNVM per worker, re-targeted in place per
+//!   candidate, all sharing one expression cache), ranking certified ones by their
+//!   bound, and exiting as soon as a candidate drops below the success threshold,
+//! * [`refine`](mod@refine) — a post-synthesis pass over the successful result:
+//!   entangling blocks are speculatively deleted one at a time, in order of their
+//!   entangling residual, with the shrunken template warm-start re-instantiated
+//!   through exact parameter mappings unless the cut bound certifies it hopeless, and
 //!   parameters that landed on symbolic constants (0, ±π/2, ±π, ±2π) are snapped and
 //!   e-graph constant-folded. A deletion is kept only when the re-instantiated
 //!   infidelity stays under the success threshold. The two stages
@@ -47,7 +52,9 @@
 //!   lowest successful *candidate index*, and the search then picks the winner by the
 //!   total order `(f, blocks.len(), blocks)` — the same order the open list uses;
 //! * the refinement pass orders deletion attempts by a deterministic entangling
-//!   residual and seeds each re-instantiation from the surviving block sequence.
+//!   residual and seeds each re-instantiation from the surviving block sequence;
+//! * the cut bound's spectra come from a cyclic-Jacobi eigensolver with a fixed pivot
+//!   order, so which nodes and attempts are certified is deterministic too.
 //!
 //! # Example
 //!
