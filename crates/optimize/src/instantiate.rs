@@ -466,22 +466,28 @@ pub fn instantiate_circuit(
     }
     let network = TensorNetwork::from_circuit(circuit);
     let program = compile_network(&network);
-    // Warm the cache serially first: `get_or_compile` compiles outside its lock, so a
-    // cold cache hit by N workers at once would compile the same expression N times.
-    // The prewarm's lookup outcomes are deterministic (serial, fixed expression list),
-    // so they are counted directly.
+    warm_cache(&program, cache).record_into(&config.trace);
+    instantiate_parallel(|| TnvmEvaluator::from_program(&program, cache), target, config)
+}
+
+/// Compiles every expression of `program` that `cache` lacks, serially, and counts
+/// the lookups' hits and misses. Call it before workers build evaluators of one
+/// program at once: `get_or_compile` compiles outside its lock, so a cold cache hit by
+/// N workers at once would compile the same expression N times, and whether each of
+/// their lookups hits would depend on timing. The serial lookups' outcomes are
+/// deterministic (fixed expression list), so they can be counted directly.
+pub fn warm_cache(program: &TnvmProgram, cache: &ExpressionCache) -> KernelCounters {
     let options = CompileOptions::with_gradient();
-    let mut prewarm = KernelCounters::default();
+    let mut counters = KernelCounters::default();
     for expr in &program.exprs {
         let (_, hit) = cache.get_or_compile_traced(expr, &options);
         if hit {
-            prewarm.cache_hits += 1;
+            counters.cache_hits += 1;
         } else {
-            prewarm.cache_misses += 1;
+            counters.cache_misses += 1;
         }
     }
-    prewarm.record_into(&config.trace);
-    instantiate_parallel(|| TnvmEvaluator::from_program(&program, cache), target, config)
+    counters
 }
 
 /// Projects a parent parameter vector onto a smaller (or re-indexed) circuit through a

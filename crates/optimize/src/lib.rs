@@ -28,7 +28,7 @@ pub use cost::{hs_infidelity, jacobian_column_into, residual_len, residuals_into
 pub use instantiate::{
     haar_random_unitary, instantiate, instantiate_circuit, instantiate_circuit_mapped,
     instantiate_parallel, instantiate_parallel_until, instantiate_until, reachable_target,
-    resolve_threads, warm_start_from_mapping, InstantiateConfig, InstantiationResult,
+    resolve_threads, warm_cache, warm_start_from_mapping, InstantiateConfig, InstantiationResult,
     TnvmEvaluator, SUCCESS_THRESHOLD,
 };
 pub use lm::{

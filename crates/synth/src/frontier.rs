@@ -11,7 +11,8 @@ use std::sync::Mutex;
 
 use qudit_network::{compile_network, TensorNetwork};
 use qudit_optimize::{
-    instantiate_parallel_until, instantiate_until, InstantiateConfig, LmStats, TnvmEvaluator,
+    instantiate_parallel_until, instantiate_until, warm_cache, InstantiateConfig, LmStats,
+    TnvmEvaluator,
 };
 use qudit_qvm::ExpressionCache;
 use qudit_tensor::Matrix;
@@ -125,9 +126,14 @@ pub fn evaluate_frontier(
         };
         let past_cutoff = || index > min_success.load(Ordering::Relaxed);
         let outcome = if per_candidate_threads > 1 && config.starts > 1 {
-            // Narrow frontier: spend the spare workers on this candidate's starts.
+            // Narrow frontier: spend the spare workers on this candidate's starts. They
+            // all build an evaluator of this program at once, so warm the cache first.
+            let warmed = warm_cache(&program, cache);
             let make = || TnvmEvaluator::from_program(&program, cache);
-            instantiate_parallel_until(make, target, &config, &past_cutoff)
+            instantiate_parallel_until(make, target, &config, &past_cutoff).map(|mut outcome| {
+                outcome.kernels.merge(&warmed);
+                outcome
+            })
         } else {
             let evaluator = match evaluator_slot.as_mut() {
                 Some(evaluator) => {
