@@ -18,9 +18,8 @@
 //! template's infidelity is therefore at least `1 − √(Σ_{k≤r} σ_k² / D)`. The head
 //! sum is used as it is, not as `D` minus a tail, so the bound also holds for a
 //! target that is unitary only to a widened tolerance. A template's bound is the
-//! largest over the cuts examined: those whose smaller side has dimension at most
-//! [`MAX_SIDE_DIM`], so every Gram matrix is at most 16×16. Skipping a cut only
-//! weakens the bound.
+//! largest over the cuts examined: those whose smaller side has dimension at most 4,
+//! so every Gram matrix is at most 16×16. Skipping a cut only weakens the bound.
 
 use std::collections::BTreeMap;
 
@@ -30,7 +29,7 @@ use qudit_tensor::spectrum::operator_schmidt_spectrum;
 use qudit_tensor::Matrix;
 
 /// The largest smaller-side dimension of a cut the bound examines.
-pub const MAX_SIDE_DIM: usize = 4;
+const MAX_SIDE_DIM: usize = 4;
 
 /// A template is certified hopeless when its bound exceeds this multiple of the
 /// success threshold. The margin keeps rounding in the spectrum from certifying a
@@ -63,9 +62,9 @@ struct Cut {
 
 impl CutBound {
     /// Computes the target's spectrum across every cut whose smaller side has
-    /// dimension at most [`MAX_SIDE_DIM`], and the ranks of `gate_set`'s
-    /// entanglers. `success_threshold` sets the level above which
-    /// [`CutBound::certify`] certifies a template.
+    /// dimension at most 4, and the ranks of `gate_set`'s entanglers.
+    /// `success_threshold` sets the level above which [`CutBound::certify`] certifies
+    /// a template.
     ///
     /// # Panics
     ///

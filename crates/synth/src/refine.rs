@@ -234,10 +234,10 @@ impl Refiner<'_> {
     }
 
     /// Attempts to delete block `block` (an index into `state.edges`, whose other
-    /// blocks are `edges`): rebuilds the
-    /// smaller template, projects the surviving parameters through the deletion's
-    /// exact mapping, and re-instantiates warm-started. Returns the new state when the
-    /// re-instantiated infidelity stays under the success threshold.
+    /// blocks are `edges`): rebuilds the smaller template, projects the surviving
+    /// parameters through the deletion's exact mapping, and re-instantiates
+    /// warm-started. Returns the new state when the re-instantiated infidelity stays
+    /// under the success threshold.
     fn attempt_deletion(
         &self,
         state: &State,

@@ -216,25 +216,14 @@ mod tests {
             let spectrum = operator_schmidt_spectrum(&cnot, &[2, 2], &side);
             assert!(close(&spectrum, &[2.0, 2.0, 0.0, 0.0], 1e-12), "{spectrum:?}");
         }
-        // The qutrit CSUM |a, b⟩ → |a, a + b mod 3⟩ has three.
-        let csum = Matrix::<f64>::from_fn(9, 9, |r, c| {
-            let (a, b) = (c / 3, c % 3);
-            if r == a * 3 + (a + b) % 3 {
-                C64::one()
-            } else {
-                C64::zero()
-            }
-        });
-        let spectrum = operator_schmidt_spectrum(&csum, &[3, 3], &[0]);
-        assert!(close(&spectrum[..4], &[3.0, 3.0, 3.0, 0.0], 1e-12), "{spectrum:?}");
     }
 
     #[test]
     fn schmidt_cut_follows_the_named_qudits() {
         // CNOT on qudits 0 and 2 of three qubits, identity on qudit 1: the cut {1}
-        // sees a product operator, the cuts {0} and {2} see the CNOT's two terms, and
-        // the mixed-radix realignment uses the larger side's Gram matrix when the
-        // named side is the larger one.
+        // sees a product operator, and the cuts {0} and {2} see the CNOT's two terms,
+        // also when the larger side is named and the other side's Gram matrix is
+        // diagonalized.
         let radices = [2usize, 2, 2];
         let u = Matrix::<f64>::from_fn(8, 8, |r, c| {
             let flipped = if c & 0b100 != 0 { c ^ 0b001 } else { c };
