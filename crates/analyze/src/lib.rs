@@ -25,18 +25,15 @@
 //! fast). Every rejection is a typed [`AnalyzeError`] naming the offending
 //! instruction or operation.
 //!
-//! Beside the checks sit two bytecode analyses that execute nothing: [`dataflow`]
-//! (def-use chains, value-sweep liveness and buffer interference) and, in
-//! [`optimize`], the exact static cost model [`estimate_plan`].
+//! Beside the checks sits one bytecode analysis that executes nothing: the exact
+//! static cost model [`estimate_plan`] in [`optimize`].
 
 pub mod circuit;
-pub mod dataflow;
 pub mod detlint;
 pub mod optimize;
 pub mod program;
 
 pub use circuit::{verify_circuit, verify_gateset, CircuitReport, CircuitViolation};
-pub use dataflow::{DefUse, DefUseChains, InterferenceGraph, Liveness};
 pub use optimize::{estimate_plan, PlanCostEstimate};
 pub use program::{verify_program, ProgramReport, ProgramViolation};
 

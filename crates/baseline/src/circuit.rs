@@ -5,8 +5,8 @@
 //! unitarity probe of the gate, and an equality scan against the already-registered
 //! gates), and the unitary/gradient are computed by accumulating full-width matrices with
 //! prefix/suffix products — no tensor network, no symbolic simplification, no caching.
-//! This is the comparison side of Figs. 4, 6, and 7 (see DESIGN.md §3 for the
-//! substitution rationale).
+//! This is the comparison side of Figs. 4, 6, and 7, standing in for the Python
+//! compilers the paper measured (the crate docs say why).
 
 use std::sync::Arc;
 

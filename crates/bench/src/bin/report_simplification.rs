@@ -51,7 +51,7 @@ fn main() {
             result.trig_after,
             result.nodes_before,
             result.nodes_after,
-            result.report.map(|r| r.iterations).unwrap_or(0)
+            result.report.iterations
         );
     }
 

@@ -75,7 +75,6 @@ fn main() {
         // Result fields are taken from the *worst* trial (by final infidelity), so the
         // row always describes one run that actually happened.
         let mut worst: Option<SynthesisResult> = None;
-        let mut partition_rounds: Option<usize> = None;
         let mut success = true;
         // Counter snapshot of the *first* trial (cold fresh cache — the only trial
         // whose cache.hits/misses are reproducible across processes).
@@ -112,7 +111,6 @@ fn main() {
                     .or_default()
                     .push(timing.duration.as_secs_f64());
             }
-            partition_rounds = report.data.get_usize("partition.rounds");
             success &= report.result.success;
             let worse =
                 worst.as_ref().map(|w| report.result.infidelity > w.infidelity).unwrap_or(true);
@@ -136,15 +134,11 @@ fn main() {
                 per_pass.join(", ")
             )
         };
-        let partition = match partition_rounds {
-            Some(rounds) => format!("\"partition_rounds\": {rounds}, "),
-            None => String::new(),
-        };
         entries.push(format!(
             concat!(
                 "  {{\"workload\": \"{}\", \"radices\": {:?}, \"trials\": {}, ",
                 "\"nodes_expanded\": {}, \"blocks_pre_refine\": {}, \"blocks\": {}, ",
-                "\"params_folded\": {}, \"gates_constified\": {}, {}\"metrics\": {}, {}",
+                "\"params_folded\": {}, \"gates_constified\": {}, \"metrics\": {}, {}",
                 "\"infidelity\": {:.3e}, \"success\": {}}}"
             ),
             json_escape(workload.name),
@@ -155,7 +149,6 @@ fn main() {
             worst.blocks.len(),
             worst.params_folded,
             worst.gates_constified,
-            partition,
             counters_to_json(&metrics),
             timing,
             worst.infidelity,

@@ -1,8 +1,9 @@
 //! Benchmark harness for the OpenQudit reproduction.
 //!
 //! This crate holds the workload definitions of the `report_*` binaries that regenerate
-//! every figure and table of the paper's evaluation (see `DESIGN.md` §4 for the
-//! experiment index and `EXPERIMENTS.md` for recorded results).
+//! every figure and table of the paper's evaluation. Each binary's module docs name the
+//! figure it regenerates; `BENCH_synthesis.json` at the repository root holds the
+//! committed synthesis medians.
 
 use std::time::{Duration, Instant};
 

@@ -13,25 +13,25 @@ use crate::error::CompileError;
 use crate::partition::PartitionPass;
 use crate::pass::{Pass, PassContext, PassTiming};
 use crate::passes::{FoldPass, RefinePass, SynthesisPass};
-use crate::task::{CompilationTask, PassData};
+use crate::task::CompilationTask;
 use crate::verify::verify_task;
 
 /// The outcome of one [`Compiler::compile`] run: the final circuit, per-pass
-/// wall-clock timings, and the task's [`PassData`] blackboard (per-pass metrics).
+/// wall-clock timings, and what the passes recorded into the compilation's trace
+/// registry.
 #[derive(Debug, Clone)]
 pub struct CompilationReport {
     /// The compiled circuit with its instantiated parameters and quality metrics.
     pub result: SynthesisResult,
     /// Wall-clock time of every pass, in pipeline order.
     pub timings: Vec<PassTiming>,
-    /// The blackboard as the last pass left it (metrics keyed `"<pass>.<metric>"`).
-    pub data: PassData,
-    /// Final snapshot of the compilation's deterministic counters (same seed, same
-    /// machine-independent counts — see `qudit-trace` for the determinism contract).
+    /// Final snapshot of the compilation's deterministic counters, keyed
+    /// `"<namespace>.<metric>"` (same seed, same machine-independent counts — see
+    /// `qudit-trace` for the determinism contract).
     pub metrics: BTreeMap<String, u64>,
     /// The observability registry the compilation recorded into: counters (the
-    /// `metrics` snapshot above), gauges, and hierarchical spans exportable as a
-    /// Chrome `trace_event` profile via [`TraceRegistry::chrome_trace_json`].
+    /// `metrics` snapshot above) and hierarchical spans exportable as a Chrome
+    /// `trace_event` profile via [`TraceRegistry::chrome_trace_json`].
     pub trace: TraceRegistry,
 }
 
@@ -40,8 +40,8 @@ pub struct CompilationReport {
 /// The compiler owns the [`ExpressionCache`] its passes compile through (by default
 /// the process-wide [`qudit_qvm::global_cache`], so independent compilations amortize
 /// JIT work) and an optional worker-thread budget, and executes its passes in order
-/// over a [`CompilationTask`]. Each pass's wall-clock time and blackboard metrics are
-/// collected into a [`CompilationReport`].
+/// over a [`CompilationTask`]. Each pass's wall-clock time and counters are collected
+/// into a [`CompilationReport`].
 ///
 /// ```
 /// use qudit_circuit::gates;
@@ -123,8 +123,8 @@ impl Compiler {
     }
 
     /// Overrides the worker-thread budget of every pass (`0`, the default, lets each
-    /// stage resolve the machine's available parallelism). Applied by writing the
-    /// task configuration's thread fields before the first pass runs.
+    /// stage resolve the machine's available parallelism). Applied by writing
+    /// `task.config.instantiate.threads` before the first pass runs.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -189,17 +189,15 @@ impl Compiler {
     ) -> Result<CompilationReport, CompileError> {
         let mut task = task;
         if self.threads != 0 {
-            task.config.threads = self.threads;
             task.config.instantiate.threads = self.threads;
         }
         // Install a fresh observability registry everywhere the pipeline can reach:
-        // the synthesis config (search, frontier, refine derive from it), the
-        // instantiate config (direct instantiation paths), and each PassContext, so
-        // the report's counters describe exactly this compilation.
-        // (`TraceRegistry::default()` is the *disabled* handle — it must be an
-        // enabled `new()` so every compile records a snapshot.)
+        // the instantiate config (search, frontier, refine and the partition rounds
+        // derive from it) and each PassContext, so the report's counters describe
+        // exactly this compilation. (`TraceRegistry::default()` is the *disabled*
+        // handle — it must be an enabled `new()` so every compile records a
+        // snapshot.)
         let trace = TraceRegistry::new();
-        task.config.trace = trace.clone();
         task.config.instantiate.trace = trace.clone();
         let mut timings = Vec::with_capacity(self.passes.len());
         // The boundary checkpoints: cancellation observed before any pass reports
@@ -233,13 +231,9 @@ impl Compiler {
             }
             last_checkpoint = pass.name().to_string();
         }
-        // Cache occupancy is a gauge, not a counter: under the process-wide shared
-        // cache it depends on what compiled before, so it stays out of the
-        // deterministic counter snapshot.
-        trace.gauge("cache.entries", self.cache.stats().entries as u64);
         let result = task.result.ok_or(CompileError::NoResult)?;
         let metrics = trace.counters();
-        Ok(CompilationReport { result, timings, data: task.data, metrics, trace })
+        Ok(CompilationReport { result, timings, metrics, trace })
     }
 }
 
@@ -277,8 +271,8 @@ mod tests {
         assert!(report.result.success, "infidelity {}", report.result.infidelity);
         assert_eq!(report.result.blocks, vec![(0, 1)]);
         assert_eq!(report.timings.len(), 3);
-        assert!(report.data.get_usize("synthesis.nodes_expanded").unwrap() >= 2);
-        assert!(report.data.get_usize("refine.blocks_deleted").is_some());
+        assert!(report.metrics["search.nodes_expanded"] >= 2);
+        assert!(report.metrics.contains_key("refine.attempts"), "{:?}", report.metrics);
     }
 
     #[test]

@@ -5,8 +5,11 @@
 //! process-wide [`ExpressionCache`](qudit_qvm::ExpressionCache) so every stage — and
 //! every *compilation* — amortizes JIT work. This is the architecture BQSKit-style
 //! compilers are built on, and the extensibility seam the paper's DSL feeds: passes
-//! communicate through the task's circuit-in-progress and its typed [`PassData`]
-//! blackboard, so user-defined stages compose with the built-in ones.
+//! communicate through the task's circuit-in-progress, so user-defined stages compose
+//! with the built-in ones. Each pass reports what it did as counters on the
+//! compilation's trace registry ([`PassContext::trace`]), which the
+//! [`CompilationReport`] returns as `metrics`; a pass that does not apply records
+//! none.
 //!
 //! ## Built-in passes
 //!
@@ -26,7 +29,7 @@
 //! ## Writing a custom pass
 //!
 //! A pass is any `Send + Sync` type implementing [`Pass`]. It can gate the pipeline,
-//! transform the circuit-in-progress, or annotate the blackboard:
+//! transform the circuit-in-progress, or record counters:
 //!
 //! ```
 //! use qudit_circuit::gates;
@@ -36,8 +39,8 @@
 //! use qudit_qvm::ExpressionCache;
 //! use qudit_synth::SynthesisConfig;
 //!
-//! /// Annotates the blackboard with the target's dimension and rejects non-square
-//! /// targets before any expensive stage runs.
+//! /// Counts the target's dimension and rejects non-square targets before any
+//! /// expensive stage runs.
 //! struct TargetAudit;
 //!
 //! impl Pass for TargetAudit {
@@ -48,7 +51,7 @@
 //!     fn run(
 //!         &self,
 //!         task: &mut CompilationTask,
-//!         _ctx: &mut PassContext<'_>,
+//!         ctx: &mut PassContext<'_>,
 //!     ) -> Result<(), CompileError> {
 //!         if task.target.rows() != task.target.cols() {
 //!             return Err(CompileError::Pass {
@@ -56,7 +59,7 @@
 //!                 detail: "target must be square".to_string(),
 //!             });
 //!         }
-//!         task.data.set("audit.dim", task.target.rows());
+//!         ctx.trace().add("audit.dim", task.target.rows() as u64);
 //!         Ok(())
 //!     }
 //! }
@@ -67,7 +70,7 @@
 //!     .add_pass(SynthesisPass);
 //! let report = compiler.compile(CompilationTask::new(target, SynthesisConfig::qubits(2)))?;
 //! assert!(report.result.success);
-//! assert_eq!(report.data.get_usize("audit.dim"), Some(4));
+//! assert_eq!(report.metrics["audit.dim"], 4);
 //! assert_eq!(report.timings.len(), 2); // target-audit, synthesis
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -96,5 +99,5 @@ pub use partition::PartitionPass;
 pub use pass::{Pass, PassContext, PassTiming};
 pub use passes::{FoldPass, RefinePass, SynthesisPass, VerifyPass};
 pub use qudit_analyze::VerifyLevel;
-pub use task::{CompilationTask, PassData, PassValue};
+pub use task::CompilationTask;
 pub use verify::verify_task;

@@ -18,7 +18,9 @@
 //!
 //! Narrow targets (three qudits or fewer, the practical reach of the monolithic A*
 //! engine) skip the pass entirely, so it composes transparently in front of the
-//! standard pipeline.
+//! standard pipeline. A pass that ran records `partition.rounds` (escalation rounds
+//! instantiated), `partition.groups` and `partition.cut_edges`; a skipped one records
+//! nothing.
 //!
 //! Every seed derives deterministically from the task configuration and the block
 //! layout, so partitioned compilation inherits the engine's byte-for-byte
@@ -80,21 +82,11 @@ impl Pass for PartitionPass {
         task: &mut CompilationTask,
         ctx: &mut PassContext<'_>,
     ) -> Result<(), CompileError> {
-        if task.result.is_some() {
-            task.data.set("partition.skipped", true);
-            return Ok(());
-        }
-        let n = task.config.radices.len();
-        if n <= MAX_SEARCH_WIDTH {
-            task.data.set("partition.skipped_narrow", true);
+        if task.result.is_some() || task.config.radices.len() <= MAX_SEARCH_WIDTH {
             return Ok(());
         }
         validate_target(&task.target, &task.config)?;
         let Layout { groups, round_edges, cut_edges } = layout(&task.config.coupling)?;
-        task.data.set("partition.width", n);
-        task.data.set("partition.groups", groups.len());
-        task.data.set("partition.groups_layout", format!("{groups:?}"));
-        task.data.set("partition.cut_edges", cut_edges);
 
         // Escalating-round sketch instantiation, warm-started round over round.
         let instantiate_base = task.config.frontier_instantiate_config();
@@ -102,7 +94,7 @@ impl Pass for PartitionPass {
         let mut blocks: Vec<(usize, usize)> = Vec::new();
         let mut warm: Option<Vec<f64>> = None;
         let mut attempts = 0usize;
-        let mut best: Option<(SynthesisResult, usize)> = None;
+        let mut best: Option<SynthesisResult> = None;
         for round in 1..=MAX_ROUNDS {
             // Cooperative cancellation checkpoint: rounds are the pass's unit of
             // work, so an expired deadline aborts before the next instantiation.
@@ -117,31 +109,27 @@ impl Pass for PartitionPass {
             icfg.warm_start = warm.clone();
             let outcome = instantiate_circuit(&circuit, &task.target, &icfg, ctx.cache());
             attempts += 1;
-            let better =
-                best.as_ref().map(|(b, _)| outcome.infidelity < b.infidelity).unwrap_or(true);
+            let better = best.as_ref().map(|b| outcome.infidelity < b.infidelity).unwrap_or(true);
             if better {
-                best = Some((
-                    SynthesisResult {
-                        blocks: blocks.clone(),
-                        params: outcome.params.clone(),
-                        infidelity: outcome.infidelity,
-                        success: outcome.infidelity < task.config.success_threshold,
-                        circuit,
-                        nodes_expanded: attempts,
-                        blocks_deleted: 0,
-                        refined_infidelity: None,
-                        params_folded: 0,
-                        gates_constified: 0,
-                    },
-                    round,
-                ));
+                best = Some(SynthesisResult {
+                    blocks: blocks.clone(),
+                    params: outcome.params.clone(),
+                    infidelity: outcome.infidelity,
+                    success: outcome.infidelity < task.config.success_threshold,
+                    circuit,
+                    nodes_expanded: attempts,
+                    blocks_deleted: 0,
+                    refined_infidelity: None,
+                    params_folded: 0,
+                    gates_constified: 0,
+                });
             }
             warm = Some(outcome.params);
-            if best.as_ref().is_some_and(|(b, _)| b.success) {
+            if best.as_ref().is_some_and(|b| b.success) {
                 break;
             }
         }
-        let Some((mut result, rounds)) = best else {
+        let Some(mut result) = best else {
             // Defensive: the escalation loop always runs at least one round over a
             // non-empty edge set, but a broken invariant must fail typed, not panic.
             return Err(CompileError::DegenerateCoupling {
@@ -149,9 +137,10 @@ impl Pass for PartitionPass {
             });
         };
         result.nodes_expanded = attempts;
-        task.data.set("partition.rounds", rounds);
-        task.data.set("partition.attempts", attempts);
-        task.data.set("partition.infidelity", result.infidelity);
+        let trace = ctx.trace();
+        trace.add("partition.rounds", attempts as u64);
+        trace.add("partition.groups", groups as u64);
+        trace.add("partition.cut_edges", cut_edges as u64);
         task.result = Some(result);
         Ok(())
     }
@@ -159,8 +148,8 @@ impl Pass for PartitionPass {
 
 /// The partition of a coupling graph that every escalation round follows.
 struct Layout {
-    /// The qudit groups, from [`partition_groups`].
-    groups: Vec<Vec<usize>>,
+    /// How many qudit groups [`partition_groups`] formed.
+    groups: usize,
     /// The blocks one round appends: the internal edges (both endpoints in one
     /// group), then the cut edges.
     round_edges: Vec<(usize, usize)>,
@@ -194,7 +183,7 @@ fn layout(coupling: &CouplingGraph) -> Result<Layout, CompileError> {
             ),
         });
     }
-    Ok(Layout { groups, round_edges, cut_edges })
+    Ok(Layout { groups: groups.len(), round_edges, cut_edges })
 }
 
 /// Deterministically partitions the coupling graph's qudits into connected groups of
@@ -252,10 +241,11 @@ mod tests {
         let target = qudit_circuit::gates::cnot().to_matrix::<f64>(&[]).unwrap();
         let mut task = CompilationTask::with_radices(target, vec![2, 2]);
         let cache = qudit_qvm::ExpressionCache::new();
-        let mut ctx = PassContext::new(&cache);
+        let trace = qudit_trace::TraceRegistry::new();
+        let mut ctx = PassContext::new(&cache).with_trace(trace.clone());
         PartitionPass.run(&mut task, &mut ctx).unwrap();
         assert!(task.result.is_none());
-        assert_eq!(task.data.get_bool("partition.skipped_narrow"), Some(true));
+        assert!(trace.counters().is_empty(), "{:?}", trace.counters());
     }
 
     #[test]

@@ -9,10 +9,11 @@ use crate::task::CompilationTask;
 
 /// One stage of a compilation pipeline.
 ///
-/// A pass reads and mutates the [`CompilationTask`] blackboard: it may synthesize the
-/// first circuit (`task.result`), transform an existing one, or only annotate
-/// `task.data`. Passes must be deterministic for a fixed task (same seeds in, same
-/// bytes out) — the engine's reproducibility guarantee extends pass-wise.
+/// A pass reads and mutates the [`CompilationTask`]: it may synthesize the first
+/// circuit (`task.result`), transform an existing one, or only gate the pipeline.
+/// What it did, it reports as counters on [`PassContext::trace`]. Passes must be
+/// deterministic for a fixed task (same seeds in, same bytes out) — the engine's
+/// reproducibility guarantee extends pass-wise.
 ///
 /// See the crate root for a runnable custom-pass example.
 pub trait Pass: Send + Sync {
@@ -25,8 +26,8 @@ pub trait Pass: Send + Sync {
     ///
     /// Returns a [`CompileError`] when the pass cannot proceed (invalid target or
     /// configuration, or a pipeline-order bug such as refining before synthesizing).
-    /// Skipping cleanly — recording a `"<name>.skipped"` flag and returning `Ok` —
-    /// is preferred whenever the pass simply does not apply.
+    /// When the pass simply does not apply, it returns `Ok` without recording any of
+    /// its counters: the absence of its namespace in the report is the signal.
     fn run(
         &self,
         task: &mut CompilationTask,
@@ -38,7 +39,7 @@ pub trait Pass: Send + Sync {
 /// today the process-wide [`ExpressionCache`] every stage compiles through.
 ///
 /// The context is deliberately small — cross-pass *state* belongs on the
-/// [`CompilationTask`] blackboard, so that saving a task snapshot reproduces a run.
+/// [`CompilationTask`], so that saving a task snapshot reproduces a run.
 #[derive(Debug)]
 pub struct PassContext<'a> {
     cache: &'a ExpressionCache,

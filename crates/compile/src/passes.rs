@@ -16,9 +16,10 @@ use crate::verify::verify_task;
 
 /// The bottom-up A*/beam search stage ([`qudit_synth::run_search`]).
 ///
-/// Skips (recording `"synthesis.skipped"`) when an earlier pass — e.g.
-/// [`PartitionPass`](crate::PartitionPass) — already produced a result, so the
-/// standard tail of a pipeline composes cleanly behind width-dependent front-ends.
+/// Skips when an earlier pass — e.g. [`PartitionPass`](crate::PartitionPass) —
+/// already produced a result, so the standard tail of a pipeline composes cleanly
+/// behind width-dependent front-ends. A skipped search records no `search.*`
+/// counters.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SynthesisPass;
 
@@ -32,24 +33,18 @@ impl Pass for SynthesisPass {
         task: &mut CompilationTask,
         ctx: &mut PassContext<'_>,
     ) -> Result<(), CompileError> {
-        if task.result.is_some() {
-            task.data.set("synthesis.skipped", true);
-            return Ok(());
+        if task.result.is_none() {
+            task.result = Some(run_search(&task.target, &task.config, ctx.cache())?);
         }
-        let result = run_search(&task.target, &task.config, ctx.cache())?;
-        task.data.set("synthesis.nodes_expanded", result.nodes_expanded);
-        task.data.set("synthesis.blocks", result.blocks.len());
-        task.data.set("synthesis.infidelity", result.infidelity);
-        task.result = Some(result);
         Ok(())
     }
 }
 
 /// The speculative gate-deletion stage ([`qudit_synth::refine_deletions`]).
 ///
-/// Runs only on successful results (recording a skip flag otherwise), with the
-/// configuration [`SynthesisConfig::refine_config`] derives from the task. To keep
-/// the raw search result, leave this pass out of the pipeline.
+/// Runs only on successful results, with the configuration
+/// [`SynthesisConfig::refine_config`] derives from the task. To keep the raw search
+/// result, leave this pass out of the pipeline.
 ///
 /// [`SynthesisConfig::refine_config`]: qudit_synth::SynthesisConfig::refine_config
 #[derive(Debug, Clone, Copy, Default)]
@@ -72,13 +67,10 @@ impl Pass for RefinePass {
             });
         };
         if !result.success {
-            task.data.set("refine.skipped_unsuccessful", true);
             return Ok(());
         }
         let refined =
             refine_deletions(result, &task.target, &task.config.refine_config(), ctx.cache())?;
-        task.data.set("refine.blocks_deleted", refined.blocks_deleted);
-        task.data.set("refine.infidelity", refined.infidelity);
         task.result = Some(refined);
         Ok(())
     }
@@ -90,7 +82,7 @@ impl Pass for RefinePass {
 /// parameters all snapped — rewriting them as constant gate applications so the JIT
 /// compiles cheaper, constant-folded expressions. Runs only on successful results,
 /// with the configuration [`SynthesisConfig::fold_config`] derives from the task.
-/// Records `"fold.params_folded"` / `"fold.gates_constified"`.
+/// Counts what it changed as `fold.params_folded` / `fold.gates_constified`.
 ///
 /// [`SynthesisConfig::fold_config`]: qudit_synth::SynthesisConfig::fold_config
 #[derive(Debug, Clone, Copy, Default)]
@@ -113,13 +105,10 @@ impl Pass for FoldPass {
             });
         };
         if !result.success {
-            task.data.set("fold.skipped_unsuccessful", true);
             return Ok(());
         }
         let (prior_folded, prior_constified) = (result.params_folded, result.gates_constified);
         let folded = fold_constants(result, &task.target, &task.config.fold_config(), ctx.cache())?;
-        task.data.set("fold.params_folded", folded.params_folded);
-        task.data.set("fold.gates_constified", folded.gates_constified);
         // `fold_constants` takes no instantiate config, so the fold stage's counters
         // are recorded here from the result deltas (this pass runs at most once per
         // pipeline, but a custom pipeline may fold repeatedly — hence deltas).
@@ -249,7 +238,7 @@ mod tests {
         assert_eq!(folded.params_folded, 12);
         // The four U3 gates constify; the parameterless CNOT stays as-is.
         assert_eq!(folded.gates_constified, 4);
-        assert_eq!(report.data.get_usize("fold.gates_constified"), Some(4));
+        assert_eq!(report.metrics["fold.gates_constified"], 4);
         assert_eq!(folded.params.len(), 0);
         assert_eq!(folded.circuit.num_params(), 0);
         assert!(folded.infidelity < 1e-10);

@@ -27,8 +27,8 @@ use crate::task::CompilationTask;
 /// Verifies a task's circuit-in-progress at the given level, recording what was
 /// checked into `trace`'s `analyze.*` counters.
 ///
-/// A task with no result yet (nothing synthesized) verifies trivially — gating
-/// passes that merely annotate the blackboard must not fail verification.
+/// A task with no result yet (nothing synthesized) verifies trivially — a gating
+/// pass that runs before synthesis must not fail verification.
 ///
 /// # Errors
 ///

@@ -76,7 +76,7 @@ pub mod prelude {
     pub use qudit_circuit::{builders, gates, CircuitError, ExpressionRef, GateSet, QuditCircuit};
     pub use qudit_compile::{
         CompilationReport, CompilationTask, CompileError, Compiler, FoldPass, PartitionPass, Pass,
-        PassContext, PassData, PassTiming, PassValue, RefinePass, SynthesisPass, VerifyPass,
+        PassContext, PassTiming, RefinePass, SynthesisPass, VerifyPass,
     };
     pub use qudit_egraph::simplify::{simplify, simplify_batch};
     pub use qudit_network::{

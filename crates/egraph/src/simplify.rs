@@ -19,9 +19,6 @@ pub struct SimplifyConfig {
     pub iter_limit: usize,
     /// Maximum e-node count before saturation is cut short.
     pub node_limit: usize,
-    /// Whether to run the rewrite rules at all (disabled by the ablation benchmark; the
-    /// extraction then simply reproduces the input expressions).
-    pub enable_rules: bool,
 }
 
 impl Default for SimplifyConfig {
@@ -34,7 +31,7 @@ impl Default for SimplifyConfig {
         // 9-12 ms (iteration limit), U3 and U2 under 1 ms each (iteration limit), and
         // under 0.4 ms for every other gate. RZ and RZZ also stop at the iteration
         // limit; the rest saturate.
-        SimplifyConfig { iter_limit: 6, node_limit: 4_000, enable_rules: true }
+        SimplifyConfig { iter_limit: 6, node_limit: 4_000 }
     }
 }
 
@@ -75,8 +72,8 @@ pub fn unique_trig_count(exprs: &[Expr]) -> usize {
 pub struct SimplifyResult {
     /// The simplified expressions, in the same order as the inputs.
     pub exprs: Vec<Expr>,
-    /// The saturation report (iterations, unions, node count), if rules were run.
-    pub report: Option<RunReport>,
+    /// The saturation report (iterations, unions, node count).
+    pub report: RunReport,
     /// Number of distinct `sin`/`cos` subexpressions before simplification.
     pub trig_before: usize,
     /// Number of distinct `sin`/`cos` subexpressions after simplification (with CSE,
@@ -109,12 +106,10 @@ pub fn simplify_batch_with(exprs: &[Expr], config: &SimplifyConfig) -> SimplifyR
     SimplifyResult { exprs: out, report, trig_before, trig_after, nodes_before, nodes_after }
 }
 
-fn saturate_and_extract(exprs: &[Expr], config: &SimplifyConfig) -> (Vec<Expr>, Option<RunReport>) {
+fn saturate_and_extract(exprs: &[Expr], config: &SimplifyConfig) -> (Vec<Expr>, RunReport) {
     let mut graph = EGraph::new();
     let roots = graph.add_exprs(exprs);
-    let report = config.enable_rules.then(|| {
-        Runner::new(config.iter_limit, config.node_limit).run(&mut graph, default_rules())
-    });
+    let report = Runner::new(config.iter_limit, config.node_limit).run(&mut graph, default_rules());
     let out = GreedyExtractor::new(&graph, OpCost::new()).extract_many(&roots);
     (out, report)
 }
@@ -182,17 +177,7 @@ mod tests {
         let result = simplify_batch_with(&[c, s, dc, ds], &SimplifyConfig::default());
         assert!(result.nodes_after <= result.nodes_before);
         assert!(result.trig_after <= result.trig_before);
-        assert!(result.report.is_some());
-    }
-
-    #[test]
-    fn rules_disabled_reproduces_input() {
-        let e = Expr::mul(Expr::sin(Expr::var("x")), Expr::cos(Expr::var("x")));
-        let cfg = SimplifyConfig { enable_rules: false, ..SimplifyConfig::default() };
-        let r = simplify_batch_with(std::slice::from_ref(&e), &cfg);
-        assert!(r.report.is_none());
-        let names = vec!["x".to_string()];
-        assert!((r.exprs[0].eval_with(&names, &[0.3]) - e.eval_with(&names, &[0.3])).abs() < 1e-15);
+        assert!(result.report.iterations >= 1);
     }
 
     #[test]

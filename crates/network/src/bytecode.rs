@@ -49,8 +49,8 @@ impl std::fmt::Display for InstrRef {
 
 /// Typed errors for malformed TNVM bytecode.
 ///
-/// Produced by [`TnvmProgram::validate`] and the fallible compilation entry points
-/// ([`try_compile_network`] / [`try_compile_network_with_tree`]); surfaced through
+/// Produced by [`TnvmProgram::validate`] and the fallible compilation entry point
+/// [`try_compile_network`]; surfaced through
 /// `qudit_compile::error::CompileError` when the pipeline's verifier rejects a
 /// program. Each instruction-level variant names the offending instruction via
 /// [`InstrRef`].
@@ -326,21 +326,6 @@ pub fn compile_network(network: &TensorNetwork) -> TnvmProgram {
     try_compile_network(network).expect("contraction-tree codegen emits well-formed bytecode")
 }
 
-/// Compiles a tensor network with an explicit contraction tree (exposed so benchmarks can
-/// compare contraction strategies).
-///
-/// # Panics
-///
-/// Panics if codegen produces malformed bytecode (an internal compiler bug); see
-/// [`try_compile_network_with_tree`] for the fallible equivalent.
-pub fn compile_network_with_tree(
-    network: &TensorNetwork,
-    tree: Option<&ContractionTree>,
-) -> TnvmProgram {
-    try_compile_network_with_tree(network, tree)
-        .expect("contraction-tree codegen emits well-formed bytecode")
-}
-
 /// Fallible [`compile_network`]: compiles a tensor network into bytecode, returning a
 /// typed [`BytecodeError`] instead of panicking when codegen encounters an internal
 /// inconsistency or emits a program that fails [`TnvmProgram::validate`].
@@ -350,20 +335,8 @@ pub fn compile_network_with_tree(
 /// Returns the first [`BytecodeError`] encountered during emission or validation.
 pub fn try_compile_network(network: &TensorNetwork) -> Result<TnvmProgram, BytecodeError> {
     let plan = find_plan(network);
-    try_compile_network_with_tree(network, plan.tree.as_ref())
-}
-
-/// Fallible [`compile_network_with_tree`].
-///
-/// # Errors
-///
-/// Returns the first [`BytecodeError`] encountered during emission or validation.
-pub fn try_compile_network_with_tree(
-    network: &TensorNetwork,
-    tree: Option<&ContractionTree>,
-) -> Result<TnvmProgram, BytecodeError> {
     let mut gen = Codegen::new(network);
-    let root = tree.map(|t| gen.emit(t)).transpose()?;
+    let root = plan.tree.as_ref().map(|t| gen.emit(t)).transpose()?;
     let output = gen.finish(root)?;
     let mut program = TnvmProgram {
         exprs: gen.exprs,

@@ -24,11 +24,8 @@ pub mod network;
 pub mod path;
 
 pub use bytecode::{
-    compile_network, compile_network_with_tree, try_compile_network, try_compile_network_with_tree,
-    BufId, BufferInfo, BytecodeError, InstrRef, TnvmOp, TnvmProgram,
+    compile_network, try_compile_network, BufId, BufferInfo, BytecodeError, InstrRef, TnvmOp,
+    TnvmProgram,
 };
 pub use network::{GateNode, ParamBinding, TensorNetwork};
-pub use path::{
-    find_plan, find_plan_with_threshold, ContractionPlan, ContractionTree, PlanKind,
-    OPTIMAL_THRESHOLD,
-};
+pub use path::{find_plan, ContractionPlan, ContractionTree, PlanKind, OPTIMAL_THRESHOLD};

@@ -95,9 +95,9 @@ pub fn find_plan(network: &TensorNetwork) -> ContractionPlan {
     find_plan_with_threshold(network, OPTIMAL_THRESHOLD)
 }
 
-/// Finds a contraction plan with an explicit optimal-solver threshold (exposed for the
-/// ablation benchmark).
-pub fn find_plan_with_threshold(network: &TensorNetwork, threshold: usize) -> ContractionPlan {
+/// Finds a contraction plan with an explicit optimal-solver threshold: the exact
+/// interval DP at or below `threshold` gate nodes, greedy above.
+fn find_plan_with_threshold(network: &TensorNetwork, threshold: usize) -> ContractionPlan {
     let n = network.nodes().len();
     match n {
         0 => ContractionPlan { tree: None, cost: 0.0, kind: PlanKind::Trivial },

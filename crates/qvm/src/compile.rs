@@ -31,8 +31,8 @@ pub enum DiffMode {
 pub struct CompileOptions {
     /// Differentiation artifacts to generate.
     pub diff_mode: DiffMode,
-    /// Whether to run the e-graph simplification pass before emission (the ablation
-    /// benchmark disables it to quantify its contribution).
+    /// Whether to skip the e-graph simplification pass before emission (set to
+    /// measure what simplification saves).
     pub skip_simplification: bool,
 }
 

@@ -4,10 +4,12 @@
 //!
 //! The paper lowers each unique QGL expression to native code with LLVM at TNVM
 //! initialization time. This crate provides the equivalent stage as a register-bytecode
-//! expression virtual machine (see `DESIGN.md` §3 for why the substitution preserves the
-//! evaluated behaviour): symbolic simplification via `qudit-egraph`, emission of a flat,
-//! CSE-deduplicated register program, and an [`ExpressionCache`] that guarantees each
-//! unique expression is compiled once per process.
+//! expression virtual machine: symbolic simplification via `qudit-egraph`, emission of a
+//! flat, CSE-deduplicated register program, and an [`ExpressionCache`] that guarantees
+//! each unique expression is compiled once per process. The workspace builds with the
+//! stock Rust toolchain and no LLVM bindings, so a tight interpreter loop stands in for
+//! native code. It evaluates the same simplified expressions with the same shared
+//! subexpressions; what differs is the cost of dispatching each instruction.
 //!
 //! # Example
 //!

@@ -5,8 +5,8 @@
 //! elements of every partial derivative). In this reproduction the compiled artifact is
 //! an [`ExprProgram`]: a flat sequence of register instructions with all common
 //! subexpressions deduplicated at compile time, executed by a tight interpreter loop with
-//! no allocation, hashing, or tree traversal on the hot path (see DESIGN.md §3 for the
-//! substitution rationale).
+//! no allocation, hashing, or tree traversal on the hot path (the crate docs say why an
+//! interpreter stands in for LLVM).
 
 use qudit_tensor::{Complex, Float};
 

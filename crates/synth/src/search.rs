@@ -19,7 +19,6 @@ use qudit_circuit::{GateSet, QuditCircuit};
 use qudit_optimize::{InstantiateConfig, SUCCESS_THRESHOLD};
 use qudit_qvm::{CompileOptions, ExpressionCache};
 use qudit_tensor::Matrix;
-use qudit_trace::TraceRegistry;
 
 use crate::bound::CutBound;
 use crate::frontier::{evaluate_frontier, Candidate, EvaluatedCandidate};
@@ -51,22 +50,20 @@ pub struct SynthesisConfig {
     /// Weight of the gate-count term in the A* heuristic
     /// `f = √infidelity + block_weight · blocks`.
     pub block_weight: f64,
-    /// Per-candidate instantiation settings. The frontier evaluator owns the thread
-    /// budget: candidates are evaluated concurrently, and a candidate's own starts run
-    /// in parallel only when the frontier is narrower than the worker pool.
+    /// Per-instantiation settings, shared by every stage of the pipeline. Its
+    /// `threads` is the frontier evaluator's worker budget (`0` = available
+    /// parallelism): candidates are evaluated concurrently, and a candidate's own
+    /// starts run in parallel only when the frontier is narrower than the worker
+    /// pool. Its `trace` is the observability sink of the search, the frontier,
+    /// refine and every instantiation (disabled by default; the `qudit-compile`
+    /// driver installs an enabled registry per compilation).
     pub instantiate: InstantiateConfig,
-    /// Worker threads for the frontier evaluator (`0` = available parallelism).
-    pub threads: usize,
     /// Base seed for all per-candidate deterministic seeds.
     pub seed: u64,
     /// Element-wise tolerance for the up-front `target` unitarity validation. Long
     /// mixed-precision pipelines produce targets whose deviation exceeds the strict
     /// default; widen this instead of pre-polishing the matrix.
     pub unitary_tolerance: f64,
-    /// Observability sink threaded through the whole pipeline (search spans and
-    /// counters, instantiation counters, kernel-dispatch counts). Disabled by default;
-    /// the `qudit-compile` driver installs an enabled registry per compilation.
-    pub trace: TraceRegistry,
 }
 
 impl SynthesisConfig {
@@ -86,10 +83,8 @@ impl SynthesisConfig {
             success_threshold: SUCCESS_THRESHOLD,
             block_weight: 1e-2,
             instantiate: InstantiateConfig { starts: 4, ..Default::default() },
-            threads: 0,
             seed: 0,
             unitary_tolerance: 1e-8,
-            trace: TraceRegistry::disabled(),
         }
     }
 
@@ -103,11 +98,6 @@ impl SynthesisConfig {
         SynthesisConfig::with_radices(vec![3; n])
     }
 
-    /// The worker-thread count the frontier evaluator will use.
-    pub fn effective_threads(&self) -> usize {
-        qudit_optimize::resolve_threads(self.threads)
-    }
-
     /// The deterministic instantiation configuration every stage of the pipeline
     /// derives its per-candidate seeds from: the configured instantiation settings with
     /// the success threshold applied and the search seed mixed into the base seed.
@@ -115,7 +105,6 @@ impl SynthesisConfig {
         let mut config = self.instantiate.clone();
         config.success_threshold = self.success_threshold;
         config.seed ^= self.seed;
-        config.trace = self.trace.clone();
         config
     }
 
@@ -228,7 +217,7 @@ pub fn run_search(
     let generator =
         LayerGenerator::with_gate_set(&config.radices, &config.coupling, config.gate_set.clone())?;
     validate_target(target, config)?;
-    let trace = &config.trace;
+    let trace = &config.instantiate.trace;
     let _search_span = trace.span("search");
 
     // Pre-compile the (tiny) gate set once, so frontier workers never race a cold
@@ -272,7 +261,7 @@ pub fn run_search(
         trace.add("cache.misses", prewarm_misses);
     }
 
-    let threads = config.effective_threads();
+    let threads = qudit_optimize::resolve_threads(config.instantiate.threads);
     // Most candidates fail, and a failing start's cost flattens long before LM stalls
     // or hits its cap: stop each run at its plateau, as refine's attempts do.
     let frontier_cfg = attempt_policy(config.frontier_instantiate_config());
@@ -550,6 +539,7 @@ mod tests {
     use super::*;
     use qudit_circuit::gates;
     use qudit_optimize::{haar_random_unitary, reachable_target};
+    use qudit_trace::TraceRegistry;
 
     fn search(
         target: &Matrix<f64>,
@@ -597,7 +587,7 @@ mod tests {
         config.max_blocks = 1;
         config.max_nodes = 8;
         config.instantiate.starts = 1;
-        config.trace = TraceRegistry::new();
+        config.instantiate.trace = TraceRegistry::new();
         let result = search(&target, &config).unwrap();
         assert!(!result.success);
         assert!(result.infidelity > 1e-3);
@@ -605,7 +595,7 @@ mod tests {
         // The cut bound certifies every node the search visits, so the search fits
         // just one of them at the end: the result's infidelity is that fit's, and its
         // parameters reproduce it on its circuit.
-        let metrics = config.trace.counters();
+        let metrics = config.instantiate.trace.counters();
         let visited = Some(result.nodes_expanded as u64);
         assert_eq!(metrics.get("search.nodes_certified").copied(), visited, "{metrics:?}");
         assert_eq!(metrics.get("instantiate.calls"), Some(&1), "{metrics:?}");

@@ -1,9 +1,9 @@
 //! # qudit-trace
 //!
 //! The observability substrate of the OpenQudit reproduction: hierarchical wall-clock
-//! **spans**, deterministic monotone **counters** (plus last-write-wins **gauges**), and
-//! a shareable **registry** with structured export — a JSON counter snapshot and a
-//! Chrome `trace_event` file loadable in `about://tracing`/Perfetto.
+//! **spans**, deterministic monotone **counters**, and a shareable **registry** with
+//! structured export — a JSON counter snapshot and a Chrome `trace_event` file
+//! loadable in `about://tracing`/Perfetto.
 //!
 //! ## Determinism contract
 //!
@@ -14,9 +14,9 @@
 //!   a *deterministic join point* (after schedule-independent early-stop filtering),
 //!   so two same-seed runs produce byte-identical [`TraceRegistry::counters_json`]
 //!   snapshots and the snapshot joins the `report_synthesis` determinism diff.
-//! - **Spans and gauges** carry wall-clock and environment-dependent values. They are
-//!   exported separately ([`TraceRegistry::chrome_trace_json`]) and stripped from any
-//!   pinned output under the [`omit_timing`] discipline.
+//! - **Spans** carry wall-clock values. They are exported separately
+//!   ([`TraceRegistry::chrome_trace_json`]) and stripped from any pinned output under
+//!   the [`omit_timing`] discipline.
 //!
 //! ## Handles
 //!
@@ -43,7 +43,7 @@
 //! ```
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread::ThreadId;
 use std::time::Instant;
 
@@ -87,7 +87,6 @@ struct SpanLog {
 struct Inner {
     origin: Instant,
     counters: Mutex<BTreeMap<String, u64>>,
-    gauges: Mutex<BTreeMap<String, u64>>,
     spans: Mutex<SpanLog>,
 }
 
@@ -109,7 +108,6 @@ impl TraceRegistry {
                 // origin and are dropped from artifacts by the omit-timing gate
                 origin: Instant::now(),
                 counters: Mutex::new(BTreeMap::new()),
-                gauges: Mutex::new(BTreeMap::new()),
                 spans: Mutex::new(SpanLog::default()),
             })),
         }
@@ -118,14 +116,6 @@ impl TraceRegistry {
     /// The disabled no-op handle (identical to [`Default`]).
     pub fn disabled() -> Self {
         TraceRegistry::default()
-    }
-
-    /// The process-wide registry (enabled, created on first use). Library code should
-    /// prefer an explicitly threaded registry; this exists for tools that want one
-    /// ambient sink (e.g. a future `qudit-serve` metrics endpoint).
-    pub fn global() -> TraceRegistry {
-        static GLOBAL: OnceLock<TraceRegistry> = OnceLock::new();
-        GLOBAL.get_or_init(TraceRegistry::new).clone()
     }
 
     /// Whether this handle records anything.
@@ -146,17 +136,6 @@ impl TraceRegistry {
     /// Increments the counter `name` by one.
     pub fn incr(&self, name: &str) {
         self.add(name, 1);
-    }
-
-    /// Sets the gauge `name` to `value` (last write wins).
-    ///
-    /// Gauges may carry nondeterministic values (sizes that depend on thread count,
-    /// high-water marks); they are excluded from [`counters_json`](Self::counters_json)
-    /// and therefore from pinned CI output.
-    pub fn gauge(&self, name: &str, value: u64) {
-        if let Some(inner) = &self.inner {
-            inner.gauges.lock().insert(name.to_string(), value);
-        }
     }
 
     /// Opens a span named `name`, closed when the returned guard drops.
@@ -200,7 +179,7 @@ impl TraceRegistry {
     /// each compilation's per-request registry into one process-wide sink (the
     /// `qudit-serve` `/metrics` endpoint), so the sink's totals cover every request
     /// ever served while each request's own snapshot stays isolated. Only counters
-    /// transfer — spans and gauges describe one registry's own timeline and stay put.
+    /// transfer — spans describe one registry's own timeline and stay put.
     pub fn absorb_counters(&self, other: &TraceRegistry) {
         if !self.enabled() {
             return;
@@ -214,14 +193,6 @@ impl TraceRegistry {
     pub fn counters(&self) -> BTreeMap<String, u64> {
         match &self.inner {
             Some(inner) => inner.counters.lock().clone(),
-            None => BTreeMap::new(),
-        }
-    }
-
-    /// A sorted copy of all gauges.
-    pub fn gauges(&self) -> BTreeMap<String, u64> {
-        match &self.inner {
-            Some(inner) => inner.gauges.lock().clone(),
             None => BTreeMap::new(),
         }
     }
@@ -249,7 +220,7 @@ impl TraceRegistry {
     /// The deterministic counter snapshot as a compact JSON object (sorted keys).
     ///
     /// This string is byte-identical across same-seed runs and is the form folded
-    /// into the CI determinism diff. Gauges and spans are deliberately excluded.
+    /// into the CI determinism diff. Spans are deliberately excluded.
     pub fn counters_json(&self) -> String {
         counters_to_json(&self.counters())
     }
@@ -317,9 +288,9 @@ impl Drop for Span {
     }
 }
 
-/// Whether pinned output should strip all nondeterministic (timing/span/gauge)
-/// fields: the `OPENQUDIT_SYNTH_OMIT_TIMING` discipline, centralized here so every
-/// report gates on one parse of one env var.
+/// Whether pinned output should strip all nondeterministic (timing/span) fields: the
+/// `OPENQUDIT_SYNTH_OMIT_TIMING` discipline, centralized here so every report gates on
+/// one parse of one env var.
 pub fn omit_timing() -> bool {
     std::env::var("OPENQUDIT_SYNTH_OMIT_TIMING")
         .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
@@ -338,10 +309,8 @@ mod tests {
         let trace = TraceRegistry::disabled();
         assert!(!trace.enabled());
         trace.add("x", 5);
-        trace.gauge("g", 7);
         let _span = trace.span("nothing");
         assert!(trace.counters().is_empty());
-        assert!(trace.gauges().is_empty());
         assert!(trace.span_events().is_empty());
         assert_eq!(trace.counters_json(), "{}");
         assert_eq!(trace.chrome_trace_json(), "[\n]");
@@ -384,15 +353,6 @@ mod tests {
         let disabled = TraceRegistry::disabled();
         disabled.absorb_counters(&request_a);
         assert!(disabled.counters().is_empty());
-    }
-
-    #[test]
-    fn gauges_are_last_write_wins_and_separate_from_counters() {
-        let trace = TraceRegistry::new();
-        trace.gauge("cache.entries", 4);
-        trace.gauge("cache.entries", 9);
-        assert_eq!(trace.gauges()["cache.entries"], 9);
-        assert!(!trace.counters_json().contains("cache.entries"));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Golden snapshot of numerical instantiation.
 //!
 //! Fixed-seed multi-start instantiations (TNVM in parallel and serially, and the
-//! baseline engine) and one partitioned 4-qubit compile are fingerprinted: an FNV-1a
+//! baseline engine) and one partitioned 4-qubit compile (at the default thread budget
+//! and at one thread) are fingerprinted: an FNV-1a
 //! hash over the bits of the resulting parameters and infidelity, plus the start and
 //! iteration counts (and, for the compile, the chosen blocks). Any change to TNVM
 //! evaluation, the Levenberg–Marquardt loop or the normal-equations assembly that
@@ -87,10 +88,11 @@ fn cases() -> Vec<(String, u64, usize, usize)> {
 /// The partitioned compile's `(hash of params and infidelity, blocks)`.
 const GOLDEN_COMPILE: (u64, Blocks) = (0x73e4540847d22eb1, &[(0, 1), (2, 3), (1, 2)]);
 
-fn partitioned_compile() -> (u64, Vec<(usize, usize)>) {
+fn partitioned_compile(threads: usize) -> (u64, Vec<(usize, usize)>) {
     let template = builders::pqc_template(&[2, 2, 2, 2], &[(0, 1), (2, 3), (1, 2)]).unwrap();
     let target = reachable_target(&template, 71);
-    let compiler = Compiler::with_cache(ExpressionCache::new()).partitioned_passes();
+    let compiler =
+        Compiler::with_cache(ExpressionCache::new()).partitioned_passes().threads(threads);
     let report =
         compiler.compile(CompilationTask::new(target, SynthesisConfig::qubits(4))).unwrap();
     let result = &report.result;
@@ -116,9 +118,14 @@ fn instantiations_match_golden_table() {
 
 #[test]
 fn partitioned_compile_matches_golden() {
-    let (hash, blocks) = partitioned_compile();
-    assert!(
-        (hash, blocks.as_slice()) == GOLDEN_COMPILE,
-        "partitioned compile differs from the golden entry; it is now (0x{hash:016x}, &{blocks:?})"
-    );
+    // `threads(0)` leaves the machine's parallelism; `threads(1)` runs the partition
+    // rounds, the multi-starts and refine's restarts serially.
+    for threads in [0, 1] {
+        let (hash, blocks) = partitioned_compile(threads);
+        assert!(
+            (hash, blocks.as_slice()) == GOLDEN_COMPILE,
+            "partitioned compile at threads({threads}) differs from the golden entry; it is \
+             now (0x{hash:016x}, &{blocks:?})"
+        );
+    }
 }
