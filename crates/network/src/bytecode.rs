@@ -50,10 +50,9 @@ impl std::fmt::Display for InstrRef {
 /// Typed errors for malformed TNVM bytecode.
 ///
 /// Produced by [`TnvmProgram::validate`] and the fallible compilation entry point
-/// [`try_compile_network`]; surfaced through
-/// `qudit_compile::error::CompileError` when the pipeline's verifier rejects a
-/// program. Each instruction-level variant names the offending instruction via
-/// [`InstrRef`].
+/// [`try_compile_network`]; surfaced through `qudit_compile::error::CompileError` when
+/// the pipeline's verifier rejects a program. Each instruction-level variant names the
+/// offending instruction via [`InstrRef`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BytecodeError {
     /// An instruction references a buffer outside the buffer table.

@@ -2,13 +2,12 @@
 //!
 //! Fixed-seed multi-start instantiations (TNVM in parallel and serially, and the
 //! baseline engine) and one partitioned 4-qubit compile (at the default thread budget
-//! and at one thread) are fingerprinted: an FNV-1a
-//! hash over the bits of the resulting parameters and infidelity, plus the start and
-//! iteration counts (and, for the compile, the chosen blocks). Any change to TNVM
-//! evaluation, the Levenberg–Marquardt loop or the normal-equations assembly that
-//! moves a single bit of a result fails here. Work-saving refactors must keep the
-//! table unchanged; a deliberate numerical change regenerates it from the failure
-//! message.
+//! and at one thread) are fingerprinted: an FNV-1a hash over the bits of the resulting
+//! parameters and infidelity, plus the start and iteration counts (and, for the
+//! compile, the chosen blocks). Any change to TNVM evaluation, the Levenberg–Marquardt
+//! loop or the normal-equations assembly that moves a single bit of a result fails
+//! here. Work-saving refactors must keep the table unchanged; a deliberate numerical
+//! change regenerates it from the failure message.
 
 use openqudit::prelude::*;
 use openqudit_integration_tests::fnv1a;

@@ -108,8 +108,9 @@ fn partitioned_run_emits_chrome_trace_and_counters() {
     }
     assert_one_stop_per_start(&report);
     assert!(report.metrics.keys().any(|k| k.starts_with("tnvm.dispatch.")));
-    // The counters describe this compile only: the search pass skipped, so no
-    // search or frontier work is counted, and fold's counter matches the result.
+    // The counters describe this compile only: two partition rounds reached the
+    // target and the search pass skipped, so no search or frontier work is counted,
+    // and fold's counter matches the result.
     assert_eq!(report.metrics.get("partition.rounds"), Some(&2));
     for key in ["search.nodes_expanded", "frontier.candidates"] {
         assert!(!report.metrics.contains_key(key), "unexpected {key} in {:?}", report.metrics);
