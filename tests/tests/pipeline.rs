@@ -229,12 +229,14 @@ fn partitioned_pipeline_synthesizes_a_four_qubit_target() {
 #[ignore = "slow in debug builds; CI runs it in release"]
 fn refine_shrinks_an_escalated_wide_sketch() {
     // A wide target whose partitioned sketch needs four escalation rounds (12
-    // blocks): the case where refine's deletion attempts pay off. Refine must take
-    // it down to the six blocks its template was built from.
+    // blocks): the case where refine's deletion attempts pay off. Its template lays
+    // the line's edges in path order, not in the partition's round order, so round 2
+    // does not reach it. Refine must take it down to the six blocks its template was
+    // built from.
     use openqudit::circuit::builders;
-    let stream = 0x381d_6eb7_566e_77fc;
+    let stream = 0x33f1_3d90_733f_dfe7;
     let template =
-        builders::pqc_template(&[2; 4], &[(0, 1), (2, 3), (1, 2), (0, 1), (2, 3), (1, 2)]).unwrap();
+        builders::pqc_template(&[2; 4], &[(0, 1), (1, 2), (2, 3), (0, 1), (1, 2), (2, 3)]).unwrap();
     let target = reachable_target(&template, stream);
     let mut config = SynthesisConfig::with_radices(vec![2; 4]);
     config.max_blocks = 8;

@@ -57,9 +57,11 @@ fn search_runs_stop_at_their_cost_plateau() {
     // The search's own LM runs, without refine's: a failing start stops once its cost
     // has flattened, and every start still records exactly one stop reason. The
     // target needs three CNOTs. Two already reach full Schmidt rank, so the cut bound
-    // passes the depth-2 nodes, yet no parameter vector fits them: their starts fail.
+    // passes the depth-2 nodes, and this target sits close enough to the two-CNOT
+    // class that no certificate rules them out, yet no parameter vector fits them:
+    // their starts fail.
     let template = builders::pqc_template(&[2, 2], &[(0, 1); 3]).unwrap();
-    let target = reachable_target(&template, 7);
+    let target = reachable_target(&template, 4);
     let report = Compiler::with_cache(ExpressionCache::new())
         .add_pass(SynthesisPass)
         .compile(CompilationTask::new(target, SynthesisConfig::qubits(2)))
