@@ -16,11 +16,24 @@
 //! [`FoldPass`](crate::FoldPass) tail deletes the blocks it does not need and folds
 //! the survivor.
 //!
+//! The pass builds the target's cut bound ([`CutBound`]) once, the same bound the
+//! search and refine use. A round whose template it *certifies* hopeless runs one
+//! start, only to warm-start the next round; it still counts as a round, and it
+//! stays eligible as the result, so a compile whose rounds are all certified returns
+//! fitted parameters. Every uncertified round runs four times the configured starts:
+//! with the configured four, 3–9% of reachable 4-qubit targets failed although round
+//! 2's template generated them. Every round stops its LM runs at their cost plateau,
+//! the LM policy the search and refine share
+//! ([`SynthesisConfig::frontier_instantiate_config`]).
+//!
+//! [`SynthesisConfig::frontier_instantiate_config`]:
+//!     qudit_synth::SynthesisConfig::frontier_instantiate_config
+//!
 //! Narrow targets (three qudits or fewer, the practical reach of the monolithic A*
 //! engine) skip the pass entirely, so it composes transparently in front of the
 //! standard pipeline. A pass that ran records `partition.rounds` (escalation rounds
-//! instantiated), `partition.groups` and `partition.cut_edges`; a skipped one records
-//! nothing.
+//! instantiated, certified ones included), `partition.rounds.certified` (when any
+//! was), `partition.groups` and `partition.cut_edges`; a skipped one records nothing.
 //!
 //! Every seed derives deterministically from the task configuration and the block
 //! layout, so partitioned compilation inherits the engine's byte-for-byte
@@ -30,7 +43,7 @@ use std::collections::BTreeMap;
 
 use qudit_circuit::builders;
 use qudit_optimize::instantiate_circuit;
-use qudit_synth::{candidate_seed, validate_target, CouplingGraph, SynthesisResult};
+use qudit_synth::{candidate_seed, validate_target, CouplingGraph, CutBound, SynthesisResult};
 
 use crate::error::CompileError;
 use crate::pass::{Pass, PassContext};
@@ -68,6 +81,10 @@ const GROUP_SIZE: usize = 2;
 /// Maximum number of escalation rounds, each adding one block per coupling edge.
 const MAX_ROUNDS: usize = 4;
 
+/// How many times the configured starts an uncertified round runs with. A round
+/// needs many starts to fit reliably; the rounds the cut bound rules out pay for them.
+const UNCERTIFIED_START_FACTOR: usize = 4;
+
 /// The partitioning front-end pass. See the [module docs](self) for the algorithm.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PartitionPass;
@@ -90,10 +107,16 @@ impl Pass for PartitionPass {
 
         // Escalating-round sketch instantiation, warm-started round over round.
         let instantiate_base = task.config.frontier_instantiate_config();
+        let bound = CutBound::new(
+            &task.target,
+            &task.config.radices,
+            &task.config.gate_set,
+            task.config.success_threshold,
+        );
         let edge_index = EdgeIndex::new(&task.config.coupling);
         let mut blocks: Vec<(usize, usize)> = Vec::new();
         let mut warm: Option<Vec<f64>> = None;
-        let mut attempts = 0usize;
+        let (mut attempts, mut certified) = (0usize, 0u64);
         let mut best: Option<SynthesisResult> = None;
         for round in 1..=MAX_ROUNDS {
             // Cooperative cancellation checkpoint: rounds are the pass's unit of
@@ -107,6 +130,14 @@ impl Pass for PartitionPass {
             let mut icfg = instantiate_base.clone();
             icfg.seed = candidate_seed(instantiate_base.seed ^ ROUND_SALT, &block_indices);
             icfg.warm_start = warm.clone();
+            // A round the cut bound rules out cannot succeed: its one start only
+            // carries a warm start to the next round.
+            if bound.certify(&blocks).is_some() {
+                icfg.starts = 1;
+                certified += 1;
+            } else {
+                icfg.starts *= UNCERTIFIED_START_FACTOR;
+            }
             let outcome = instantiate_circuit(&circuit, &task.target, &icfg, ctx.cache());
             attempts += 1;
             let better = best.as_ref().map(|b| outcome.infidelity < b.infidelity).unwrap_or(true);
@@ -139,6 +170,9 @@ impl Pass for PartitionPass {
         result.nodes_expanded = attempts;
         let trace = ctx.trace();
         trace.add("partition.rounds", attempts as u64);
+        if certified > 0 {
+            trace.add("partition.rounds.certified", certified);
+        }
         trace.add("partition.groups", groups as u64);
         trace.add("partition.cut_edges", cut_edges as u64);
         task.result = Some(result);

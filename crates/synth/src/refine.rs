@@ -93,18 +93,18 @@ impl Default for RefineConfig {
     }
 }
 
-/// LM iterations over which a deletion attempt's or search candidate's cost must fall
-/// by 1% to keep running. Successful runs converge well inside it; failing ones
-/// flatten long before the iteration cap.
+/// LM iterations over which a run's cost must fall by 1% to keep running. Successful
+/// runs converge well inside it; failing ones flatten long before the iteration cap.
 const ATTEMPT_PLATEAU_WINDOW: usize = 10;
 
-/// Refine's per-attempt LM policy applied to `base`: every run stops as
-/// `lm.stop.plateau` once its cost has flattened. [`RefineConfig::default`],
-/// [`SynthesisConfig::refine_config`] and the search's frontier (the root and every
-/// expansion) all derive from here. The partition pass's rounds do not: with the
-/// plateau stop there, wide targets that need a long run to converge are lost.
+/// The pipeline's LM policy applied to `base`: every run stops as `lm.stop.plateau`
+/// once its cost has flattened. [`RefineConfig::default`] and
+/// [`SynthesisConfig::frontier_instantiate_config`] derive from here, so refine's
+/// deletion attempts, the search's frontier (the root and every expansion) and the
+/// partition pass's rounds share it.
 ///
-/// [`SynthesisConfig::refine_config`]: crate::SynthesisConfig::refine_config
+/// [`SynthesisConfig::frontier_instantiate_config`]:
+///     crate::SynthesisConfig::frontier_instantiate_config
 pub(crate) fn attempt_policy(base: InstantiateConfig) -> InstantiateConfig {
     InstantiateConfig { lm: LmConfig { plateau_window: ATTEMPT_PLATEAU_WINDOW, ..base.lm }, ..base }
 }

@@ -100,23 +100,23 @@ impl SynthesisConfig {
 
     /// The deterministic instantiation configuration every stage of the pipeline
     /// derives its per-candidate seeds from: the configured instantiation settings with
-    /// the success threshold applied and the search seed mixed into the base seed.
+    /// the success threshold applied, the search seed mixed into the base seed, and
+    /// the pipeline's one LM policy, which stops every run at its cost plateau.
     pub fn frontier_instantiate_config(&self) -> InstantiateConfig {
-        let mut config = self.instantiate.clone();
+        let mut config = attempt_policy(self.instantiate.clone());
         config.success_threshold = self.success_threshold;
         config.seed ^= self.seed;
         config
     }
 
     /// The refinement (gate-deletion) configuration the default pipeline derives from
-    /// this search configuration: the frontier's instantiation settings with
-    /// refine's plateau stop on every LM run.
+    /// this search configuration: the frontier's instantiation settings.
     pub fn refine_config(&self) -> RefineConfig {
         let instantiate = self.frontier_instantiate_config();
         RefineConfig {
             success_threshold: self.success_threshold,
             seed: instantiate.seed ^ 0xcafe_f00d_5eed_0001,
-            instantiate: attempt_policy(instantiate),
+            instantiate,
             gate_set: Some(self.gate_set.clone()),
         }
     }
@@ -262,9 +262,7 @@ pub fn run_search(
     }
 
     let threads = qudit_optimize::resolve_threads(config.instantiate.threads);
-    // Most candidates fail, and a failing start's cost flattens long before LM stalls
-    // or hits its cap: stop each run at its plateau, as refine's attempts do.
-    let frontier_cfg = attempt_policy(config.frontier_instantiate_config());
+    let frontier_cfg = config.frontier_instantiate_config();
     // A child of a certified node has no warm start: it gets the starts its parent
     // did not spend.
     let cold_cfg = InstantiateConfig {
