@@ -9,7 +9,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use qudit_network::{compile_network, TensorNetwork};
+use qudit_network::{compile_network, TensorNetwork, TnvmProgram};
 use qudit_optimize::{
     instantiate_parallel_until, instantiate_until, warm_cache, InstantiateConfig, LmStats,
     TnvmEvaluator,
@@ -86,6 +86,12 @@ pub fn candidate_seed(base: u64, blocks: &[usize]) -> u64 {
 /// each worker's TNVM arena allocations across candidates), while a frontier narrower
 /// than the pool gives each candidate `threads / candidates` workers for its
 /// multi-start instead, so a single-edge coupling graph still uses the machine.
+///
+/// With more than one worker, every candidate is lowered and its expressions are
+/// compiled into `cache` serially, in candidate order, before any worker starts, and
+/// each candidate's lookups are counted as its own: workers that build evaluators at
+/// once would otherwise race a cold cache, and whether each lookup hit would depend
+/// on timing.
 pub fn evaluate_frontier(
     target: &Matrix<f64>,
     candidates: &[Candidate],
@@ -97,6 +103,18 @@ pub fn evaluate_frontier(
     let _span = instantiate_cfg.trace.span("frontier");
     let per_candidate_threads = (threads.max(1) / candidates.len().max(1)).max(1);
     let threads = threads.max(1).min(candidates.len().max(1));
+    let prewarmed: Vec<(TnvmProgram, KernelCounters)> = if threads > 1 {
+        candidates
+            .iter()
+            .map(|candidate| {
+                let program = compile_network(&candidate.network);
+                let warmed = warm_cache(&program, cache);
+                (program, warmed)
+            })
+            .collect()
+    } else {
+        Vec::new()
+    };
     let next = AtomicUsize::new(0);
     // Lowest candidate index that reached the success threshold. Because indices are
     // issued in order and this only decreases, every candidate below the final value
@@ -113,7 +131,14 @@ pub fn evaluate_frontier(
             break;
         }
         let Some(candidate) = candidates.get(index) else { break };
-        let program = compile_network(&candidate.network);
+        let lowered;
+        let (program, warmed) = match prewarmed.get(index) {
+            Some((program, warmed)) => (program, Some(warmed)),
+            None => {
+                lowered = compile_network(&candidate.network);
+                (&lowered, None)
+            }
+        };
         // Workers carry a *disabled* trace handle: per-candidate counters ride in the
         // results and are recorded once at the deterministic join below, after the
         // schedule-dependent tail past the early-stop cutoff has been discarded.
@@ -128,8 +153,8 @@ pub fn evaluate_frontier(
         let outcome = if per_candidate_threads > 1 && config.starts > 1 {
             // Narrow frontier: spend the spare workers on this candidate's starts. They
             // all build an evaluator of this program at once, so warm the cache first.
-            let warmed = warm_cache(&program, cache);
-            let make = || TnvmEvaluator::from_program(&program, cache);
+            let warmed = warmed.cloned().unwrap_or_else(|| warm_cache(program, cache));
+            let make = || TnvmEvaluator::from_program(program, cache);
             instantiate_parallel_until(make, target, &config, &past_cutoff).map(|mut outcome| {
                 outcome.kernels.merge(&warmed);
                 outcome
@@ -137,12 +162,21 @@ pub fn evaluate_frontier(
         } else {
             let evaluator = match evaluator_slot.as_mut() {
                 Some(evaluator) => {
-                    evaluator.load_program(&program, cache);
+                    evaluator.load_program(program, cache);
                     evaluator
                 }
-                None => evaluator_slot.insert(TnvmEvaluator::from_program(&program, cache)),
+                None => evaluator_slot.insert(TnvmEvaluator::from_program(program, cache)),
             };
-            instantiate_until(evaluator, target, &config, &past_cutoff)
+            instantiate_until(evaluator, target, &config, &past_cutoff).map(|mut outcome| {
+                if let Some(warmed) = warmed {
+                    // Loading the program looked each expression up again, and every
+                    // lookup hit the warmed cache: count the warm-up's outcomes in their
+                    // place, one lookup per expression as on the serial path.
+                    outcome.kernels.cache_hits -= program.exprs.len() as u64;
+                    outcome.kernels.merge(warmed);
+                }
+                outcome
+            })
         };
         // Abandoned past the cutoff, like every later index.
         let Some(outcome) = outcome else { break };
@@ -252,16 +286,63 @@ mod tests {
             assert!(e.iterations > 0);
         }
         // The shared cache stores each unique (expression, mode) exactly once — two
-        // gates in gradient mode — regardless of how many candidates were evaluated.
-        // (Miss *counts* can exceed the entry count here: this test deliberately runs
-        // workers against a cold cache; the search pre-warms it instead. Whether the
-        // *first* evaluation already scores hits depends on thread timing, so assert
-        // sharing on a second, warm evaluation instead.)
+        // gates in gradient mode — regardless of how many candidates were evaluated,
+        // and a second evaluation compiles nothing.
         assert_eq!(cache.stats().entries, 2);
         let warm = evaluate_frontier(&target, &candidates, &config, 2, &cache, false);
         assert_eq!(warm.len(), 2);
         assert_eq!(cache.stats().entries, 2, "warm evaluation must not recompile");
         assert!(cache.stats().hits > 0);
+    }
+
+    #[test]
+    fn parallel_frontier_counters_do_not_depend_on_timing() {
+        // Two candidates of a 3-qubit frontier on a fresh cache: their workers build
+        // evaluators at once, so without the serial warm-up both could count a miss for
+        // an expression they share. Counters and results must repeat exactly.
+        let generator = LayerGenerator::new(&[2, 2, 2], &CouplingGraph::linear(3)).unwrap();
+        let seed_net = generator.seed_network().unwrap();
+        let target = reachable_target(&generator.circuit_for(&[0]).unwrap(), 9);
+        let candidates: Vec<Candidate> = [vec![0], vec![1]]
+            .into_iter()
+            .map(|blocks| Candidate {
+                network: generator.extend_network(&seed_net, blocks[0]),
+                blocks,
+                warm_start: None,
+            })
+            .collect();
+        let lm = qudit_optimize::LmConfig { plateau_window: 10, ..Default::default() };
+        let run = |threads: usize| {
+            let trace = TraceRegistry::new();
+            let config = InstantiateConfig {
+                starts: 2,
+                lm: lm.clone(),
+                trace: trace.clone(),
+                ..Default::default()
+            };
+            let evaluated = evaluate_frontier(
+                &target,
+                &candidates,
+                &config,
+                threads,
+                &ExpressionCache::new(),
+                false,
+            );
+            let bits: Vec<Vec<u64>> = evaluated
+                .iter()
+                .map(|c| c.params.iter().chain([&c.infidelity]).map(|x| x.to_bits()).collect())
+                .collect();
+            (trace.counters_json(), bits)
+        };
+        let (_, serial_bits) = run(1);
+        for threads in [2, 4] {
+            let (counters, bits) = run(threads);
+            assert!(counters.contains("cache.misses"), "{counters}");
+            assert_eq!(bits, serial_bits, "{threads} workers changed a result");
+            for _ in 1..20 {
+                assert_eq!(run(threads), (counters.clone(), bits.clone()), "{threads} workers");
+            }
+        }
     }
 
     #[test]
