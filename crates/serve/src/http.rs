@@ -34,16 +34,29 @@ pub struct Request {
     pub body: Vec<u8>,
 }
 
-/// Reads one request from the stream.
+/// Reads one request from a connection, failing any read that waits longer than
+/// [`READ_TIMEOUT`]. See [`read_request_from`] for the parse.
+///
+/// # Errors
+///
+/// Returns a message when the timeout cannot be set, and every error of
+/// [`read_request_from`], timeouts included.
+pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
+    stream.set_read_timeout(Some(READ_TIMEOUT)).map_err(|e| e.to_string())?;
+    read_request_from(stream)
+}
+
+/// Reads one request from `source`: the request line, the headers up to the blank
+/// line, and a body of `Content-Length` bytes. The server answers every error with
+/// a 400.
 ///
 /// # Errors
 ///
 /// Returns a message for malformed request lines, lines longer than
-/// [`MAX_LINE_BYTES`], more than [`MAX_HEADERS`] headers, unparsable or oversized
-/// `Content-Length`, timeouts, and short reads.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
-    stream.set_read_timeout(Some(READ_TIMEOUT)).map_err(|e| e.to_string())?;
-    let mut reader = BufReader::new(stream);
+/// [`MAX_LINE_BYTES`] or not UTF-8, more than [`MAX_HEADERS`] headers, unparsable or
+/// oversized `Content-Length`, read errors, and short reads.
+pub fn read_request_from(source: impl Read) -> Result<Request, String> {
+    let mut reader = BufReader::new(source);
     let line = read_line_capped(&mut reader, "request line")?;
     let mut parts = line.split_whitespace();
     let method = parts.next().ok_or("empty request line")?.to_string();

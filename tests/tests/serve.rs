@@ -404,10 +404,13 @@ fn metrics_pass_timings_mirror_the_compilation_report() {
     server.shutdown();
 }
 
-/// Fuzzing of the request front end: hostile bytes never panic the JSON parser or
-/// the request validator, and every accepted body's dedup key parses back to the
-/// same key.
+/// Fuzzing of the request front end: hostile bytes never panic the HTTP request
+/// reader, the JSON parser or the request validator; the reader returns every
+/// rejection as an `Err` (which the server answers with a 400) and parses a valid
+/// request back to its method, path and body; and every accepted body's dedup key
+/// parses back to the same key.
 mod fuzz {
+    use openqudit::serve::http::{read_request_from, MAX_HEADERS, MAX_LINE_BYTES};
     use openqudit::serve::{json, parse_compile_request};
     use proptest::prelude::*;
 
@@ -468,8 +471,145 @@ mod fuzz {
         Ok(())
     }
 
+    /// Bytes the request mutations splice in: request-line and header structure,
+    /// digits and signs, a NUL, a UTF-8 lead byte and a byte that is never UTF-8.
+    const HTTP_ALPHABET: &[u8] = b" \r\n\t:/?=HTTP1.0GETPOS-+abxyz0123456789\x00\xc3\xff";
+
+    /// `Content-Length` values a request mutation can swap in: signs, an overflow of
+    /// `usize`, the body cap and one past it, blanks and non-decimal spellings.
+    const LENGTHS: [&str; 10] =
+        ["0", "-1", "+3", "18446744073709551616", "67108864", "67108865", "", " 7 ", "1e3", "0x10"];
+
+    /// A valid request with `headers` as its header lines and a matching
+    /// `content-length` after them.
+    fn request(method: &str, path: &str, headers: &[String], body: &[u8]) -> Vec<u8> {
+        let mut bytes = format!("{method} {path} HTTP/1.1\r\n").into_bytes();
+        for header in headers {
+            bytes.extend_from_slice(format!("{header}\r\n").as_bytes());
+        }
+        bytes.extend_from_slice(format!("content-length: {}\r\n\r\n", body.len()).as_bytes());
+        bytes.extend_from_slice(body);
+        bytes
+    }
+
+    /// Runs the HTTP reader on `bytes` (a panic fails the test); a rejection must
+    /// carry a message.
+    fn check_request(bytes: &[u8]) -> Result<(), String> {
+        match read_request_from(bytes) {
+            Err(detail) if detail.is_empty() => Err("a rejection without a message".to_string()),
+            _ => Ok(()),
+        }
+    }
+
+    #[test]
+    fn the_header_cap_admits_exactly_max_headers() {
+        // `request` adds the content-length header after the others.
+        let headers = |n: usize| (0..n).map(|i| format!("x-header-{i}: v")).collect::<Vec<_>>();
+        let at_cap = request("GET", "/healthz", &headers(MAX_HEADERS - 1), b"");
+        assert_eq!(read_request_from(&at_cap[..]).map(|r| r.path), Ok("/healthz".to_string()));
+        let over = request("GET", "/healthz", &headers(MAX_HEADERS), b"");
+        assert!(read_request_from(&over[..]).is_err());
+        // A line of exactly the cap, terminator included, is accepted; one byte more
+        // is not.
+        let line = |len: usize| format!("x-long: {}", "a".repeat(len - "x-long: \r\n".len()));
+        let fits = request("GET", "/healthz", &[line(MAX_LINE_BYTES)], b"");
+        assert!(read_request_from(&fits[..]).is_ok());
+        let long = request("GET", "/healthz", &[line(MAX_LINE_BYTES + 1)], b"");
+        assert!(read_request_from(&long[..]).is_err());
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn arbitrary_bytes_never_panic_the_request_reader(
+            len in 0usize..400,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut stream = Stream(seed);
+            let bytes: Vec<u8> = (0..len)
+                .map(|_| match stream.below(2) {
+                    0 => HTTP_ALPHABET[stream.below(HTTP_ALPHABET.len())],
+                    _ => stream.next() as u8,
+                })
+                .collect();
+            let verdict = check_request(&bytes);
+            prop_assert!(verdict.is_ok(), "{:?}: {:?}", String::from_utf8_lossy(&bytes), verdict);
+        }
+
+        #[test]
+        fn mutated_valid_requests_never_panic_the_reader(
+            base in 0usize..3,
+            edits in 1usize..4,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut stream = Stream(seed);
+            let mut bytes = match base {
+                0 => request("POST", "/compile", &["host: localhost".to_string()], BODIES[0].as_bytes()),
+                1 => request("GET", "/metrics", &[], b""),
+                _ => request("GET", "/healthz?x=1", &["x-a: b:c".to_string(), "Content-Length: 0".to_string()], b""),
+            };
+            for _ in 0..edits {
+                let at = stream.below(bytes.len() + 1);
+                match stream.below(5) {
+                    0 if at < bytes.len() => bytes[at] = HTTP_ALPHABET[stream.below(HTTP_ALPHABET.len())],
+                    1 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    2 => {
+                        // Swap the last content-length value for an edge case.
+                        let key = b"length: ";
+                        if let Some(i) = bytes.windows(key.len()).rposition(|w| w == key) {
+                            let start = i + key.len();
+                            let end = bytes[start..]
+                                .iter()
+                                .position(|&b| b == b'\r')
+                                .map_or(bytes.len(), |len| start + len);
+                            let value = LENGTHS[stream.below(LENGTHS.len())];
+                            bytes.splice(start..end, value.bytes());
+                        }
+                    }
+                    3 => {
+                        // Duplicate a line: a header or the request line.
+                        let start = bytes[..at].iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+                        if let Some(len) = bytes[start..].iter().position(|&b| b == b'\n') {
+                            let line = bytes[start..start + len + 1].to_vec();
+                            bytes.splice(start..start, line);
+                        }
+                    }
+                    _ => bytes.insert(at, HTTP_ALPHABET[stream.below(HTTP_ALPHABET.len())]),
+                }
+            }
+            let verdict = check_request(&bytes);
+            prop_assert!(verdict.is_ok(), "{:?}: {:?}", String::from_utf8_lossy(&bytes), verdict);
+        }
+
+        #[test]
+        fn valid_requests_parse_back_to_their_parts(
+            headers in 0usize..8,
+            body_len in 0usize..300,
+            seed in 0u64..u64::MAX,
+        ) {
+            const METHODS: [&str; 4] = ["GET", "POST", "PUT", "DELETE"];
+            const PATH: &[u8] = b"abcxyz0123456789/?=&%-._~";
+            let mut stream = Stream(seed);
+            let method = METHODS[stream.below(METHODS.len())];
+            let path: String = std::iter::once('/')
+                .chain((0..stream.below(40)).map(|_| PATH[stream.below(PATH.len())] as char))
+                .collect();
+            let headers: Vec<String> = (0..headers)
+                .map(|i| format!("x-fuzz-{i}: {}", "v:".repeat(stream.below(4))))
+                .collect();
+            // The body is read by length, so any byte may appear in it.
+            let body: Vec<u8> = (0..body_len).map(|_| stream.next() as u8).collect();
+            let bytes = request(method, &path, &headers, &body);
+            let parsed = read_request_from(&bytes[..]);
+            prop_assert!(parsed.is_ok(), "{:?}: {:?}", String::from_utf8_lossy(&bytes), parsed);
+            let parsed = parsed.unwrap();
+            prop_assert_eq!(parsed.method.as_str(), method);
+            prop_assert_eq!(parsed.path, path);
+            prop_assert_eq!(parsed.body, body);
+        }
 
         #[test]
         fn arbitrary_bytes_never_panic_the_request_parsers(
