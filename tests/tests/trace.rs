@@ -1,7 +1,8 @@
 //! Observability conformance: the `qudit-trace` registry threaded through the whole
 //! pipeline must uphold the determinism contract — same seed, byte-identical counter
-//! snapshots, with the kernel-dispatch totals pinned — and span nesting stays
-//! well-formed under arbitrary (proptest-generated) shapes.
+//! snapshots, with the kernel-dispatch totals pinned, also from a parallel frontier
+//! on a cold cache — and span nesting stays well-formed under arbitrary
+//! (proptest-generated) shapes.
 
 use openqudit::prelude::*;
 
@@ -72,6 +73,58 @@ fn search_runs_stop_at_their_cost_plateau() {
 }
 
 #[test]
+fn parallel_frontier_counters_do_not_depend_on_timing() {
+    // Two candidates of a 3-qubit frontier on a fresh cache: their workers build
+    // evaluators at once, so without a serial warm-up both could count a miss for an
+    // expression they share. Counters and results must repeat exactly, and the
+    // results must equal the serial path's.
+    use openqudit::synth::{evaluate_frontier, Candidate, LayerGenerator};
+    let generator = LayerGenerator::new(&[2, 2, 2], &CouplingGraph::linear(3)).unwrap();
+    let seed_net = generator.seed_network().unwrap();
+    let target = reachable_target(&generator.circuit_for(&[0]).unwrap(), 9);
+    let candidates: Vec<Candidate> = [vec![0], vec![1]]
+        .into_iter()
+        .map(|blocks| Candidate {
+            network: generator.extend_network(&seed_net, blocks[0]),
+            blocks,
+            warm_start: None,
+        })
+        .collect();
+    let lm = LmConfig { plateau_window: 10, ..Default::default() };
+    let run = |threads: usize| {
+        let trace = TraceRegistry::new();
+        let config = InstantiateConfig {
+            starts: 2,
+            lm: lm.clone(),
+            trace: trace.clone(),
+            ..Default::default()
+        };
+        let evaluated = evaluate_frontier(
+            &target,
+            &candidates,
+            &config,
+            threads,
+            &ExpressionCache::new(),
+            false,
+        );
+        let bits: Vec<Vec<u64>> = evaluated
+            .iter()
+            .map(|c| c.params.iter().chain([&c.infidelity]).map(|x| x.to_bits()).collect())
+            .collect();
+        (trace.counters_json(), bits)
+    };
+    let (_, serial_bits) = run(1);
+    for threads in [2, 4] {
+        let (counters, bits) = run(threads);
+        assert!(counters.contains("cache.misses"), "{counters}");
+        assert_eq!(bits, serial_bits, "{threads} workers changed a result");
+        for _ in 1..20 {
+            assert_eq!(run(threads), (counters.clone(), bits.clone()), "{threads} workers");
+        }
+    }
+}
+
+#[test]
 fn tiers_agree_on_algorithm_counters_and_split_kernel_dispatch() {
     // The CNOT compile's kernel work, pinned: MATMUL and KRON dispatches, the flop
     // estimate summed over its keys, and the evaluation count.
@@ -112,8 +165,16 @@ fn partitioned_run_emits_chrome_trace_and_counters() {
     assert!(report.metrics.keys().any(|k| k.starts_with("tnvm.dispatch.")));
     // The counters describe this compile only: two partition rounds reached the
     // target and the search pass skipped, so no search or frontier work is counted,
-    // and fold's counter matches the result.
+    // and fold's counter matches the result. The cut bound certified round 1, whose
+    // one start stopped at its cost plateau; round 2 converged from its warm start,
+    // and refine's attempts were all certified, so that plateau stop is round 1's.
     assert_eq!(report.metrics.get("partition.rounds"), Some(&2));
+    assert_eq!(report.metrics.get("partition.rounds.certified"), Some(&1));
+    assert_eq!(
+        report.metrics.get("refine.attempts.certified"),
+        report.metrics.get("refine.attempts")
+    );
+    assert_eq!(report.metrics.get("lm.stop.plateau"), Some(&1), "{:?}", report.metrics);
     for key in ["search.nodes_expanded", "frontier.candidates"] {
         assert!(!report.metrics.contains_key(key), "unexpected {key} in {:?}", report.metrics);
     }
