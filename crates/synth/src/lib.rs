@@ -19,9 +19,14 @@
 //!   coupling edge, incrementally extending both the circuit and its tensor network,
 //! * [`bound`] — [`CutBound`]: a lower bound on a template's infidelity at every
 //!   parameter vector, from the target's operator-Schmidt spectra across small qudit
-//!   cuts and the ranks of the template's crossing entanglers. A template whose bound
-//!   exceeds 100× the success threshold is *certified* hopeless, and no LM run is
-//!   spent on it,
+//!   cuts and the ranks of the template's crossing entanglers. On two qubits with a
+//!   CNOT-equivalent entangler it adds a term for templates of at most two blocks:
+//!   such a template realizes at most two CNOTs, whose Shende–Markov–Bullock
+//!   invariant `tr γ` is real, so the imaginary part `y` of the target's normalized
+//!   invariant gives an infidelity of at least `y²/(128·(1 + π/2)²)` (proof in the
+//!   module docs). A template whose bound exceeds 100× the success threshold is
+//!   *certified* hopeless, and no LM run is spent on it; the partition pass runs a
+//!   certified round once, only as the next round's warm start,
 //! * [`search`] / [`frontier`] — an A*/beam search whose cost combines instantiated
 //!   Hilbert–Schmidt infidelity with gate count, evaluating all uncertified candidate
 //!   expansions of a node concurrently (one TNVM per worker, re-targeted in place per

@@ -5,10 +5,11 @@
 //! (close to) redundant — the QudCom / adaptive-compilation observation that much of
 //! the final gate-count win comes from *eliminating* multi-level operations after
 //! synthesis, not from the search itself. Measured over perfbench's six target kinds
-//! (seeds 7, 11, 13, 17 and 19: 400 narrow and 40 wide targets), that win is
-//! concentrated: 16 of 1,232 deletion attempts held, all on the three wide
-//! partitioned sketches that escalated to four rounds, and none on a search result
-//! or a two-round sketch. So every attempt is kept cheap, and most are not run:
+//! (seeds 7, 11, 13, 17, 19 and 23: 900 narrow and 90 wide targets), that win has
+//! gone: none of 2,158 deletion attempts held, and the cut bound certified 2,035 of
+//! them hopeless. Before the partition pass certified its hopeless rounds, 28 of
+//! 2,208 held, all on five wide sketches that escalated past round 2; now every wide
+//! target succeeds at round 2. So every attempt is kept cheap, and most are not run:
 //!
 //! 1. **Rank** the blocks by their entangling residual: the dominant
 //!    operator-Schmidt weight deficit of the block's instantiated sub-unitary across
