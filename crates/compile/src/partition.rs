@@ -136,7 +136,7 @@ impl Pass for PartitionPass {
                 icfg.starts = 1;
                 certified += 1;
             } else {
-                icfg.starts *= UNCERTIFIED_START_FACTOR;
+                icfg.starts = icfg.starts.saturating_mul(UNCERTIFIED_START_FACTOR);
             }
             let outcome = instantiate_circuit(&circuit, &task.target, &icfg, ctx.cache());
             attempts += 1;

@@ -165,10 +165,11 @@ pub fn evaluate_frontier(
             };
             instantiate_until(evaluator, target, &config, &past_cutoff).map(|mut outcome| {
                 if warmed.is_some() {
-                    // Loading the program looked each expression up again, and every
-                    // lookup hit the warmed cache: the warm-up's outcomes count in their
+                    // The evaluator's only cache lookups are its load of this program,
+                    // made after the warm-up: the warm-up's outcomes count in their
                     // place, one lookup per expression as on the serial path.
-                    outcome.kernels.cache_hits -= program.exprs.len() as u64;
+                    outcome.kernels.cache_hits = 0;
+                    outcome.kernels.cache_misses = 0;
                 }
                 outcome
             })

@@ -77,7 +77,9 @@ fn parallel_frontier_counters_do_not_depend_on_timing() {
     // Two candidates of a 3-qubit frontier on a fresh cache: their workers build
     // evaluators at once, so without a serial warm-up both could count a miss for an
     // expression they share. Counters and results must repeat exactly, and the
-    // results must equal the serial path's.
+    // results must equal the serial path's. A cache too small for one program evicts
+    // what the warm-up compiled, so the workers' own lookups miss; those must not
+    // reach the counters either.
     use openqudit::synth::{evaluate_frontier, Candidate, LayerGenerator};
     let generator = LayerGenerator::new(&[2, 2, 2], &CouplingGraph::linear(3)).unwrap();
     let seed_net = generator.seed_network().unwrap();
@@ -91,7 +93,7 @@ fn parallel_frontier_counters_do_not_depend_on_timing() {
         })
         .collect();
     let lm = LmConfig { plateau_window: 10, ..Default::default() };
-    let run = |threads: usize| {
+    let run = |threads: usize, cache: ExpressionCache| {
         let trace = TraceRegistry::new();
         let config = InstantiateConfig {
             starts: 2,
@@ -99,27 +101,25 @@ fn parallel_frontier_counters_do_not_depend_on_timing() {
             trace: trace.clone(),
             ..Default::default()
         };
-        let evaluated = evaluate_frontier(
-            &target,
-            &candidates,
-            &config,
-            threads,
-            &ExpressionCache::new(),
-            false,
-        );
+        let evaluated = evaluate_frontier(&target, &candidates, &config, threads, &cache, false);
         let bits: Vec<Vec<u64>> = evaluated
             .iter()
             .map(|c| c.params.iter().chain([&c.infidelity]).map(|x| x.to_bits()).collect())
             .collect();
         (trace.counters_json(), bits)
     };
-    let (_, serial_bits) = run(1);
-    for threads in [2, 4] {
-        let (counters, bits) = run(threads);
+    let (_, serial_bits) = run(1, ExpressionCache::new());
+    for (threads, capacity) in [(2, None), (4, None), (2, Some(1))] {
+        let cache = || capacity.map_or_else(ExpressionCache::new, ExpressionCache::with_capacity);
+        let (counters, bits) = run(threads, cache());
         assert!(counters.contains("cache.misses"), "{counters}");
         assert_eq!(bits, serial_bits, "{threads} workers changed a result");
         for _ in 1..20 {
-            assert_eq!(run(threads), (counters.clone(), bits.clone()), "{threads} workers");
+            assert_eq!(
+                run(threads, cache()),
+                (counters.clone(), bits.clone()),
+                "{threads} workers"
+            );
         }
     }
 }
