@@ -278,8 +278,9 @@ fn class_costs(ids: &[Id], cost: impl Fn(Id) -> Option<f64>) -> Vec<Option<u64>>
 
 /// Runs the oracle and production pipelines on one batch and asserts they agree on
 /// every observable: roots, run report, e-graph contents, class costs after every
-/// extraction, and the extracted expressions. Returns the run's stop reason.
-fn assert_pipelines_agree(exprs: &[Expr], runner: &Runner, what: &str) -> StopReason {
+/// extraction, and the extracted expressions. Returns the run's report and its final
+/// count of live classes.
+fn assert_pipelines_agree(exprs: &[Expr], runner: &Runner, what: &str) -> (RunReport, usize) {
     let mut old = EGraph::new();
     let old_roots: Vec<Id> = exprs.iter().map(|e| add_tree(&mut old, e)).collect();
     let old_report = run_string_keyed(runner, &mut old, default_rules());
@@ -312,7 +313,7 @@ fn assert_pipelines_agree(exprs: &[Expr], runner: &Runner, what: &str) -> StopRe
         let (expected, actual) = costs(&sweep, &greedy);
         assert_eq!(actual, expected, "{what}: costs after root {k}");
     }
-    report.stop_reason
+    (report, graph.class_count())
 }
 
 fn default_runner() -> Runner {
@@ -331,15 +332,92 @@ fn components(matrices: &[Vec<Vec<ComplexExpr>>]) -> Vec<Expr> {
     out
 }
 
+/// `(gate, batch, iterations, unions, e-nodes, stop reason, live classes)` of the
+/// default saturation run on every library gate's `unitary` batch and on its
+/// `gradient` batch (the unitary with its gradient). The oracles check the run against
+/// a second implementation; this table pins how the e-graph grows, so a storage change
+/// that alters the graph fails even where the extracted expressions happen to agree.
+const GROWTH: &[(&str, &str, usize, usize, usize, StopReason, usize)] = &[
+    ("U3", "unitary", 5, 9, 45, StopReason::Saturated, 36),
+    ("U3", "gradient", 6, 50, 117, StopReason::IterationLimit, 62),
+    ("U2", "unitary", 5, 14, 52, StopReason::Saturated, 38),
+    ("U2", "gradient", 6, 51, 107, StopReason::IterationLimit, 51),
+    ("U1", "unitary", 1, 0, 5, StopReason::Saturated, 5),
+    ("U1", "gradient", 2, 1, 8, StopReason::Saturated, 7),
+    ("RX", "unitary", 3, 4, 17, StopReason::Saturated, 13),
+    ("RX", "gradient", 3, 6, 25, StopReason::Saturated, 19),
+    ("RY", "unitary", 3, 4, 17, StopReason::Saturated, 13),
+    ("RY", "gradient", 3, 6, 25, StopReason::Saturated, 19),
+    ("RZ", "unitary", 3, 5, 19, StopReason::Saturated, 12),
+    ("RZ", "gradient", 6, 21, 46, StopReason::IterationLimit, 22),
+    ("RZZ", "unitary", 3, 5, 19, StopReason::Saturated, 12),
+    ("RZZ", "gradient", 6, 21, 46, StopReason::IterationLimit, 22),
+    ("H", "unitary", 1, 0, 4, StopReason::Saturated, 4),
+    ("H", "gradient", 1, 0, 4, StopReason::Saturated, 4),
+    ("X", "unitary", 1, 0, 2, StopReason::Saturated, 2),
+    ("X", "gradient", 1, 0, 2, StopReason::Saturated, 2),
+    ("Y", "unitary", 1, 0, 4, StopReason::Saturated, 4),
+    ("Y", "gradient", 1, 0, 4, StopReason::Saturated, 4),
+    ("Z", "unitary", 1, 0, 4, StopReason::Saturated, 4),
+    ("Z", "gradient", 1, 0, 4, StopReason::Saturated, 4),
+    ("CNOT", "unitary", 1, 0, 2, StopReason::Saturated, 2),
+    ("CNOT", "gradient", 1, 0, 2, StopReason::Saturated, 2),
+    ("CZ", "unitary", 1, 0, 4, StopReason::Saturated, 4),
+    ("CZ", "gradient", 1, 0, 4, StopReason::Saturated, 4),
+    ("SWAP", "unitary", 1, 0, 2, StopReason::Saturated, 2),
+    ("SWAP", "gradient", 1, 0, 2, StopReason::Saturated, 2),
+    ("CP", "unitary", 1, 0, 5, StopReason::Saturated, 5),
+    ("CP", "gradient", 2, 1, 8, StopReason::Saturated, 7),
+    ("CSUM", "unitary", 1, 0, 2, StopReason::Saturated, 2),
+    ("CSUM", "gradient", 1, 0, 2, StopReason::Saturated, 2),
+    ("CSUM4", "unitary", 1, 0, 2, StopReason::Saturated, 2),
+    ("CSUM4", "gradient", 1, 0, 2, StopReason::Saturated, 2),
+    ("CSHIFT23", "unitary", 1, 0, 2, StopReason::Saturated, 2),
+    ("CSHIFT23", "gradient", 1, 0, 2, StopReason::Saturated, 2),
+    ("CSHIFT24", "unitary", 1, 0, 2, StopReason::Saturated, 2),
+    ("CSHIFT24", "gradient", 1, 0, 2, StopReason::Saturated, 2),
+    ("CSHIFT34", "unitary", 1, 0, 2, StopReason::Saturated, 2),
+    ("CSHIFT34", "gradient", 1, 0, 2, StopReason::Saturated, 2),
+    ("P3", "unitary", 1, 0, 8, StopReason::Saturated, 8),
+    ("P3", "gradient", 2, 2, 15, StopReason::Saturated, 13),
+    ("QutritU", "unitary", 6, 103, 285, StopReason::IterationLimit, 174),
+    ("QutritU", "gradient", 6, 571, 1326, StopReason::IterationLimit, 706),
+    ("QuquartU", "unitary", 6, 321, 856, StopReason::IterationLimit, 517),
+    ("QuquartU", "gradient", 3, 1102, 4001, StopReason::NodeLimit, 2829),
+];
+
 #[test]
 fn library_gate_batches_match_the_oracles() {
+    let mut actual = Vec::new();
     for (name, gate) in qudit_circuit::gates::all_gates() {
         let unitary = components(&[gate.elements().to_vec()]);
-        assert_pipelines_agree(&unitary, &default_runner(), name);
         let mut with_gradient = vec![gate.elements().to_vec()];
         with_gradient.extend(gate.gradient());
-        assert_pipelines_agree(&components(&with_gradient), &default_runner(), name);
+        for (batch, exprs) in [("unitary", unitary), ("gradient", components(&with_gradient))] {
+            let (report, classes) =
+                assert_pipelines_agree(&exprs, &default_runner(), &format!("{name} {batch}"));
+            actual.push((name, batch, report, classes));
+        }
     }
+    let table: String = actual
+        .iter()
+        .map(|(name, batch, r, classes)| {
+            format!(
+                "    (\"{name}\", \"{batch}\", {}, {}, {}, StopReason::{:?}, {classes}),\n",
+                r.iterations, r.unions, r.nodes, r.stop_reason
+            )
+        })
+        .collect();
+    let pinned: Vec<_> = GROWTH
+        .iter()
+        .map(|&(name, batch, iterations, unions, nodes, stop_reason, classes)| {
+            (name, batch, RunReport { iterations, unions, nodes, stop_reason }, classes)
+        })
+        .collect();
+    assert!(
+        actual == pinned,
+        "saturation growth differs from the pinned table; it is now:\n{table}"
+    );
 }
 
 /// A deterministic generator of small expression batches with shared subtrees.
@@ -400,7 +478,7 @@ fn random_expression_batches_match_the_oracles() {
         // Small node limits keep the oracles fast; every third batch runs under tighter
         // limits still, so that saturation is cut short.
         let runner = if seed % 3 == 2 { Runner::new(4, 200) } else { Runner::new(6, 800) };
-        let reason = assert_pipelines_agree(&batch, &runner, &format!("seed {seed}"));
+        let reason = assert_pipelines_agree(&batch, &runner, &format!("seed {seed}")).0.stop_reason;
         if !stop_reasons.contains(&reason) {
             stop_reasons.push(reason);
         }
