@@ -4,6 +4,20 @@
 //! The implementation follows the standard design popularized by the EGG library
 //! (which the paper uses); it is re-implemented here from scratch so the workspace has no
 //! external solver dependencies.
+//!
+//! # Storage
+//!
+//! Ids are dense: [`EGraph::add`] gives a new class the next union-find index. So the
+//! classes sit in a vector indexed by id, with `None` where a class was merged into
+//! another, and reaching a class never hashes. An e-node keeps its (at most two)
+//! children inline, so canonicalizing, cloning, hashing and comparing a node allocate
+//! nothing. Only the hash-consing memo, keyed by whole e-nodes, is a hash map.
+//!
+//! [`EGraph::class_ids`] walks that vector, so it yields ascending ids with no sort.
+//! The order is load-bearing: both the saturation runner and the extractor visit
+//! classes in it, and any other order would change which rule applications and which
+//! equal-cost e-nodes win, and so the floating-point op order of the JIT-compiled
+//! expressions, which must be byte-for-byte reproducible.
 
 use std::collections::HashMap;
 
@@ -26,7 +40,9 @@ pub struct EClass {
 pub struct EGraph {
     unionfind: Vec<Id>,
     memo: HashMap<Node, Id>,
-    classes: HashMap<Id, EClass>,
+    /// `classes[id]` is the class of canonical id `id`, `None` once merged away.
+    classes: Vec<Option<EClass>>,
+    live_classes: usize,
     dirty: Vec<Id>,
     node_count: usize,
 }
@@ -47,7 +63,7 @@ impl EGraph {
 
     /// Number of (canonical) e-classes currently alive.
     pub fn class_count(&self) -> usize {
-        self.classes.len()
+        self.live_classes
     }
 
     /// Finds the canonical representative of an e-class.
@@ -79,6 +95,11 @@ impl EGraph {
         node.map_children(|c| self.find(c))
     }
 
+    /// The class of a canonical id.
+    fn canonical_class(&mut self, id: Id) -> &mut EClass {
+        self.classes[id.index()].as_mut().expect("a canonical id has a class")
+    }
+
     /// Adds a node (with already-added children) and returns its e-class.
     pub fn add(&mut self, node: Node) -> Id {
         let node = self.canonicalize(&node);
@@ -87,14 +108,10 @@ impl EGraph {
         }
         let id = Id(self.unionfind.len() as u32);
         self.unionfind.push(id);
-        let mut class = EClass::default();
-        class.nodes.push(node.clone());
-        self.classes.insert(id, class);
+        self.classes.push(Some(EClass { nodes: vec![node.clone()], parents: Vec::new() }));
+        self.live_classes += 1;
         for &child in &node.children {
-            let child = self.find(child);
-            if let Some(c) = self.classes.get_mut(&child) {
-                c.parents.push((node.clone(), id));
-            }
+            self.canonical_class(child).parents.push((node.clone(), id));
         }
         self.memo.insert(node, id);
         self.node_count += 1;
@@ -123,23 +140,23 @@ impl EGraph {
         if let Some(&id) = memo.get(&key) {
             return id;
         }
-        let (op, kids): (Op, Vec<&Expr>) = match expr {
-            Expr::Const(c) => (Op::constant(*c), vec![]),
-            Expr::Pi => (Op::Pi, vec![]),
-            Expr::Var(v) => (Op::Var(v.clone()), vec![]),
-            Expr::Neg(a) => (Op::Neg, vec![a]),
-            Expr::Sin(a) => (Op::Sin, vec![a]),
-            Expr::Cos(a) => (Op::Cos, vec![a]),
-            Expr::Sqrt(a) => (Op::Sqrt, vec![a]),
-            Expr::Exp(a) => (Op::Exp, vec![a]),
-            Expr::Ln(a) => (Op::Ln, vec![a]),
-            Expr::Add(a, b) => (Op::Add, vec![a, b]),
-            Expr::Sub(a, b) => (Op::Sub, vec![a, b]),
-            Expr::Mul(a, b) => (Op::Mul, vec![a, b]),
-            Expr::Div(a, b) => (Op::Div, vec![a, b]),
-            Expr::Pow(a, b) => (Op::Pow, vec![a, b]),
+        let (op, kids): (Op, [Option<&Expr>; 2]) = match expr {
+            Expr::Const(c) => (Op::constant(*c), [None, None]),
+            Expr::Pi => (Op::Pi, [None, None]),
+            Expr::Var(v) => (Op::Var(v.clone()), [None, None]),
+            Expr::Neg(a) => (Op::Neg, [Some(a), None]),
+            Expr::Sin(a) => (Op::Sin, [Some(a), None]),
+            Expr::Cos(a) => (Op::Cos, [Some(a), None]),
+            Expr::Sqrt(a) => (Op::Sqrt, [Some(a), None]),
+            Expr::Exp(a) => (Op::Exp, [Some(a), None]),
+            Expr::Ln(a) => (Op::Ln, [Some(a), None]),
+            Expr::Add(a, b) => (Op::Add, [Some(a), Some(b)]),
+            Expr::Sub(a, b) => (Op::Sub, [Some(a), Some(b)]),
+            Expr::Mul(a, b) => (Op::Mul, [Some(a), Some(b)]),
+            Expr::Div(a, b) => (Op::Div, [Some(a), Some(b)]),
+            Expr::Pow(a, b) => (Op::Pow, [Some(a), Some(b)]),
         };
-        let children = kids.into_iter().map(|k| self.add_shared(k, memo)).collect();
+        let children = kids.into_iter().flatten().map(|k| self.add_shared(k, memo)).collect();
         let id = self.add(Node { op, children });
         memo.insert(key, id);
         id
@@ -152,19 +169,18 @@ impl EGraph {
         if a == b {
             return a;
         }
-        // Keep the class with more nodes as the root to bound merge cost.
-        let (root, child) = {
-            let an = self.classes.get(&a).map(|c| c.nodes.len()).unwrap_or(0);
-            let bn = self.classes.get(&b).map(|c| c.nodes.len()).unwrap_or(0);
-            if an >= bn {
+        // Keep the class with more nodes as the root to bound merge cost; a tie keeps
+        // `a`.
+        let (root, child) =
+            if self.canonical_class(a).nodes.len() >= self.canonical_class(b).nodes.len() {
                 (a, b)
             } else {
                 (b, a)
-            }
-        };
+            };
         self.unionfind[child.index()] = root;
-        let child_class = self.classes.remove(&child).unwrap_or_default();
-        let root_class = self.classes.entry(root).or_default();
+        let child_class = self.classes[child.index()].take().expect("a canonical id has a class");
+        self.live_classes -= 1;
+        let root_class = self.canonical_class(root);
         root_class.nodes.extend(child_class.nodes);
         root_class.parents.extend(child_class.parents);
         self.dirty.push(root);
@@ -173,11 +189,15 @@ impl EGraph {
 
     /// Restores the congruence invariant after unions: if two nodes become identical
     /// after canonicalization, their classes are merged; the memo table is re-keyed.
+    ///
+    /// A dirty class's parent list is taken, not copied: the repaired list replaces
+    /// whatever the list of the class's root holds once the repair ends, so the parents
+    /// that a union in between would have appended there are dropped either way.
     pub fn rebuild(&mut self) {
         while let Some(dirty) = self.dirty.pop() {
             let dirty = self.find_mut(dirty);
-            let parents = match self.classes.get(&dirty) {
-                Some(c) => c.parents.clone(),
+            let parents = match self.classes[dirty.index()].as_mut() {
+                Some(c) => std::mem::take(&mut c.parents),
                 None => continue,
             };
             let mut new_parents: Vec<(Node, Id)> = Vec::with_capacity(parents.len());
@@ -203,42 +223,38 @@ impl EGraph {
                     }
                 }
             }
-            if let Some(c) = self.classes.get_mut(&self.find(dirty)) {
-                c.parents = new_parents;
-            }
             // Also canonicalize the node list of the class itself.
             let dirty = self.find(dirty);
-            if let Some(c) = self.classes.get(&dirty) {
-                let canon_nodes: Vec<Node> = c.nodes.iter().map(|n| self.canonicalize(n)).collect();
-                let mut deduped: Vec<Node> = Vec::with_capacity(canon_nodes.len());
-                for n in canon_nodes {
-                    if !deduped.contains(&n) {
-                        deduped.push(n);
-                    }
+            let nodes = std::mem::take(&mut self.canonical_class(dirty).nodes);
+            let mut deduped: Vec<Node> = Vec::with_capacity(nodes.len());
+            for n in &nodes {
+                let n = self.canonicalize(n);
+                if !deduped.contains(&n) {
+                    deduped.push(n);
                 }
-                self.classes.get_mut(&dirty).unwrap().nodes = deduped;
             }
+            let class = self.canonical_class(dirty);
+            class.parents = new_parents;
+            class.nodes = deduped;
         }
     }
 
-    /// Iterates over the canonical e-class ids, in ascending id order.
-    ///
-    /// The sort is load-bearing: the backing map's iteration order varies between
-    /// processes, and both the saturation runner and the extractor visit classes in
-    /// this order. An unsorted walk would make rule-application (and hence tie-breaks
-    /// among equal-cost extractions) process-dependent, which leaks all the way into
-    /// the floating-point op order of JIT-compiled expressions — breaking the
-    /// byte-for-byte reproducibility the synthesis engine guarantees.
+    /// The canonical e-class ids, in ascending id order (see the [module docs](self)).
     pub fn class_ids(&self) -> Vec<Id> {
-        // detlint: allow(unsorted-map-iter) — sorted on the next line
-        let mut ids: Vec<Id> = self.classes.keys().copied().collect();
-        ids.sort_unstable();
-        ids
+        self.classes().map(|(id, _)| id).collect()
+    }
+
+    /// The canonical e-classes with their ids, in ascending id order.
+    pub(crate) fn classes(&self) -> impl Iterator<Item = (Id, &EClass)> {
+        self.classes
+            .iter()
+            .enumerate()
+            .filter_map(|(k, class)| class.as_ref().map(|class| (Id(k as u32), class)))
     }
 
     /// Returns the e-class for a canonical id.
     pub fn class(&self, id: Id) -> Option<&EClass> {
-        self.classes.get(&self.find(id))
+        self.classes[self.find(id).index()].as_ref()
     }
 
     /// E-matching: calls `on_match(class, subst)` for every substitution under which
@@ -287,7 +303,7 @@ impl EGraph {
                 }
             }
             SlotTerm::Node(op, children) => {
-                let Some(class) = self.classes.get(&id) else { return };
+                let Some(class) = &self.classes[id.index()] else { return };
                 for node in &class.nodes {
                     if &node.op != op || node.children.len() != children.len() {
                         continue;
@@ -315,9 +331,9 @@ impl EGraph {
         match &pattern.terms[term] {
             SlotTerm::Var(slot) => subst[*slot],
             SlotTerm::Node(op, children) => {
-                let child_ids =
+                let children =
                     children.iter().map(|&c| self.instantiate_term(pattern, c, subst)).collect();
-                self.add(Node { op: op.clone(), children: child_ids })
+                self.add(Node { op: op.clone(), children })
             }
         }
     }

@@ -6,6 +6,8 @@
 //! rewrite rules (`?x` denotes a pattern variable).
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::{Deref, DerefMut};
 
 /// An e-class identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -103,31 +105,103 @@ impl Op {
     }
 }
 
+/// The children of an e-node, stored inline: no operator takes more than two.
+///
+/// Derefs to the live prefix `[Id]`, whose length is the operator's arity. `Eq` and
+/// `Hash` see only that prefix, and hash it as a slice, so a node hashes as it did
+/// when its children were a `Vec<Id>`.
+#[derive(Debug, Clone, Copy)]
+pub struct Children {
+    len: u8,
+    ids: [Id; 2],
+}
+
+impl Children {
+    /// No children.
+    pub const NONE: Children = Children { len: 0, ids: [Id(0); 2] };
+}
+
+impl Deref for Children {
+    type Target = [Id];
+
+    fn deref(&self) -> &[Id] {
+        &self.ids[..self.len as usize]
+    }
+}
+
+impl DerefMut for Children {
+    fn deref_mut(&mut self) -> &mut [Id] {
+        &mut self.ids[..self.len as usize]
+    }
+}
+
+impl PartialEq for Children {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Children {}
+
+impl Hash for Children {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
+
+impl FromIterator<Id> for Children {
+    /// # Panics
+    ///
+    /// Panics on more than two ids.
+    fn from_iter<I: IntoIterator<Item = Id>>(iter: I) -> Self {
+        let mut out = Children::NONE;
+        for id in iter {
+            assert!(out.len < 2, "an e-node has at most two children");
+            out.ids[out.len as usize] = id;
+            out.len += 1;
+        }
+        out
+    }
+}
+
+impl<'a> IntoIterator for &'a Children {
+    type Item = &'a Id;
+    type IntoIter = std::slice::Iter<'a, Id>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 /// An e-node: an operator applied to e-class children.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Node {
     /// The operator.
     pub op: Op,
     /// Child e-class ids (length equals `op.arity()`).
-    pub children: Vec<Id>,
+    pub children: Children,
 }
 
 impl Node {
     /// Creates a leaf node.
     pub fn leaf(op: Op) -> Node {
         debug_assert_eq!(op.arity(), 0);
-        Node { op, children: Vec::new() }
+        Node { op, children: Children::NONE }
     }
 
     /// Creates a node with children.
     pub fn new(op: Op, children: Vec<Id>) -> Node {
         debug_assert_eq!(op.arity(), children.len(), "arity mismatch for {op:?}");
-        Node { op, children }
+        Node { op, children: children.into_iter().collect() }
     }
 
     /// Returns a copy of the node with its children canonicalized by `f`.
     pub fn map_children(&self, mut f: impl FnMut(Id) -> Id) -> Node {
-        Node { op: self.op.clone(), children: self.children.iter().map(|&c| f(c)).collect() }
+        let mut children = self.children;
+        for c in children.iter_mut() {
+            *c = f(*c);
+        }
+        Node { op: self.op.clone(), children }
     }
 }
 
@@ -320,9 +394,35 @@ mod tests {
     }
 
     #[test]
+    fn children_compare_and_hash_their_live_prefix_as_a_vec_does() {
+        use std::collections::hash_map::DefaultHasher;
+        fn hash_of(value: impl Hash) -> u64 {
+            let mut hasher = DefaultHasher::new();
+            value.hash(&mut hasher);
+            hasher.finish()
+        }
+        for ids in [vec![], vec![Id(3)], vec![Id(3), Id(4)]] {
+            let children: Children = ids.iter().copied().collect();
+            assert_eq!(*children, ids[..]);
+            assert_eq!(hash_of(children), hash_of(&ids));
+        }
+        // The slot past the arity takes no part.
+        let stale = Children { len: 1, ids: [Id(1), Id(9)] };
+        let one: Children = [Id(1)].into_iter().collect();
+        assert_eq!(stale, one);
+        assert_eq!(hash_of(stale), hash_of(one));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most two children")]
+    fn children_refuse_a_third_id() {
+        let _: Children = [Id(0), Id(1), Id(2)].into_iter().collect();
+    }
+
+    #[test]
     fn map_children_applies_function() {
         let n = Node::new(Op::Mul, vec![Id(3), Id(4)]);
         let m = n.map_children(|id| Id(id.0 + 10));
-        assert_eq!(m.children, vec![Id(13), Id(14)]);
+        assert_eq!(*m.children, [Id(13), Id(14)]);
     }
 }

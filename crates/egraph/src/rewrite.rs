@@ -211,7 +211,7 @@ impl Runner {
             let mut bindings: Vec<Id> = Vec::new();
             {
                 let all = graph.class_ids();
-                let by_op = classes_by_op(graph, &all);
+                let by_op = classes_by_op(graph);
                 for (rule_idx, rule) in rules.iter().enumerate() {
                     let candidates = match rule.searcher.root_op() {
                         None => &all[..],
@@ -257,12 +257,11 @@ impl Runner {
     }
 }
 
-/// Indexes the canonical classes `ids` (ascending) by the operators of their e-nodes;
-/// every list stays in ascending id order. Only ever looked up, never iterated.
-fn classes_by_op<'g>(graph: &'g EGraph, ids: &[Id]) -> HashMap<&'g Op, Vec<Id>> {
+/// Indexes the canonical classes by the operators of their e-nodes; every list is in
+/// ascending id order. Only ever looked up, never iterated.
+fn classes_by_op(graph: &EGraph) -> HashMap<&Op, Vec<Id>> {
     let mut index: HashMap<&Op, Vec<Id>> = HashMap::new();
-    for &id in ids {
-        let class = graph.class(id).expect("class_ids are canonical");
+    for (id, class) in graph.classes() {
         for node in &class.nodes {
             let with_op = index.entry(&node.op).or_default();
             if with_op.last() != Some(&id) {
