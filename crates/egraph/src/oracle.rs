@@ -1,10 +1,14 @@
-//! Reference implementations of saturation and extraction, kept as test oracles.
+//! Reference implementations of saturation, extraction and the batch statistics, kept
+//! as test oracles.
 //!
 //! [`run_string_keyed`] is the saturation loop with the textbook e-matcher, whose
 //! substitutions are `HashMap<String, Id>` merged child by child; [`SweepExtractor`]
 //! re-stabilizes costs by sweeping every e-class to a fixpoint after each root. The
 //! production runner and extractor must reproduce both exactly: the same e-graph, the
 //! same run report, the same class costs after every root and the same expressions.
+//! [`unique_trig_count_by_tree`] and [`Expr::node_count`] walk every path through a
+//! batch; the memoized [`batch_counts`] behind the statistics of
+//! [`simplify_batch_with`](crate::simplify::simplify_batch_with) must count the same.
 
 use std::collections::HashMap;
 use std::collections::HashSet;
@@ -18,7 +22,7 @@ use crate::extract::GreedyExtractor;
 use crate::language::{Id, Node, Op, Pattern};
 use crate::rewrite::{Rewrite, RunReport, Runner, StopReason};
 use crate::rules::default_rules;
-use crate::simplify::SimplifyConfig;
+use crate::simplify::{batch_counts, simplify_batch, SimplifyConfig};
 
 /// A substitution binding pattern variables to e-class ids.
 type Subst = HashMap<String, Id>;
@@ -418,6 +422,53 @@ fn library_gate_batches_match_the_oracles() {
         actual == pinned,
         "saturation growth differs from the pinned table; it is now:\n{table}"
     );
+}
+
+/// [`unique_trig_count`](crate::simplify::unique_trig_count) by a walk of every path,
+/// cloning each trig term into the set.
+fn unique_trig_count_by_tree(exprs: &[Expr]) -> usize {
+    fn walk(e: &Expr, set: &mut HashSet<Expr>) {
+        match e {
+            Expr::Sin(a) | Expr::Cos(a) => {
+                set.insert(e.clone());
+                walk(a, set);
+            }
+            Expr::Const(_) | Expr::Pi | Expr::Var(_) => {}
+            Expr::Neg(a) | Expr::Sqrt(a) | Expr::Exp(a) | Expr::Ln(a) => walk(a, set),
+            Expr::Add(a, b)
+            | Expr::Sub(a, b)
+            | Expr::Mul(a, b)
+            | Expr::Div(a, b)
+            | Expr::Pow(a, b) => {
+                walk(a, set);
+                walk(b, set);
+            }
+        }
+    }
+    let mut set = HashSet::new();
+    for e in exprs {
+        walk(e, &mut set);
+    }
+    set.len()
+}
+
+#[test]
+fn batch_statistics_match_their_tree_walks() {
+    for (name, gate) in qudit_circuit::gates::all_gates() {
+        let mut with_gradient = vec![gate.elements().to_vec()];
+        with_gradient.extend(gate.gradient());
+        for exprs in [components(&with_gradient[..1]), components(&with_gradient)] {
+            let simplified = simplify_batch(&exprs);
+            for batch in [&exprs, &simplified] {
+                let nodes: usize = batch.iter().map(Expr::node_count).sum();
+                assert_eq!(
+                    batch_counts(batch),
+                    (unique_trig_count_by_tree(batch), nodes),
+                    "{name}"
+                );
+            }
+        }
+    }
 }
 
 /// A deterministic generator of small expression batches with shared subtrees.

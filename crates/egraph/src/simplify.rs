@@ -4,6 +4,8 @@
 //! imaginary component expressions of a gate's unitary and its gradient, runs equality
 //! saturation, and then extracts each root in turn with the CSE-aware greedy extractor.
 
+use std::collections::{HashMap, HashSet};
+
 use qudit_qgl::Expr;
 
 use crate::cost::OpCost;
@@ -41,30 +43,43 @@ impl Default for SimplifyConfig {
 /// expressions is computed once, so uniqueness (not per-tree occurrence) is the measure
 /// the Table-I cost model actually optimizes.
 pub fn unique_trig_count(exprs: &[Expr]) -> usize {
-    use std::collections::HashSet;
-    fn walk(e: &Expr, set: &mut HashSet<Expr>) {
-        match e {
+    batch_counts(exprs).0
+}
+
+/// A batch's distinct `sin`/`cos` subexpressions ([`unique_trig_count`]) and its summed
+/// tree node counts ([`Expr::node_count`]).
+///
+/// Gate batches share most subtrees through `Arc`s, so the walk memoizes on subtree
+/// address, as [`EGraph::add_exprs`] does: a subtree reached again is not walked again,
+/// its trig terms being in the set already and its node count in the memo.
+pub(crate) fn batch_counts(exprs: &[Expr]) -> (usize, usize) {
+    fn walk<'a>(
+        e: &'a Expr,
+        nodes: &mut HashMap<*const Expr, usize>,
+        trig: &mut HashSet<&'a Expr>,
+    ) -> usize {
+        if let Some(&n) = nodes.get(&(e as *const Expr)) {
+            return n;
+        }
+        let n = match e {
+            Expr::Const(_) | Expr::Pi | Expr::Var(_) => 1,
             Expr::Sin(a) | Expr::Cos(a) => {
-                set.insert(e.clone());
-                walk(a, set);
+                trig.insert(e);
+                1 + walk(a, nodes, trig)
             }
-            Expr::Const(_) | Expr::Pi | Expr::Var(_) => {}
-            Expr::Neg(a) | Expr::Sqrt(a) | Expr::Exp(a) | Expr::Ln(a) => walk(a, set),
+            Expr::Neg(a) | Expr::Sqrt(a) | Expr::Exp(a) | Expr::Ln(a) => 1 + walk(a, nodes, trig),
             Expr::Add(a, b)
             | Expr::Sub(a, b)
             | Expr::Mul(a, b)
             | Expr::Div(a, b)
-            | Expr::Pow(a, b) => {
-                walk(a, set);
-                walk(b, set);
-            }
-        }
+            | Expr::Pow(a, b) => 1 + walk(a, nodes, trig) + walk(b, nodes, trig),
+        };
+        nodes.insert(e, n);
+        n
     }
-    let mut set = HashSet::new();
-    for e in exprs {
-        walk(e, &mut set);
-    }
-    set.len()
+    let (mut nodes, mut trig) = (HashMap::new(), HashSet::new());
+    let total = exprs.iter().map(|e| walk(e, &mut nodes, &mut trig)).sum();
+    (trig.len(), total)
 }
 
 /// The outcome of a simplification pass.
@@ -98,11 +113,9 @@ pub fn simplify_batch(exprs: &[Expr]) -> Vec<Expr> {
 /// Simplifies a batch with an explicit configuration, returning statistics alongside the
 /// simplified expressions.
 pub fn simplify_batch_with(exprs: &[Expr], config: &SimplifyConfig) -> SimplifyResult {
-    let trig_before = unique_trig_count(exprs);
-    let nodes_before: usize = exprs.iter().map(Expr::node_count).sum();
+    let (trig_before, nodes_before) = batch_counts(exprs);
     let (out, report) = saturate_and_extract(exprs, config);
-    let trig_after = unique_trig_count(&out);
-    let nodes_after: usize = out.iter().map(Expr::node_count).sum();
+    let (trig_after, nodes_after) = batch_counts(&out);
     SimplifyResult { exprs: out, report, trig_before, trig_after, nodes_before, nodes_after }
 }
 
