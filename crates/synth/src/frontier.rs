@@ -258,6 +258,7 @@ mod tests {
     use crate::layers::LayerGenerator;
     use crate::topology::CouplingGraph;
     use qudit_optimize::reachable_target;
+    use std::time::Duration;
 
     #[test]
     fn frontier_evaluates_all_candidates_in_order() {
@@ -322,16 +323,25 @@ mod tests {
             (evaluated, clock.elapsed())
         };
         timed(&raced[..1], 1, 1); // warms the cache
-        let (alone, alone_elapsed) = timed(&raced[1..], 64, 1);
-        assert!(alone[0].infidelity > 1e-3, "{alone:?}");
+                                  // Single readings of a few milliseconds swing with the load of other tests and
+                                  // processes, so each side is timed three times, alternating, and the fastest
+                                  // readings are compared: transient load can slow either side's best reading
+                                  // only if it hits all three of them.
         for threads in [2, 4] {
-            let (evaluated, elapsed) = timed(&raced, 1024, threads);
-            assert_eq!(evaluated.len(), 1, "{evaluated:?}");
-            assert!(evaluated[0].infidelity < 1e-8, "{evaluated:?}");
+            let (mut raced_best, mut alone_best) = (Duration::MAX, Duration::MAX);
+            for _ in 0..3 {
+                let (alone, elapsed) = timed(&raced[1..], 64, 1);
+                assert!(alone[0].infidelity > 1e-3, "{alone:?}");
+                alone_best = alone_best.min(elapsed);
+                let (evaluated, elapsed) = timed(&raced, 1024, threads);
+                assert_eq!(evaluated.len(), 1, "{evaluated:?}");
+                assert!(evaluated[0].infidelity < 1e-8, "{evaluated:?}");
+                raced_best = raced_best.min(elapsed);
+            }
             assert!(
-                elapsed < alone_elapsed,
-                "{threads} workers: the raced frontier took {elapsed:?}, 64 hopeless starts \
-                 alone {alone_elapsed:?}"
+                raced_best < alone_best,
+                "{threads} workers: the raced frontier took at best {raced_best:?}, 64 \
+                 hopeless starts alone {alone_best:?}"
             );
         }
     }
