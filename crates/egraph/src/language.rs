@@ -118,7 +118,7 @@ pub struct Children {
 
 impl Children {
     /// No children.
-    pub const NONE: Children = Children { len: 0, ids: [Id(0); 2] };
+    const NONE: Children = Children { len: 0, ids: [Id(0); 2] };
 }
 
 impl Deref for Children {

@@ -29,10 +29,10 @@ impl Default for SimplifyConfig {
         // not expected to grow large, and applies iteration/node safeguards. The cost
         // is paid once per gate per process (the `ExpressionCache` keeps the result).
         // On a 2-vCPU x86-64 host, simplifying the 23-gate library with gradients
-        // takes 27-40 ms: QuquartU 23-29 ms (node limit after 3 iterations), QutritU
-        // 9-12 ms (iteration limit), U3 and U2 under 1 ms each (iteration limit), and
-        // under 0.4 ms for every other gate. RZ and RZZ also stop at the iteration
-        // limit; the rest saturate.
+        // takes 19-20 ms (medians of 15 cold runs per gate): QuquartU 12.6-12.8 ms
+        // (node limit after 3 iterations), QutritU 4.9-5.5 ms (iteration limit), U3
+        // and U2 under 0.6 ms each (iteration limit), and under 0.25 ms for every
+        // other gate. RZ and RZZ also stop at the iteration limit; the rest saturate.
         SimplifyConfig { iter_limit: 6, node_limit: 4_000 }
     }
 }
