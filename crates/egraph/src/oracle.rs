@@ -394,10 +394,11 @@ const GROWTH: &[(&str, &str, usize, usize, usize, StopReason, usize)] = &[
 fn library_gate_batches_match_the_oracles() {
     let mut actual = Vec::new();
     for (name, gate) in qudit_circuit::gates::all_gates() {
-        let unitary = components(&[gate.elements().to_vec()]);
         let mut with_gradient = vec![gate.elements().to_vec()];
         with_gradient.extend(gate.gradient());
-        for (batch, exprs) in [("unitary", unitary), ("gradient", components(&with_gradient))] {
+        let batches = [("unitary", &with_gradient[..1]), ("gradient", &with_gradient[..])];
+        for (batch, matrices) in batches {
+            let exprs = components(matrices);
             let (report, classes) =
                 assert_pipelines_agree(&exprs, &default_runner(), &format!("{name} {batch}"));
             actual.push((name, batch, report, classes));
