@@ -10,7 +10,7 @@
 //! declared (membership by canonical key, the same identity
 //! [`QuditCircuit::cache_operation`] dedupes on).
 
-use std::collections::BTreeSet;
+use std::collections::HashSet;
 
 use qudit_circuit::{GateSet, OpParams, QuditCircuit};
 
@@ -226,11 +226,11 @@ pub fn verify_circuit(circuit: &QuditCircuit) -> Result<CircuitReport, AnalyzeEr
 
 /// Verifies that every expression a circuit applies is a member of `gate_set`.
 ///
-/// Membership is by canonical key — the same content identity
-/// [`QuditCircuit::cache_operation`] dedupes on — so a renamed but structurally
-/// identical gate still passes, while a foreign gate with a registered name does
-/// not. Only *applied* expressions are checked; a cached-but-unused table entry is
-/// not a violation.
+/// Membership is by [`qudit_qgl::UnitaryExpression::canonical_key`], the identity
+/// [`QuditCircuit::cache_operation`] dedupes on. The name is part of that identity, so
+/// a renamed copy of a registered gate fails, and so does a foreign gate with a
+/// registered name. Only *applied* expressions are checked; a cached-but-unused table
+/// entry is not a violation.
 ///
 /// # Errors
 ///
@@ -238,7 +238,7 @@ pub fn verify_circuit(circuit: &QuditCircuit) -> Result<CircuitReport, AnalyzeEr
 /// operation that applies a foreign expression, or
 /// [`CircuitViolation::UnknownExpression`] for a dangling reference.
 pub fn verify_gateset(circuit: &QuditCircuit, gate_set: &GateSet) -> Result<(), AnalyzeError> {
-    let members: BTreeSet<String> = gate_set
+    let members: HashSet<_> = gate_set
         .locals()
         .map(|(_, expr)| expr.canonical_key())
         .chain(gate_set.entanglers().map(|(_, expr)| expr.canonical_key()))
@@ -252,7 +252,7 @@ pub fn verify_gateset(circuit: &QuditCircuit, gate_set: &GateSet) -> Result<(), 
             }
             .into());
         };
-        if !members.contains(&expr.canonical_key()) {
+        if !members.contains(expr.canonical_key()) {
             return Err(
                 CircuitViolation::GateSet { op_index, name: expr.name().to_string() }.into()
             );
@@ -308,6 +308,17 @@ mod tests {
             other => panic!("expected GateSet violation, got {other:?}"),
         }
         assert!(err.to_string().contains("operation 0"));
+
+        // The name is part of a gate's identity: a renamed U3 is not the registered U3.
+        let mut circuit = QuditCircuit::qubits(2);
+        let renamed = circuit.cache_operation(gates::u3().with_name("MyU3")).unwrap();
+        circuit.append_ref(renamed, vec![0]).unwrap();
+        match verify_gateset(&circuit, &set).unwrap_err() {
+            AnalyzeError::Circuit(CircuitViolation::GateSet { op_index, name }) => {
+                assert_eq!((op_index, name.as_str()), (0, "MyU3"));
+            }
+            other => panic!("expected GateSet violation, got {other:?}"),
+        }
     }
 
     #[test]

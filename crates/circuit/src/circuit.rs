@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 
-use qudit_qgl::UnitaryExpression;
+use qudit_qgl::{ExprKey, UnitaryExpression};
 use qudit_tensor::{Complex, Float, Matrix};
 
 /// Errors produced while building or evaluating a circuit.
@@ -121,7 +121,7 @@ pub struct Operation {
 pub struct QuditCircuit {
     radices: Vec<usize>,
     exprs: Vec<UnitaryExpression>,
-    key_to_ref: HashMap<String, ExpressionRef>,
+    key_to_ref: HashMap<ExprKey, ExpressionRef>,
     ops: Vec<Operation>,
     num_params: usize,
 }
@@ -200,6 +200,10 @@ impl QuditCircuit {
 
     /// Caches a gate definition, returning a reference that can be appended cheaply.
     ///
+    /// A gate whose [`UnitaryExpression::canonical_key`] is already cached gets the
+    /// existing reference. The key includes the name, so a renamed copy of a cached
+    /// gate is cached again.
+    ///
     /// The (one-time) validation performed here — a numerical unitarity check at an
     /// arbitrary parameter point and structural validation already done by
     /// [`UnitaryExpression`] — is exactly the work that per-append construction paths
@@ -210,8 +214,7 @@ impl QuditCircuit {
     /// Returns [`CircuitError::InvalidExpression`] if the expression is not numerically
     /// unitary.
     pub fn cache_operation(&mut self, expr: UnitaryExpression) -> Result<ExpressionRef> {
-        let key = expr.canonical_key();
-        if let Some(&found) = self.key_to_ref.get(&key) {
+        if let Some(&found) = self.key_to_ref.get(expr.canonical_key()) {
             return Ok(found);
         }
         let probe: Vec<f64> = (0..expr.num_params()).map(|k| 0.53 + 0.91 * k as f64).collect();
@@ -221,8 +224,8 @@ impl QuditCircuit {
             });
         }
         let r = ExpressionRef(self.exprs.len());
+        self.key_to_ref.insert(expr.canonical_key().clone(), r);
         self.exprs.push(expr);
-        self.key_to_ref.insert(key, r);
         Ok(r)
     }
 
@@ -550,6 +553,9 @@ mod tests {
         assert_eq!(c.expressions().len(), 1);
         let other = c.cache_operation(gates::rz()).unwrap();
         assert_ne!(a, other);
+        let renamed = c.cache_operation(gates::rx().with_name("MyRX")).unwrap();
+        assert_ne!(a, renamed);
+        assert_eq!(c.expressions().len(), 3);
     }
 
     #[test]

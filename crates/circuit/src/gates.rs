@@ -4,17 +4,30 @@
 //! exactly how a domain expert would extend the compiler (Listing 2 of the paper). The
 //! benchmark circuits (QFT, DTC, and the QSearch-style PQC ladders of Fig. 5) are
 //! assembled from these.
+//!
+//! Each gate is parsed once per process; every call returns a clone, which shares the
+//! parsed gate's [`qudit_qgl::ExprKey`].
+
+use std::sync::OnceLock;
 
 use qudit_qgl::UnitaryExpression;
 
-fn must(source: &str) -> UnitaryExpression {
+/// A clone of the gate defined by `$source`, parsed on the first call at each use site.
+macro_rules! must {
+    ($source:expr $(,)?) => {{
+        static GATE: OnceLock<UnitaryExpression> = OnceLock::new();
+        GATE.get_or_init(|| parse($source)).clone()
+    }};
+}
+
+fn parse(source: &str) -> UnitaryExpression {
     UnitaryExpression::new(source).unwrap_or_else(|e| panic!("builtin gate failed to parse: {e}"))
 }
 
 /// The parameterized single-qubit U3 gate (3 parameters), able to express any
 /// single-qubit unitary.
 pub fn u3() -> UnitaryExpression {
-    must(
+    must!(
         "U3(theta, phi, lambda) {
             [
                 [ cos(theta/2), ~ e^(i*lambda) * sin(theta/2) ],
@@ -26,7 +39,7 @@ pub fn u3() -> UnitaryExpression {
 
 /// The U2 gate (2 parameters): a U3 with θ fixed at π/2.
 pub fn u2() -> UnitaryExpression {
-    must(
+    must!(
         "U2(phi, lambda) {
             [
                 [ 1/sqrt(2), ~ e^(i*lambda) / sqrt(2) ],
@@ -38,12 +51,12 @@ pub fn u2() -> UnitaryExpression {
 
 /// The U1 (phase) gate.
 pub fn u1() -> UnitaryExpression {
-    must("U1(lambda) { [[1, 0], [0, e^(i*lambda)]] }")
+    must!("U1(lambda) { [[1, 0], [0, e^(i*lambda)]] }")
 }
 
 /// X-axis rotation.
 pub fn rx() -> UnitaryExpression {
-    must(
+    must!(
         "RX(theta) {
             [[cos(theta/2), ~i*sin(theta/2)], [~i*sin(theta/2), cos(theta/2)]]
         }",
@@ -52,7 +65,7 @@ pub fn rx() -> UnitaryExpression {
 
 /// Y-axis rotation.
 pub fn ry() -> UnitaryExpression {
-    must(
+    must!(
         "RY(theta) {
             [[cos(theta/2), ~sin(theta/2)], [sin(theta/2), cos(theta/2)]]
         }",
@@ -61,12 +74,12 @@ pub fn ry() -> UnitaryExpression {
 
 /// Z-axis rotation.
 pub fn rz() -> UnitaryExpression {
-    must("RZ(theta) { [[e^(~i*theta/2), 0], [0, e^(i*theta/2)]] }")
+    must!("RZ(theta) { [[e^(~i*theta/2), 0], [0, e^(i*theta/2)]] }")
 }
 
 /// Two-qubit ZZ interaction (the DTC benchmark's entangling gate, Listing 4).
 pub fn rzz() -> UnitaryExpression {
-    must(
+    must!(
         "RZZ(theta) {
             [[e^(~i*theta/2), 0, 0, 0],
              [0, e^(i*theta/2), 0, 0],
@@ -78,7 +91,7 @@ pub fn rzz() -> UnitaryExpression {
 
 /// Hadamard gate.
 pub fn hadamard() -> UnitaryExpression {
-    must(
+    must!(
         "H() {
             [[1/sqrt(2), 1/sqrt(2)], [1/sqrt(2), ~1/sqrt(2)]]
         }",
@@ -87,43 +100,43 @@ pub fn hadamard() -> UnitaryExpression {
 
 /// Pauli-X gate.
 pub fn x() -> UnitaryExpression {
-    must("X() { [[0, 1], [1, 0]] }")
+    must!("X() { [[0, 1], [1, 0]] }")
 }
 
 /// Pauli-Y gate.
 pub fn y() -> UnitaryExpression {
-    must("Y() { [[0, ~i], [i, 0]] }")
+    must!("Y() { [[0, ~i], [i, 0]] }")
 }
 
 /// Pauli-Z gate.
 pub fn z() -> UnitaryExpression {
-    must("Z() { [[1, 0], [0, ~1]] }")
+    must!("Z() { [[1, 0], [0, ~1]] }")
 }
 
 /// Controlled-NOT gate (control on the first qubit).
 pub fn cnot() -> UnitaryExpression {
-    must("CNOT() { [[1,0,0,0],[0,1,0,0],[0,0,0,1],[0,0,1,0]] }")
+    must!("CNOT() { [[1,0,0,0],[0,1,0,0],[0,0,0,1],[0,0,1,0]] }")
 }
 
 /// Controlled-Z gate.
 pub fn cz() -> UnitaryExpression {
-    must("CZ() { [[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,~1]] }")
+    must!("CZ() { [[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,~1]] }")
 }
 
 /// SWAP gate.
 pub fn swap() -> UnitaryExpression {
-    must("SWAP() { [[1,0,0,0],[0,0,1,0],[0,1,0,0],[0,0,0,1]] }")
+    must!("SWAP() { [[1,0,0,0],[0,0,1,0],[0,1,0,0],[0,0,0,1]] }")
 }
 
 /// Controlled phase gate (1 parameter) — the entangling gate of the QFT circuit.
 pub fn cphase() -> UnitaryExpression {
-    must("CP(theta) { [[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,e^(i*theta)]] }")
+    must!("CP(theta) { [[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,e^(i*theta)]] }")
 }
 
 /// The two-qutrit CSUM gate: |a, b⟩ → |a, (a+b) mod 3⟩ — the entangling gate of the
 /// qutrit PQC benchmarks (Fig. 5).
 pub fn csum() -> UnitaryExpression {
-    must(
+    must!(
         "CSUM<3, 3>() {
             [[1,0,0, 0,0,0, 0,0,0],
              [0,1,0, 0,0,0, 0,0,0],
@@ -143,7 +156,7 @@ pub fn csum() -> UnitaryExpression {
 /// the mixed-radix entangler the default synthesis gate set registers for (2, 3) edges,
 /// defined (like every other gate here) as a plain QGL unitary expression.
 pub fn cshift23() -> UnitaryExpression {
-    must(
+    must!(
         "CSHIFT23<2, 3>() {
             [[1,0,0, 0,0,0],
              [0,1,0, 0,0,0],
@@ -160,7 +173,7 @@ pub fn cshift23() -> UnitaryExpression {
 /// the same recipe as [`cshift23`]. This is the mixed-radix entangler the default
 /// synthesis gate set registers for (2, 4) edges.
 pub fn cshift24() -> UnitaryExpression {
-    must(
+    must!(
         "CSHIFT24<2, 4>() {
             [[1,0,0,0, 0,0,0,0],
              [0,1,0,0, 0,0,0,0],
@@ -179,7 +192,7 @@ pub fn cshift24() -> UnitaryExpression {
 /// mixed-radix entangler the default synthesis gate set registers for (3, 4) edges,
 /// built with the same embedded-controlled-shift recipe as [`cshift23`].
 pub fn cshift34() -> UnitaryExpression {
-    must(
+    must!(
         "CSHIFT34<3, 4>() {
             [[1,0,0,0, 0,0,0,0, 0,0,0,0],
              [0,1,0,0, 0,0,0,0, 0,0,0,0],
@@ -202,7 +215,7 @@ pub fn cshift34() -> UnitaryExpression {
 /// `(4, 4)` pairs. Like every other built-in it is a plain QGL unitary expression: the
 /// registry entry is all it takes to make ququart pairs synthesizable.
 pub fn csum4() -> UnitaryExpression {
-    must(
+    must!(
         "CSUM4<4, 4>() {
             [[1,0,0,0, 0,0,0,0, 0,0,0,0, 0,0,0,0],
              [0,1,0,0, 0,0,0,0, 0,0,0,0, 0,0,0,0],
@@ -227,7 +240,7 @@ pub fn csum4() -> UnitaryExpression {
 /// A single-qutrit phase gate with two independent phases — the qutrit analogue of the
 /// local rotations used in the Fig. 5 qutrit circuits.
 pub fn qutrit_phase() -> UnitaryExpression {
-    must(
+    must!(
         "P3<3>(a, b) {
             [[1, 0, 0],
              [0, e^(i*a), 0],
@@ -242,7 +255,7 @@ pub fn qutrit_phase() -> UnitaryExpression {
 pub fn qutrit_u() -> UnitaryExpression {
     // Embedded two-level rotations: R01(a,b) · R02(c,d) · R12(u,f) · diag phases(g,h).
     // Note: `e`, `i`, and `pi` are reserved constants in QGL and cannot be parameters.
-    must(
+    must!(
         "QutritU<3>(a, b, c, d, u, f, g, h) {
             [[cos(a/2), ~e^(i*b)*sin(a/2), 0],
              [e^(~i*b)*sin(a/2), cos(a/2), 0],
@@ -270,7 +283,7 @@ pub fn qutrit_u() -> UnitaryExpression {
 pub fn ququart_u() -> UnitaryExpression {
     // Givens-style ladder: R01 · R02 · R03 · R12 · R13 · R23 · diag phases.
     // Note: `e`, `i`, and `pi` are reserved constants in QGL and cannot be parameters.
-    must(
+    must!(
         "QuquartU<4>(a, b, c, d, f, g, h, k, l, m, n, o, p, q, r) {
             [[cos(a/2), ~e^(i*b)*sin(a/2), 0, 0],
              [e^(~i*b)*sin(a/2), cos(a/2), 0, 0],
@@ -349,6 +362,14 @@ mod tests {
             let params: Vec<f64> = (0..gate.num_params()).map(|k| 0.37 + 0.71 * k as f64).collect();
             assert!(gate.check_unitary(&params, 1e-10), "{name} is not unitary at {params:?}");
         }
+    }
+
+    #[test]
+    fn builtins_are_parsed_once_and_share_their_key() {
+        let (a, b) = (qutrit_u(), qutrit_u());
+        assert_eq!(a, b);
+        assert_eq!(a.canonical_key(), b.canonical_key());
+        assert!(std::ptr::eq(a.canonical_key().as_str(), b.canonical_key().as_str()));
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //! children inline, so canonicalizing, cloning, hashing and comparing a node allocate
 //! nothing. Only the hash-consing memo, keyed by whole e-nodes, is a hash map.
 //!
+//! [`EGraph::add_exprs`] memoizes subtrees by address in an [`AddrMap`], which skips
+//! SipHash: the allocator, not a caller, chooses addresses.
+//!
 //! [`EGraph::class_ids`] walks that vector, so it yields ascending ids with no sort.
 //! The order is load-bearing: both the saturation runner and the extractor visit
 //! classes in it, and any other order would change which rule applications and which
@@ -21,6 +24,7 @@
 
 use std::collections::HashMap;
 
+use qudit_qgl::expr::AddrMap;
 use qudit_qgl::Expr;
 
 use crate::language::{Id, Node, Op};
@@ -131,11 +135,11 @@ impl EGraph {
     /// result is the same as adding each tree in full, since hash-consing would give
     /// every repeated node its existing class anyway.
     pub fn add_exprs(&mut self, exprs: &[Expr]) -> Vec<Id> {
-        let mut memo = HashMap::new();
+        let mut memo = AddrMap::default();
         exprs.iter().map(|e| self.add_shared(e, &mut memo)).collect()
     }
 
-    fn add_shared(&mut self, expr: &Expr, memo: &mut HashMap<*const Expr, Id>) -> Id {
+    fn add_shared(&mut self, expr: &Expr, memo: &mut AddrMap<Id>) -> Id {
         let key: *const Expr = expr;
         if let Some(&id) = memo.get(&key) {
             return id;

@@ -4,8 +4,9 @@
 //! imaginary component expressions of a gate's unitary and its gradient, runs equality
 //! saturation, and then extracts each root in turn with the CSE-aware greedy extractor.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
+use qudit_qgl::expr::AddrMap;
 use qudit_qgl::Expr;
 
 use crate::cost::OpCost;
@@ -53,11 +54,7 @@ pub fn unique_trig_count(exprs: &[Expr]) -> usize {
 /// address, as [`EGraph::add_exprs`] does: a subtree reached again is not walked again,
 /// its trig terms being in the set already and its node count in the memo.
 pub(crate) fn batch_counts(exprs: &[Expr]) -> (usize, usize) {
-    fn walk<'a>(
-        e: &'a Expr,
-        nodes: &mut HashMap<*const Expr, usize>,
-        trig: &mut HashSet<&'a Expr>,
-    ) -> usize {
+    fn walk<'a>(e: &'a Expr, nodes: &mut AddrMap<usize>, trig: &mut HashSet<&'a Expr>) -> usize {
         if let Some(&n) = nodes.get(&(e as *const Expr)) {
             return n;
         }
@@ -77,7 +74,7 @@ pub(crate) fn batch_counts(exprs: &[Expr]) -> (usize, usize) {
         nodes.insert(e, n);
         n
     }
-    let (mut nodes, mut trig) = (HashMap::new(), HashSet::new());
+    let (mut nodes, mut trig) = (AddrMap::default(), HashSet::new());
     let total = exprs.iter().map(|e| walk(e, &mut nodes, &mut trig)).sum();
     (trig.len(), total)
 }

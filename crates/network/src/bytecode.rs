@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use qudit_qgl::{transform, ComplexExpr, UnitaryExpression};
+use qudit_qgl::{transform, ComplexExpr, ExprKey, UnitaryExpression};
 
 use crate::network::{GateNode, ParamBinding, TensorNetwork};
 use crate::path::{find_plan, ContractionTree};
@@ -362,7 +362,7 @@ struct Emitted {
 struct Codegen<'a> {
     network: &'a TensorNetwork,
     exprs: Vec<UnitaryExpression>,
-    expr_index: HashMap<String, usize>,
+    expr_index: HashMap<ExprKey, usize>,
     buffers: Vec<BufferInfo>,
     constant_ops: Vec<TnvmOp>,
     dynamic_ops: Vec<TnvmOp>,
@@ -381,13 +381,12 @@ impl<'a> Codegen<'a> {
     }
 
     fn intern_expr(&mut self, expr: &UnitaryExpression) -> usize {
-        let key = expr.canonical_key();
-        if let Some(&idx) = self.expr_index.get(&key) {
+        if let Some(&idx) = self.expr_index.get(expr.canonical_key()) {
             return idx;
         }
         self.exprs.push(expr.clone());
         let idx = self.exprs.len() - 1;
-        self.expr_index.insert(key, idx);
+        self.expr_index.insert(expr.canonical_key().clone(), idx);
         idx
     }
 

@@ -57,7 +57,8 @@ impl GateNode {
 /// A tensor network lowered from a circuit.
 #[derive(Debug, Clone)]
 pub struct TensorNetwork {
-    /// Unique gate expressions referenced by the nodes (deduplicated by content).
+    /// Unique gate expressions referenced by the nodes (deduplicated by
+    /// [`UnitaryExpression::canonical_key`]).
     exprs: Vec<UnitaryExpression>,
     /// The gate tensors, in circuit (time) order.
     nodes: Vec<GateNode>,
@@ -77,8 +78,7 @@ impl TensorNetwork {
             let expr = circuit
                 .expression(op.expr)
                 .expect("circuit operations always reference cached expressions");
-            let key = expr.canonical_key();
-            let expr_index = *key_to_index.entry(key).or_insert_with(|| {
+            let expr_index = *key_to_index.entry(expr.canonical_key()).or_insert_with(|| {
                 exprs.push(expr.clone());
                 exprs.len() - 1
             });
@@ -181,9 +181,11 @@ impl TensorNetwork {
             assert!(q < self.radices.len(), "qudit index {q} out of range");
             assert_eq!(self.radices[q], radix, "gate radix must match the wire at qudit {q}");
         }
-        let key = expr.canonical_key();
         // The expression table stays tiny (a handful of unique gates), so a linear
-        // dedup scan beats carrying a hash map through every clone.
+        // dedup scan beats carrying a hash map through every clone. A comparison checks
+        // the stored keys' hashes first, so an unequal entry is passed over without
+        // reading its text.
+        let key = expr.canonical_key();
         let expr_index = match self.exprs.iter().position(|e| e.canonical_key() == key) {
             Some(found) => found,
             None => {

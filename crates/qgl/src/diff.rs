@@ -10,9 +10,7 @@
 //! differentiate a shared subtree once per path that reaches it: exponentially often in
 //! a chain of shared products. A `Differentiator` walks each shared subtree once.
 
-use std::collections::HashMap;
-
-use crate::expr::{ComplexExpr, Expr};
+use crate::expr::{AddrMap, ComplexExpr, Expr};
 
 /// Differentiates `expr` with respect to the variable `var`.
 ///
@@ -39,13 +37,13 @@ pub fn diff_complex(expr: &ComplexExpr, var: &str) -> ComplexExpr {
 /// walk without the memo.
 pub(crate) struct Differentiator<'a> {
     var: &'a str,
-    memo: HashMap<*const Expr, Expr>,
+    memo: AddrMap<Expr>,
 }
 
 impl<'a> Differentiator<'a> {
     /// A differentiator with respect to `var`, with an empty memo.
     pub(crate) fn new(var: &'a str) -> Self {
-        Differentiator { var, memo: HashMap::new() }
+        Differentiator { var, memo: AddrMap::default() }
     }
 
     /// Differentiates a complex element component-wise.

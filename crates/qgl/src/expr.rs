@@ -10,9 +10,9 @@
 //! additive/multiplicative identities) so that programmatically composed expressions —
 //! particularly gradients — do not balloon before they ever reach the e-graph pass.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 /// A real-valued symbolic expression.
@@ -436,6 +436,36 @@ impl fmt::Display for Expr {
             Expr::Exp(a) => write!(f, "(exp {a})"),
             Expr::Ln(a) => write!(f, "(ln {a})"),
         }
+    }
+}
+
+/// A map keyed by the address of an [`Expr`] node: the memo of a walk over `Arc`-shared
+/// trees that visits each shared subtree once.
+pub type AddrMap<V> = HashMap<*const Expr, V, BuildHasherDefault<AddrHasher>>;
+
+/// The hasher of [`AddrMap`]: one multiply that spreads an address's bits, in place of
+/// SipHash. Addresses come from the allocator, not from input, so no caller can craft
+/// keys that collide.
+#[derive(Debug, Default)]
+pub struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_usize(&mut self, addr: usize) {
+        self.0 = addr as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        // Fibonacci hashing: the product's high bits depend on every address bit.
+        // Folding them down fills the low bits that pick the bucket, which alignment
+        // leaves zero in the address itself.
+        let h = self.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        h ^ (h >> 32)
     }
 }
 

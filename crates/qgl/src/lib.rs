@@ -32,7 +32,8 @@
 //! * [`lower`] — AST → symbolic-matrix lowering with Euler expansion and trig
 //!   canonicalization,
 //! * [`diff`] — symbolic differentiation,
-//! * [`UnitaryExpression`] — the composable symbolic gate IR,
+//! * [`UnitaryExpression`] — the composable symbolic gate IR, and [`ExprKey`], its
+//!   identity, computed once per expression,
 //! * [`transform`] — matrix product, Kronecker product, dagger, control, substitution,
 //!   wire permutation, and trace.
 
@@ -40,6 +41,7 @@ pub mod ast;
 pub mod diff;
 pub mod error;
 pub mod expr;
+pub mod key;
 pub mod lexer;
 pub mod lower;
 pub mod parser;
@@ -48,6 +50,7 @@ pub mod unitary_expr;
 
 pub use error::{QglError, Result};
 pub use expr::{ComplexExpr, Expr};
+pub use key::ExprKey;
 pub use unitary_expr::UnitaryExpression;
 
 #[cfg(test)]
@@ -60,6 +63,7 @@ mod tests {
         assert_ss::<Expr>();
         assert_ss::<ComplexExpr>();
         assert_ss::<UnitaryExpression>();
+        assert_ss::<ExprKey>();
         assert_ss::<QglError>();
     }
 }

@@ -10,17 +10,24 @@
 use crate::diff::Differentiator;
 use crate::error::{QglError, Result};
 use crate::expr::{ComplexExpr, Expr};
+use crate::key::ExprKey;
 use crate::lower::{lower, Value};
 use crate::parser::parse_definition;
 use qudit_tensor::{Complex, Float, Matrix};
 
 /// A symbolic, unitary-valued expression over a list of real parameters.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Its identity, the [`ExprKey`] returned by [`UnitaryExpression::canonical_key`], is
+/// computed once when the expression is built, and clones share it. Equality
+/// (`==`) compares the content; `Debug` output omits the key.
+#[derive(Clone)]
 pub struct UnitaryExpression {
     name: String,
     radices: Vec<usize>,
     params: Vec<String>,
     elements: Vec<Vec<ComplexExpr>>,
+    /// Rendered from the four fields above by every constructor and by `with_name`.
+    key: ExprKey,
 }
 
 impl UnitaryExpression {
@@ -106,7 +113,7 @@ impl UnitaryExpression {
                 }
             }
         }
-        Ok(UnitaryExpression { name, radices, params, elements })
+        Ok(Self::from_parts_unchecked(name, radices, params, elements))
     }
 
     /// The gate's name.
@@ -282,31 +289,21 @@ impl UnitaryExpression {
             }
             new_params.push(new);
         }
-        UnitaryExpression {
-            name: self.name.clone(),
-            radices: self.radices.clone(),
-            params: new_params,
-            elements,
-        }
+        Self::from_parts_unchecked(self.name.clone(), self.radices.clone(), new_params, elements)
     }
 
-    /// A canonical textual form of the expression, usable as a cache key: the name,
-    /// radices, parameters, and the s-expression form of every element.
-    pub fn canonical_key(&self) -> String {
-        use std::fmt::Write as _;
-        let mut key = String::new();
-        let _ = write!(key, "{}<{:?}>({:?})", self.name, self.radices, self.params);
-        for row in &self.elements {
-            for el in row {
-                let _ = write!(key, "|{}#{}", el.re, el.im);
-            }
-        }
-        key
+    /// The expression's identity, usable as a cache key: its canonical text (the name,
+    /// radices, parameters, and the s-expression form of every element) with a hash,
+    /// both computed when the expression was built. The name is part of the identity,
+    /// so a renamed copy of a gate has a different key.
+    pub fn canonical_key(&self) -> &ExprKey {
+        &self.key
     }
 
     /// Replaces the gate name.
     pub fn with_name(mut self, name: impl Into<String>) -> Self {
         self.name = name.into();
+        self.key = render_key(&self.name, &self.radices, &self.params, &self.elements);
         self
     }
 
@@ -317,7 +314,46 @@ impl UnitaryExpression {
         params: Vec<String>,
         elements: Vec<Vec<ComplexExpr>>,
     ) -> Self {
-        UnitaryExpression { name, radices, params, elements }
+        let key = render_key(&name, &radices, &params, &elements);
+        UnitaryExpression { name, radices, params, elements, key }
+    }
+}
+
+/// Renders the canonical text of an expression's parts and hashes it.
+fn render_key(
+    name: &str,
+    radices: &[usize],
+    params: &[String],
+    elements: &[Vec<ComplexExpr>],
+) -> ExprKey {
+    use std::fmt::Write as _;
+    let mut key = String::new();
+    let _ = write!(key, "{name}<{radices:?}>({params:?})");
+    for row in elements {
+        for el in row {
+            let _ = write!(key, "|{}#{}", el.re, el.im);
+        }
+    }
+    ExprKey::new(key)
+}
+
+impl PartialEq for UnitaryExpression {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+            && self.radices == other.radices
+            && self.params == other.params
+            && self.elements == other.elements
+    }
+}
+
+impl std::fmt::Debug for UnitaryExpression {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("UnitaryExpression")
+            .field("name", &self.name)
+            .field("radices", &self.radices)
+            .field("params", &self.params)
+            .field("elements", &self.elements)
+            .finish()
     }
 }
 
@@ -457,6 +493,32 @@ mod tests {
         .unwrap();
         assert_ne!(u3.canonical_key(), rx.canonical_key());
         assert_eq!(u3.canonical_key(), UnitaryExpression::new(U3_SRC).unwrap().canonical_key());
+
+        // The name, the parameter names, the radices and every element are part of it.
+        assert_ne!(u3.canonical_key(), u3.clone().with_name("V3").canonical_key());
+        assert_eq!(u3.canonical_key(), u3.clone().with_name("U3").canonical_key());
+        assert_ne!(u3.canonical_key(), u3.map_params(|p| format!("g0_{p}")).canonical_key());
+        assert_eq!(u3.canonical_key(), u3.map_params(str::to_string).canonical_key());
+        let cnot = "CNOT() { [[1,0,0,0],[0,1,0,0],[0,0,0,1],[0,0,1,0]] }";
+        let key = UnitaryExpression::new(cnot).unwrap().canonical_key().clone();
+        for changed in [cnot.replace("CNOT()", "CNOT<4>()"), cnot.replace("1,0]]", "~1,0]]")] {
+            assert_ne!(
+                &key,
+                UnitaryExpression::new(&changed).unwrap().canonical_key(),
+                "{changed}"
+            );
+        }
+    }
+
+    #[test]
+    fn clones_share_the_key_text_and_debug_omits_it() {
+        let u3 = UnitaryExpression::new(U3_SRC).unwrap();
+        let copy = u3.clone();
+        assert!(std::ptr::eq(u3.canonical_key().as_str(), copy.canonical_key().as_str()));
+        let parsed = UnitaryExpression::new(U3_SRC).unwrap();
+        assert!(!std::ptr::eq(u3.canonical_key().as_str(), parsed.canonical_key().as_str()));
+        assert!(u3.canonical_key().as_str().starts_with("U3<[2]>("));
+        assert!(!format!("{u3:?}").contains("key"));
     }
 
     #[test]

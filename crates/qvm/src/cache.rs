@@ -11,12 +11,15 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
-use qudit_qgl::UnitaryExpression;
+use qudit_qgl::{ExprKey, UnitaryExpression};
 
 use crate::compile::{CompileOptions, CompiledExpression};
 
-/// A thread-safe cache of compiled expressions, keyed by the expression's canonical text
-/// and the full [`CompileOptions`].
+/// A thread-safe cache of compiled expressions, keyed by the expression's identity
+/// ([`UnitaryExpression::canonical_key`], computed once when the expression was built)
+/// and the full [`CompileOptions`]. A lookup reads that stored key's hash and never
+/// renders the expression; a separately built but identical expression hits the same
+/// entry, and a renamed one does not.
 ///
 /// By default the cache grows without bound — the right policy for a single
 /// compilation, whose working set is the gate set. A long-lived service sharing one
@@ -41,8 +44,8 @@ struct CacheInner {
     evictions: u64,
 }
 
-/// The expression's canonical text and every compile option.
-type CacheKey = (String, CompileOptions);
+/// The expression's identity and every compile option.
+type CacheKey = (ExprKey, CompileOptions);
 
 #[derive(Debug)]
 struct CacheEntry {
@@ -142,7 +145,7 @@ impl ExpressionCache {
         expr: &UnitaryExpression,
         options: &CompileOptions,
     ) -> (Arc<CompiledExpression>, bool) {
-        let key = (expr.canonical_key(), options.clone());
+        let key = (expr.canonical_key().clone(), options.clone());
         // Fast path: shared lock-and-lookup.
         {
             let mut inner = self.inner.lock();
@@ -205,6 +208,7 @@ mod tests {
 
     #[test]
     fn second_lookup_hits_cache() {
+        // Each `rx()` parses anew, so the hit is by identity, not by allocation.
         let cache = ExpressionCache::new();
         let a = cache.get_or_compile(&rx(), &CompileOptions::default());
         let b = cache.get_or_compile(&rx(), &CompileOptions::default());
@@ -245,8 +249,10 @@ mod tests {
         let rz = UnitaryExpression::new("RZ(t) { [[e^(~i*t/2), 0], [0, e^(i*t/2)]] }").unwrap();
         let _ = cache.get_or_compile(&rx(), &CompileOptions::default());
         let _ = cache.get_or_compile(&rz, &CompileOptions::default());
-        assert_eq!(cache.stats().entries, 2);
-        assert_eq!(cache.stats().misses, 2);
+        // The name is part of an expression's identity.
+        let _ = cache.get_or_compile(&rx().with_name("MyRX"), &CompileOptions::default());
+        assert_eq!(cache.stats().entries, 3);
+        assert_eq!(cache.stats().misses, 3);
     }
 
     #[test]
