@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use qudit_circuit::{embed_gate, OpParams, QuditCircuit};
-use qudit_optimize::GradientEvaluator;
+use qudit_optimize::{jacobian_column_into, residual_len, GradientEvaluator};
 use qudit_tensor::Matrix;
 
 use crate::gates::{gate_by_name, BaselineGate};
@@ -361,9 +361,13 @@ impl GradientEvaluator for BaselineEvaluator {
         (unitary, None)
     }
 
-    fn deferred_gradient(&mut self) -> Vec<Matrix<f64>> {
+    fn deferred_jacobian(&mut self, jacobian: &mut [f64]) {
         let (params, forward) = self.trial.as_ref().expect("a trial precedes its gradient");
-        self.circuit.gradient_from(params, forward)
+        let gradient = self.circuit.gradient_from(params, forward);
+        let m = residual_len(self.circuit.dim());
+        for (g, column) in gradient.iter().zip(jacobian.chunks_exact_mut(m)) {
+            jacobian_column_into(g, column);
+        }
     }
 }
 
@@ -500,14 +504,18 @@ mod tests {
         let _ = evaluator.evaluate_trial(&rng_params(circuit.num_params(), 32));
         let (u, deferred) = evaluator.evaluate_trial(&params);
         assert!(deferred.is_none());
-        let g = evaluator.deferred_gradient();
+        let m = residual_len(evaluator.dim());
+        let mut jacobian = vec![f64::NAN; m * eager_g.len()];
+        evaluator.deferred_jacobian(&mut jacobian);
         let bits = |m: &Matrix<f64>| -> Vec<(u64, u64)> {
             m.as_slice().iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
         };
         assert_eq!(bits(&u), bits(&eager_u));
-        assert_eq!(g.len(), eager_g.len());
-        for (a, b) in g.iter().zip(&eager_g) {
-            assert_eq!(bits(a), bits(b));
+        let mut eager_column = vec![0.0; m];
+        for (g, column) in eager_g.iter().zip(jacobian.chunks_exact(m)) {
+            jacobian_column_into(g, &mut eager_column);
+            let column_bits = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(column_bits(column), column_bits(&eager_column));
         }
     }
 

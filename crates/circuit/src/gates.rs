@@ -323,33 +323,47 @@ pub fn ququart_u() -> UnitaryExpression {
     )
 }
 
+/// The library by name, in [`all_gates`]' order.
+const LIBRARY: [(&str, fn() -> UnitaryExpression); 23] = [
+    ("U3", u3),
+    ("U2", u2),
+    ("U1", u1),
+    ("RX", rx),
+    ("RY", ry),
+    ("RZ", rz),
+    ("RZZ", rzz),
+    ("H", hadamard),
+    ("X", x),
+    ("Y", y),
+    ("Z", z),
+    ("CNOT", cnot),
+    ("CZ", cz),
+    ("SWAP", swap),
+    ("CP", cphase),
+    ("CSUM", csum),
+    ("CSUM4", csum4),
+    ("CSHIFT23", cshift23),
+    ("CSHIFT24", cshift24),
+    ("CSHIFT34", cshift34),
+    ("P3", qutrit_phase),
+    ("QutritU", qutrit_u),
+    ("QuquartU", ququart_u),
+];
+
 /// Returns every gate in the library with its name (used by exhaustive tests).
 pub fn all_gates() -> Vec<(&'static str, UnitaryExpression)> {
-    vec![
-        ("U3", u3()),
-        ("U2", u2()),
-        ("U1", u1()),
-        ("RX", rx()),
-        ("RY", ry()),
-        ("RZ", rz()),
-        ("RZZ", rzz()),
-        ("H", hadamard()),
-        ("X", x()),
-        ("Y", y()),
-        ("Z", z()),
-        ("CNOT", cnot()),
-        ("CZ", cz()),
-        ("SWAP", swap()),
-        ("CP", cphase()),
-        ("CSUM", csum()),
-        ("CSUM4", csum4()),
-        ("CSHIFT23", cshift23()),
-        ("CSHIFT24", cshift24()),
-        ("CSHIFT34", cshift34()),
-        ("P3", qutrit_phase()),
-        ("QutritU", qutrit_u()),
-        ("QuquartU", ququart_u()),
-    ]
+    LIBRARY.iter().map(|&(name, gate)| (name, gate())).collect()
+}
+
+/// The library gate called `name` (as listed by [`names`]), or `None`. Parses only that
+/// gate, on its first use in the process.
+pub fn by_name(name: &str) -> Option<UnitaryExpression> {
+    LIBRARY.iter().find(|&&(known, _)| known == name).map(|&(_, gate)| gate())
+}
+
+/// Every library gate's name, in [`all_gates`]' order.
+pub fn names() -> impl Iterator<Item = &'static str> {
+    LIBRARY.iter().map(|&(name, _)| name)
 }
 
 #[cfg(test)]
@@ -361,6 +375,22 @@ mod tests {
         for (name, gate) in all_gates() {
             let params: Vec<f64> = (0..gate.num_params()).map(|k| 0.37 + 0.71 * k as f64).collect();
             assert!(gate.check_unitary(&params, 1e-10), "{name} is not unitary at {params:?}");
+        }
+    }
+
+    #[test]
+    fn every_name_finds_its_library_gate() {
+        let library = all_gates();
+        assert_eq!(
+            names().collect::<Vec<_>>(),
+            library.iter().map(|(n, _)| *n).collect::<Vec<_>>()
+        );
+        for (name, gate) in &library {
+            let found = by_name(name).unwrap_or_else(|| panic!("{name} not found by name"));
+            assert_eq!(found.canonical_key(), gate.canonical_key(), "{name}");
+        }
+        for unknown in ["", "cnot", "CNOT ", "U4", "Toffoli"] {
+            assert!(by_name(unknown).is_none(), "{unknown:?}");
         }
     }
 

@@ -433,14 +433,16 @@ impl GradientEvaluator for TnvmEvaluator {
         (result.unitary, result.gradient)
     }
 
-    /// The value sweep only; [`GradientEvaluator::deferred_gradient`] runs the
+    /// The value sweep only; [`GradientEvaluator::deferred_jacobian`] runs the
     /// gradient sweep over the values it leaves in the VM.
     fn evaluate_trial(&mut self, params: &[f64]) -> (Matrix<f64>, Option<Vec<Matrix<f64>>>) {
         (self.vm.evaluate_unitary(params), None)
     }
 
-    fn deferred_gradient(&mut self) -> Vec<Matrix<f64>> {
-        self.vm.gradient()
+    /// Copies the gradient sweep's output blocks straight from the VM's gradient
+    /// arena into the columns ([`Tnvm::gradient_columns`]).
+    fn deferred_jacobian(&mut self, jacobian: &mut [f64]) {
+        self.vm.gradient_columns(jacobian);
     }
 
     fn take_kernel_counters(&mut self) -> qudit_tnvm::KernelCounters {

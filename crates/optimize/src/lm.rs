@@ -5,6 +5,15 @@
 //! (Sec. VI-A). This module is that optimizer; both the TNVM-backed path and the
 //! BQSKit-style baseline engine drive it through the same [`GradientEvaluator`] trait, so
 //! optimizer quality is never a confounder in the benchmarks.
+//!
+//! Naive in its method, not in its overhead: a run allocates its workspace once (the
+//! Jacobian, `JᵀJ`, `−Jᵀr`, the damped system, the step, the candidate point and its
+//! residuals) and swaps the candidate buffers in when it accepts a step, so the loop
+//! allocates nothing per iteration beyond the unitary each trial evaluation returns. A
+//! TNVM-backed evaluator writes the Jacobian's columns straight into that workspace
+//! ([`GradientEvaluator::deferred_jacobian`]). Every iterate is bit-identical to the
+//! textbook loop's: the normal equations and the solver are checked against serial,
+//! index-addressed oracles in the tests.
 
 use qudit_tensor::Matrix;
 use qudit_tnvm::KernelCounters;
@@ -22,9 +31,9 @@ use crate::cost::{jacobian_column_into, residual_len, residuals_into, sum_of_squ
 /// [`minimize`] judges each trial step by its unitary alone and needs the gradient
 /// only at points it accepts. An evaluator that can split its work overrides
 /// [`GradientEvaluator::evaluate_trial`] to return `None` for the gradient, and
-/// [`GradientEvaluator::deferred_gradient`] to finish it later. The defaults evaluate
-/// eagerly, so an implementor that defines only [`GradientEvaluator::evaluate`] does
-/// exactly the work it always did.
+/// [`GradientEvaluator::deferred_jacobian`] to finish it later as the least-squares
+/// Jacobian LM works on. The defaults evaluate eagerly, so an implementor that defines
+/// only [`GradientEvaluator::evaluate`] does exactly the work it always did.
 pub trait GradientEvaluator {
     /// Number of real parameters.
     fn num_params(&self) -> usize;
@@ -33,19 +42,23 @@ pub trait GradientEvaluator {
     /// Evaluates the unitary and all partial derivatives at `params`.
     fn evaluate(&mut self, params: &[f64]) -> (Matrix<f64>, Vec<Matrix<f64>>);
     /// Evaluates the unitary at `params`, and the gradient unless the evaluator
-    /// defers it. After a `None`, [`GradientEvaluator::deferred_gradient`] returns the
+    /// defers it. After a `None`, [`GradientEvaluator::deferred_jacobian`] writes the
     /// gradient at these parameters until the next evaluation.
     fn evaluate_trial(&mut self, params: &[f64]) -> (Matrix<f64>, Option<Vec<Matrix<f64>>>) {
         let (unitary, gradient) = self.evaluate(params);
         (unitary, Some(gradient))
     }
-    /// The gradient at the parameters of the last
-    /// [`GradientEvaluator::evaluate_trial`], which returned `None` for it.
+    /// Writes the gradient at the parameters of the last
+    /// [`GradientEvaluator::evaluate_trial`], which returned `None` for it, into
+    /// `jacobian` as column-major Jacobian columns: with `m = 2·dim²`
+    /// ([`residual_len`]), column `k` at `[k·m, (k+1)·m)` is what
+    /// [`jacobian_column_into`] writes for `∂U/∂θₖ`, bit for bit. `jacobian` holds
+    /// exactly `m · num_params` entries.
     ///
     /// # Panics
     ///
     /// The default panics: an evaluator whose trials never defer is never asked.
-    fn deferred_gradient(&mut self) -> Vec<Matrix<f64>> {
+    fn deferred_jacobian(&mut self, _jacobian: &mut [f64]) {
         panic!("this evaluator evaluates trials eagerly and defers no gradient")
     }
     /// Returns and resets the evaluator's accumulated kernel-dispatch counters.
@@ -392,14 +405,20 @@ fn minimize_with(
 ) -> Option<LmResult> {
     let n = evaluator.num_params();
     assert_eq!(x0.len(), n, "initial guess has wrong length");
-    let dim = evaluator.dim();
-    let m = residual_len(dim);
+    let m = residual_len(evaluator.dim());
 
+    // The run's workspace. An accepted step swaps the candidate buffers in.
     let mut params = x0.to_vec();
+    let mut candidate = vec![0.0; n];
     let mut residuals = vec![0.0; m];
+    let mut cand_residuals = vec![0.0; m];
     let mut jacobian = vec![0.0; m * n]; // column-major: column k at [k*m .. (k+1)*m]
+    let mut jtj = vec![0.0; n * n];
+    let mut jtr = vec![0.0; n];
+    let mut augmented = vec![0.0; n * (n + 1)]; // the damped system's rows [A | b]
+    let mut step = vec![0.0; n];
+    let mut packed: Vec<f64> = Vec::new(); // panel-assembly scratch
     let mut lambda = config.initial_lambda;
-    let mut packed: Vec<f64> = Vec::new(); // panel-assembly scratch, reused across iterations
 
     // `grads` is `None` while the evaluator holds a deferred gradient for `params`.
     let (unitary, mut grads) = evaluator.evaluate_trial(&params);
@@ -436,38 +455,42 @@ fn minimize_with(
             }
             recent[slot] = cost;
         }
-        // Assemble the Jacobian at the current point.
-        let current = grads.take().unwrap_or_else(|| evaluator.deferred_gradient());
-        for (k, g) in current.iter().enumerate() {
-            jacobian_column_into(g, &mut jacobian[k * m..(k + 1) * m]);
+        // The Jacobian at the current point.
+        match grads.take() {
+            Some(current) => {
+                for (g, column) in current.iter().zip(jacobian.chunks_exact_mut(m)) {
+                    jacobian_column_into(g, column);
+                }
+            }
+            None => evaluator.deferred_jacobian(&mut jacobian),
         }
         // Normal equations: (JᵀJ + λ diag(JᵀJ)) δ = −Jᵀ r.
-        let mut jtj = vec![0.0; n * n];
-        let mut jtr = vec![0.0; n];
         assemble(&jacobian, &residuals, m, n, &mut jtj, &mut jtr, &mut packed);
 
         let mut improved = false;
         for _ in 0..8 {
-            // Damped system.
-            let mut system = jtj.clone();
             for d in 0..n {
-                system[d * n + d] += lambda * jtj[d * n + d].max(1e-12);
+                let row = &mut augmented[d * (n + 1)..(d + 1) * (n + 1)];
+                row[..n].copy_from_slice(&jtj[d * n..(d + 1) * n]);
+                row[d] += lambda * jtj[d * n + d].max(1e-12);
+                row[n] = jtr[d];
             }
-            let Some(step) = solve_linear_system(&system, &jtr, n) else {
+            if !solve_linear_system(&mut augmented, n, &mut step) {
                 lambda *= config.lambda_factor;
                 continue;
-            };
+            }
             let step_norm: f64 = step.iter().map(|s| s * s).sum::<f64>().sqrt();
-            let candidate: Vec<f64> = params.iter().zip(step.iter()).map(|(p, s)| p + s).collect();
+            for ((c, p), s) in candidate.iter_mut().zip(&params).zip(&step) {
+                *c = p + s;
+            }
             trials += 1;
             let (cand_unitary, cand_grads) = evaluator.evaluate_trial(&candidate);
-            let mut cand_residuals = vec![0.0; m];
             residuals_into(target, &cand_unitary, &mut cand_residuals);
             let cand_cost = sum_of_squares(&cand_residuals);
             if cand_cost < cost {
-                params = candidate;
+                std::mem::swap(&mut params, &mut candidate);
+                std::mem::swap(&mut residuals, &mut cand_residuals);
                 grads = cand_grads;
-                residuals = cand_residuals;
                 cost = cand_cost;
                 lambda = (lambda / config.lambda_factor).max(1e-12);
                 improved = true;
@@ -491,58 +514,67 @@ fn minimize_with(
     Some(LmResult { params, cost, iterations, stop, trials, rejected })
 }
 
-/// Solves a dense symmetric positive-definite-ish system `A x = b` by Gaussian elimination
-/// with partial pivoting. Returns `None` if the system is numerically singular.
-pub fn solve_linear_system(a: &[f64], b: &[f64], n: usize) -> Option<Vec<f64>> {
-    assert!(a.len() >= n * n && b.len() >= n, "system buffers too small");
-    let mut aug = vec![0.0; n * (n + 1)];
-    for r in 0..n {
-        aug[r * (n + 1)..r * (n + 1) + n].copy_from_slice(&a[r * n..(r + 1) * n]);
-        aug[r * (n + 1) + n] = b[r];
-    }
+/// Solves a dense symmetric positive-definite-ish system `A x = b` in place by Gaussian
+/// elimination with partial pivoting. `augmented` holds the `n` rows `[A | b]`, row `r`
+/// at `[r·(n+1), (r+1)·(n+1))`, and is overwritten; the solution goes to `x[..n]`.
+/// Returns `false`, with `x` unspecified, if a pivot falls below `1e-300` (the system
+/// is numerically singular).
+///
+/// Each elimination step subtracts a multiple of the pivot row's tail from the tail of
+/// every row below it, skipping a row whose factor is zero, so the loops run over
+/// slices. The entries left of the tails are never read again, so they are not
+/// updated; every entry that is read gets the textbook operations in the textbook
+/// order, so the solution is bit-identical to the index-addressed elimination the
+/// tests keep as an oracle.
+///
+/// # Panics
+///
+/// Panics if `augmented` holds fewer than `n·(n+1)` entries or `x` fewer than `n`.
+#[must_use]
+pub fn solve_linear_system(augmented: &mut [f64], n: usize, x: &mut [f64]) -> bool {
+    let width = n + 1;
+    let augmented = &mut augmented[..n * width];
+    let x = &mut x[..n];
     for col in 0..n {
-        // Pivot.
-        let mut pivot = col;
-        let mut best = aug[col * (n + 1) + col].abs();
-        for r in col + 1..n {
-            let v = aug[r * (n + 1) + col].abs();
+        // The first row holding the largest magnitude in this column.
+        let (mut pivot, mut best) = (col, augmented[col * width + col].abs());
+        for (r, row) in augmented.chunks_exact(width).enumerate().skip(col + 1) {
+            let v = row[col].abs();
             if v > best {
                 best = v;
                 pivot = r;
             }
         }
         if best < 1e-300 {
-            return None;
+            return false;
         }
+        let (above, below) = augmented.split_at_mut((col + 1) * width);
+        let pivot_row = &mut above[col * width + col..];
         if pivot != col {
-            for k in 0..=n {
-                aug.swap(col * (n + 1) + k, pivot * (n + 1) + k);
-            }
+            let offset = (pivot - col - 1) * width;
+            pivot_row.swap_with_slice(&mut below[offset + col..offset + width]);
         }
-        let diag = aug[col * (n + 1) + col];
-        for r in col + 1..n {
-            let factor = aug[r * (n + 1) + col] / diag;
+        let (diag, tail) = (pivot_row[0], &pivot_row[1..]);
+        for row in below.chunks_exact_mut(width) {
+            let factor = row[col] / diag;
             if factor == 0.0 {
                 continue;
             }
-            for k in col..=n {
-                aug[r * (n + 1) + k] -= factor * aug[col * (n + 1) + k];
+            for (v, &p) in row[col + 1..].iter_mut().zip(tail) {
+                *v -= factor * p;
             }
         }
     }
-    let mut x = vec![0.0; n];
+    // Every diagonal entry is its column's pivot, which passed the check above.
     for r in (0..n).rev() {
-        let mut acc = aug[r * (n + 1) + n];
-        for k in r + 1..n {
-            acc -= aug[r * (n + 1) + k] * x[k];
+        let row = &augmented[r * width..(r + 1) * width];
+        let mut acc = row[n];
+        for (&a, &xk) in row[r + 1..n].iter().zip(&x[r + 1..]) {
+            acc -= a * xk;
         }
-        let diag = aug[r * (n + 1) + r];
-        if diag.abs() < 1e-300 {
-            return None;
-        }
-        x[r] = acc / diag;
+        x[r] = acc / row[r];
     }
-    Some(x)
+    true
 }
 
 #[cfg(test)]
@@ -555,7 +587,10 @@ mod tests {
 
     /// [`solve_linear_system`] on `A x = b`, with `A` row-major `n × n`.
     fn solve(a: &[f64], b: &[f64], n: usize) -> Option<Vec<f64>> {
-        solve_linear_system(a, b, n)
+        let mut augmented: Vec<f64> =
+            (0..n).flat_map(|r| a[r * n..(r + 1) * n].iter().copied().chain([b[r]])).collect();
+        let mut x = vec![f64::NAN; n];
+        solve_linear_system(&mut augmented, n, &mut x).then_some(x)
     }
 
     #[test]
@@ -756,9 +791,12 @@ mod tests {
             self.last = params.to_vec();
             (ToyEvaluator.evaluate(params).0, None)
         }
-        fn deferred_gradient(&mut self) -> Vec<Matrix<f64>> {
+        fn deferred_jacobian(&mut self, jacobian: &mut [f64]) {
             self.deferred += 1;
-            ToyEvaluator.evaluate(&self.last).1
+            let gradient = ToyEvaluator.evaluate(&self.last).1;
+            for (g, column) in gradient.iter().zip(jacobian.chunks_exact_mut(residual_len(2))) {
+                jacobian_column_into(g, column);
+            }
         }
     }
 

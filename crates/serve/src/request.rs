@@ -159,14 +159,10 @@ fn parse_radices(value: &Json) -> Result<Vec<usize>, String> {
 
 fn parse_target(value: &Json) -> Result<Matrix<f64>, String> {
     if let Some(name) = value.get("gate").and_then(Json::as_str) {
-        let expr = gates::all_gates()
-            .into_iter()
-            .find(|(gate_name, _)| *gate_name == name)
-            .map(|(_, expr)| expr)
-            .ok_or_else(|| {
-                let names: Vec<&str> = gates::all_gates().iter().map(|(n, _)| *n).collect();
-                format!("unknown gate {name:?}; known gates: {}", names.join(", "))
-            })?;
+        let expr = gates::by_name(name).ok_or_else(|| {
+            let names: Vec<&str> = gates::names().collect();
+            format!("unknown gate {name:?}; known gates: {}", names.join(", "))
+        })?;
         return expr
             .to_matrix::<f64>(&[])
             .map_err(|e| format!("gate {name:?} is not a constant target: {e}"));

@@ -20,7 +20,8 @@
 //!    bound ([`CutBound`]) proves that no parameter vector reaches the threshold, the
 //!    attempt is skipped and counted as `refine.attempts.certified`. A failed attempt
 //!    leaves refine's state unchanged and every attempt's seed derives from its
-//!    surviving blocks, so a skip changes no result bit.
+//!    surviving blocks, so a skip changes no result bit. The bound is checked before
+//!    the ranking, which is not computed when every deletion is certified.
 //! 3. **Delete speculatively**, one block at a time in rank order, rebuilding the
 //!    smaller template via [`qudit_circuit::builders::delete_pqc_block`] (shape-
 //!    checked against [`LayerGenerator::circuit_for`]) and re-instantiating through
@@ -424,6 +425,20 @@ pub fn refine_deletions(
         let bound =
             CutBound::new(target, &radices, refiner.generator.gate_set(), config.success_threshold);
         loop {
+            let without = |block: usize| -> Vec<(usize, usize)> {
+                let others = state.edges.iter().enumerate().filter(|&(i, _)| i != block);
+                others.map(|(_, &e)| e).collect()
+            };
+            let hopeless: Vec<bool> = (0..state.edges.len())
+                .map(|block| bound.certify(&without(block)).is_some())
+                .collect();
+            // When every deletion is certified, the ranking would only order attempts
+            // that are all skipped: count them and stop without computing it.
+            if hopeless.iter().all(|&h| h) {
+                attempts += hopeless.len() as u64;
+                certified += hopeless.len() as u64;
+                break;
+            }
             // Rank blocks by how little entanglement they contribute; the most
             // identity-like blocks are the best deletion candidates.
             let mut ranked = refiner.residuals(&state)?;
@@ -431,18 +446,11 @@ pub fn refine_deletions(
             let mut deleted = false;
             for &(block, _) in &ranked {
                 attempts += 1;
-                let edges: Vec<(usize, usize)> = state
-                    .edges
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| i != block)
-                    .map(|(_, &e)| e)
-                    .collect();
-                if bound.certify(&edges).is_some() {
+                if hopeless[block] {
                     certified += 1;
                     continue;
                 }
-                if let Some(next) = refiner.attempt_deletion(&state, block, edges) {
+                if let Some(next) = refiner.attempt_deletion(&state, block, without(block)) {
                     accepted += 1;
                     blocks_deleted += 1;
                     state = next;

@@ -30,6 +30,12 @@
 //! that [`Tnvm::gradient`] belongs to the most recent [`Tnvm::evaluate_unitary`]; any
 //! later value sweep or [`Tnvm::load`] replaces the values it reads.
 //!
+//! [`Tnvm::gradient_columns`] runs the same gradient sweep and hands its result over as
+//! a least-squares Jacobian instead of one matrix per parameter: it copies the output
+//! buffer's derivative blocks straight from the gradient arena into the caller's
+//! columns (real parts, then imaginary parts), bit for bit the entries of
+//! [`Tnvm::gradient`]. The sweeps allocate nothing; only returned matrices do.
+//!
 //! Because the gradient sweep reads every operand's value after the *whole* value
 //! sweep has run, each buffer keeps its own arena storage: a placement that reused a
 //! dead buffer's storage for a later value would hand the gradient sweep the wrong
@@ -286,6 +292,57 @@ impl<T: Float> Tnvm<T> {
     /// Panics if the VM was not built in [`DiffMode::Gradient`], or if no value sweep
     /// has run since construction or the last [`Tnvm::load`].
     pub fn gradient(&mut self) -> Vec<Matrix<T>> {
+        self.gradient_sweep();
+        let out = self.program.output;
+        let info = &self.program.buffers[out];
+        let mut grads = vec![Matrix::zeros(info.rows, info.cols); self.program.num_params];
+        for &(param, offset) in &self.grad_slots[out] {
+            grads[param] = Matrix::from_vec(
+                info.rows,
+                info.cols,
+                self.grads[offset..offset + info.len()].to_vec(),
+            )
+            .expect("gradient block has matrix shape");
+        }
+        grads
+    }
+
+    /// Runs the gradient sweep like [`Tnvm::gradient`] and writes its result into
+    /// `jacobian` as least-squares Jacobian columns instead of matrices. With `len` the
+    /// output's element count, column `k` at `[2k·len, 2(k+1)·len)` holds the real parts
+    /// of ∂U/∂θₖ in [`Tnvm::gradient`]'s element order, then the imaginary parts. A
+    /// parameter the output does not depend on gets a zero column. Every entry is
+    /// bit-identical to the matching one of [`Tnvm::gradient`].
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`Tnvm::gradient`], and if `jacobian` does not hold exactly
+    /// `2·len·num_params` entries.
+    pub fn gradient_columns(&mut self, jacobian: &mut [T]) {
+        self.gradient_sweep();
+        let out = self.program.output;
+        let len = self.program.buffers[out].len();
+        assert_eq!(
+            jacobian.len(),
+            2 * len * self.program.num_params,
+            "Jacobian holds one column of 2 × {len} entries per parameter"
+        );
+        for (param, column) in jacobian.chunks_exact_mut(2 * len).enumerate() {
+            let Some(offset) = grad_offset(&self.grad_slots[out], param) else {
+                column.fill(T::zero());
+                continue;
+            };
+            let (re, im) = column.split_at_mut(len);
+            for ((re, im), z) in re.iter_mut().zip(im).zip(&self.grads[offset..offset + len]) {
+                *re = z.re;
+                *im = z.im;
+            }
+        }
+    }
+
+    /// The gradient sweep: the product rule and the permutations over the derivative
+    /// blocks the most recent value sweep left in the gradient arena.
+    fn gradient_sweep(&mut self) {
         assert_eq!(self.diff_mode, DiffMode::Gradient, "gradient sweep needs gradient mode");
         assert!(self.swept, "gradient sweep needs a preceding value sweep");
         let ops = std::mem::take(&mut self.program.dynamic_ops);
@@ -306,19 +363,6 @@ impl<T: Float> Tnvm<T> {
             }
         }
         self.program.dynamic_ops = ops;
-
-        let out = self.program.output;
-        let info = &self.program.buffers[out];
-        let mut grads = vec![Matrix::zeros(info.rows, info.cols); self.program.num_params];
-        for &(param, offset) in &self.grad_slots[out] {
-            grads[param] = Matrix::from_vec(
-                info.rows,
-                info.cols,
-                self.grads[offset..offset + info.len()].to_vec(),
-            )
-            .expect("gradient block has matrix shape");
-        }
-        grads
     }
 
     /// The value sweep over one section.
@@ -357,10 +401,6 @@ impl<T: Float> Tnvm<T> {
         (start, start + self.program.buffers[buf].len())
     }
 
-    fn grad_offset(&self, buf: BufId, param: usize) -> Option<usize> {
-        self.grad_slots[buf].iter().find(|(p, _)| *p == param).map(|(_, o)| *o)
-    }
-
     fn exec_write(
         &mut self,
         expr_index: usize,
@@ -368,7 +408,8 @@ impl<T: Float> Tnvm<T> {
         out: BufId,
         params: &[T],
     ) {
-        let compiled = Arc::clone(&self.compiled[expr_index]);
+        let (start, end) = self.value_range(out);
+        let compiled = &self.compiled[expr_index];
         let n = compiled.dim() * compiled.dim();
         self.counters.writes += 1;
         // Gather gate parameter values.
@@ -379,8 +420,8 @@ impl<T: Float> Tnvm<T> {
             };
         }
         let gate_params = &self.param_staging[..bindings.len()];
-        let needs_grad = self.diff_mode == DiffMode::Gradient && !self.grad_slots[out].is_empty();
-        let (start, end) = self.value_range(out);
+        let slots = &self.grad_slots[out];
+        let needs_grad = self.diff_mode == DiffMode::Gradient && !slots.is_empty();
         if needs_grad {
             let program =
                 compiled.gradient_program().expect("gradient mode compiles gradient programs");
@@ -388,15 +429,12 @@ impl<T: Float> Tnvm<T> {
             self.values[start..end].copy_from_slice(&self.write_staging[..n]);
             // Distribute gate-parameter gradients onto circuit-parameter slots.
             // First zero all slots of this buffer.
-            let slots = self.grad_slots[out].clone();
-            for &(_, offset) in &slots {
-                for v in &mut self.grads[offset..offset + n] {
-                    *v = Complex::zero();
-                }
+            for &(_, offset) in slots {
+                self.grads[offset..offset + n].fill(Complex::zero());
             }
             for (k, binding) in bindings.iter().enumerate() {
                 if let ParamBinding::Circuit(p) = binding {
-                    if let Some(offset) = self.grad_offset(out, *p) {
+                    if let Some(offset) = grad_offset(slots, *p) {
                         let src = &self.write_staging[(k + 1) * n..(k + 2) * n];
                         for (dst, s) in self.grads[offset..offset + n].iter_mut().zip(src) {
                             *dst += *s;
@@ -429,13 +467,11 @@ impl<T: Float> Tnvm<T> {
         let (b_start, b_end) = self.value_range(b);
         let n = self.program.buffers[out].len();
         let mut calls = 0u64;
-        let out_slots = self.grad_slots[out].clone();
-        for (param, out_offset) in out_slots {
-            for v in &mut self.grads[out_offset..out_offset + n] {
-                *v = Complex::zero();
-            }
+        let slots = &self.grad_slots;
+        for &(param, out_offset) in &slots[out] {
+            self.grads[out_offset..out_offset + n].fill(Complex::zero());
             // d(a) * b
-            if let Some(a_goff) = self.grad_offset(a, param) {
+            if let Some(a_goff) = grad_offset(&slots[a], param) {
                 calls += 1;
                 let (da, bv, dout) = grad_value_out(
                     &mut self.grads,
@@ -447,7 +483,7 @@ impl<T: Float> Tnvm<T> {
                 kind.apply(da, ar, ac, bv, br, bc, dout, true);
             }
             // a * d(b)
-            if let Some(b_goff) = self.grad_offset(b, param) {
+            if let Some(b_goff) = grad_offset(&slots[b], param) {
                 calls += 1;
                 let (db, av, dout) = grad_value_out(
                     &mut self.grads,
@@ -502,9 +538,9 @@ impl<T: Float> Tnvm<T> {
     /// A permutation is linear, so each gradient block is permuted like the value.
     fn transpose_gradient(&mut self, input: BufId, shape: &[usize], perm: &[usize], out: BufId) {
         let n = self.program.buffers[input].len();
-        let out_slots = self.grad_slots[out].clone();
-        for (param, out_offset) in out_slots {
-            if let Some(in_offset) = self.grad_offset(input, param) {
+        let slots = &self.grad_slots;
+        for &(param, out_offset) in &slots[out] {
+            if let Some(in_offset) = grad_offset(&slots[input], param) {
                 self.transpose_staging[..n].copy_from_slice(&self.grads[in_offset..in_offset + n]);
                 permute::permute_into(
                     &self.transpose_staging[..n],
@@ -513,12 +549,15 @@ impl<T: Float> Tnvm<T> {
                     &mut self.grads[out_offset..out_offset + n],
                 );
             } else {
-                for v in &mut self.grads[out_offset..out_offset + n] {
-                    *v = Complex::zero();
-                }
+                self.grads[out_offset..out_offset + n].fill(Complex::zero());
             }
         }
     }
+}
+
+/// The gradient-arena offset of `param`'s block among one buffer's `slots`.
+fn grad_offset(slots: &[(usize, usize)], param: usize) -> Option<usize> {
+    slots.iter().find(|(p, _)| *p == param).map(|(_, o)| *o)
 }
 
 /// The three bilinear bytecode operations share one gradient-propagation skeleton.
@@ -863,7 +902,8 @@ mod tests {
 
     /// Runs every registered radix mix through one VM re-targeted with `load` (after a
     /// discarded value sweep at other parameters, like a rejected LM trial) and checks
-    /// `evaluate_unitary` + `gradient` against a fresh VM's `evaluate`, bit for bit.
+    /// `evaluate_unitary` + `gradient` against a fresh VM's `evaluate`, and
+    /// `gradient_columns` after the same sweeps against `gradient`, bit for bit.
     fn check_split_sweeps<T: Float>(to_t: fn(f64) -> T) {
         let cache = ExpressionCache::new();
         let mut split: Option<Tnvm<T>> = None;
@@ -892,6 +932,24 @@ mod tests {
             assert_eq!(gradient.len(), full.gradient.len());
             for (k, (g, f)) in gradient.iter().zip(&full.gradient).enumerate() {
                 assert_bits_equal(g, f, &format!("{radices:?} gradient {k}"));
+            }
+
+            // NaN-filled, so an entry the writer skips cannot match.
+            let len = unitary.as_slice().len();
+            let mut jacobian = vec![T::from_f64(f64::NAN); 2 * len * gradient.len()];
+            let _rejected = vm.evaluate_unitary(&other);
+            let _ = vm.evaluate_unitary(&params);
+            vm.gradient_columns(&mut jacobian);
+            for (k, (g, column)) in gradient.iter().zip(jacobian.chunks_exact(2 * len)).enumerate()
+            {
+                let expected: Vec<u64> = g
+                    .as_slice()
+                    .iter()
+                    .map(|z| z.re.to_f64().to_bits())
+                    .chain(g.as_slice().iter().map(|z| z.im.to_f64().to_bits()))
+                    .collect();
+                let written: Vec<u64> = column.iter().map(|v| v.to_f64().to_bits()).collect();
+                assert_eq!(written, expected, "{radices:?} Jacobian column {k}");
             }
         }
     }
