@@ -323,8 +323,11 @@ pub fn ququart_u() -> UnitaryExpression {
     )
 }
 
+/// A library gate's constructor.
+type Builtin = fn() -> UnitaryExpression;
+
 /// The library by name, in [`all_gates`]' order.
-const LIBRARY: [(&str, fn() -> UnitaryExpression); 23] = [
+const LIBRARY: [(&str, Builtin); 23] = [
     ("U3", u3),
     ("U2", u2),
     ("U1", u1),
