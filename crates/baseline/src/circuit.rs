@@ -366,7 +366,7 @@ impl GradientEvaluator for BaselineEvaluator {
         let gradient = self.circuit.gradient_from(params, forward);
         let m = residual_len(self.circuit.dim());
         for (g, column) in gradient.iter().zip(jacobian.chunks_exact_mut(m)) {
-            jacobian_column_into(g, column);
+            jacobian_column_into(g.as_slice(), column);
         }
     }
 }
@@ -513,7 +513,7 @@ mod tests {
         assert_eq!(bits(&u), bits(&eager_u));
         let mut eager_column = vec![0.0; m];
         for (g, column) in eager_g.iter().zip(jacobian.chunks_exact(m)) {
-            jacobian_column_into(g, &mut eager_column);
+            jacobian_column_into(g.as_slice(), &mut eager_column);
             let column_bits = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(column_bits(column), column_bits(&eager_column));
         }

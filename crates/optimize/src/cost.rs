@@ -7,7 +7,7 @@
 //! and imaginary parts of the element-wise difference `U(θ) − U_target`, while success is
 //! always judged by the phase-invariant infidelity.
 
-use qudit_tensor::Matrix;
+use qudit_tensor::{Matrix, C64};
 
 /// Hilbert–Schmidt infidelity `1 − |Tr(U†_target U)| / D` (Eq. 1 of the paper).
 ///
@@ -44,15 +44,16 @@ pub fn residuals_into(target: &Matrix<f64>, u: &Matrix<f64>, out: &mut [f64]) {
     }
 }
 
-/// Writes the Jacobian column for one parameter (`[Re(∂U)…, Im(∂U)…]`) into `out`.
+/// Writes the Jacobian column for one parameter (`[Re(∂U)…, Im(∂U)…]`) into `out`,
+/// from `∂U`'s entries in row-major order ([`Matrix::as_slice`]).
 ///
 /// # Panics
 ///
 /// Panics if `out` is too short.
-pub fn jacobian_column_into(grad: &Matrix<f64>, out: &mut [f64]) {
-    let n = grad.rows() * grad.cols();
+pub fn jacobian_column_into(grad: &[C64], out: &mut [f64]) {
+    let n = grad.len();
     assert!(out.len() >= 2 * n, "jacobian buffer too small");
-    for (k, g) in grad.as_slice().iter().enumerate() {
+    for (k, g) in grad.iter().enumerate() {
         out[k] = g.re;
         out[n + k] = g.im;
     }
@@ -66,7 +67,6 @@ pub fn sum_of_squares(residuals: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qudit_tensor::C64;
 
     fn phase(m: &Matrix<f64>, theta: f64) -> Matrix<f64> {
         m.scale(C64::cis(theta))
@@ -124,7 +124,7 @@ mod tests {
     fn jacobian_column_layout_matches_residual_layout() {
         let g = Matrix::from_fn(2, 2, |r, c| C64::new((r * 2 + c) as f64, -((r * 2 + c) as f64)));
         let mut col = vec![0.0; residual_len(2)];
-        jacobian_column_into(&g, &mut col);
+        jacobian_column_into(g.as_slice(), &mut col);
         assert_eq!(col[..4], [0.0, 1.0, 2.0, 3.0]);
         assert_eq!(col[4..], [0.0, -1.0, -2.0, -3.0]);
     }

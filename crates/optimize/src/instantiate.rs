@@ -25,7 +25,7 @@ use qudit_tensor::{Matrix, C64};
 use qudit_tnvm::{KernelCounters, Tnvm};
 use qudit_trace::TraceRegistry;
 
-use crate::cost::hs_infidelity;
+use crate::cost::{hs_infidelity, jacobian_column_into, residual_len};
 use crate::lm::{minimize_until, never, GradientEvaluator, LmConfig, LmStats};
 
 /// The infidelity below which an instantiation is considered successful, matching the
@@ -440,9 +440,17 @@ impl GradientEvaluator for TnvmEvaluator {
     }
 
     /// Copies the gradient sweep's output blocks straight from the VM's gradient
-    /// arena into the columns ([`Tnvm::gradient_columns`]).
+    /// arena into the columns ([`Tnvm::gradient_blocks`]); a parameter the output does
+    /// not depend on gets a zero column.
     fn deferred_jacobian(&mut self, jacobian: &mut [f64]) {
-        self.vm.gradient_columns(jacobian);
+        let m = residual_len(self.dim);
+        assert_eq!(jacobian.len(), m * self.num_params, "one Jacobian column per parameter");
+        for (block, column) in self.vm.gradient_blocks().zip(jacobian.chunks_exact_mut(m)) {
+            match block {
+                Some(block) => jacobian_column_into(block, column),
+                None => column.fill(0.0),
+            }
+        }
     }
 
     fn take_kernel_counters(&mut self) -> qudit_tnvm::KernelCounters {
@@ -670,6 +678,45 @@ mod tests {
             let result = instantiate_circuit(&circuit, &target, &config, &cache);
             assert!(result.infidelity.is_finite(), "threads {threads}: {}", result.infidelity);
             assert!(result.params.iter().all(|p| p.is_finite()), "threads {threads}");
+        }
+    }
+
+    /// The TNVM evaluator's deferred Jacobian (after a discarded trial, like a rejected
+    /// LM step) against the columns of a fresh evaluator's eager gradient, bit for bit,
+    /// on every radix mix through one re-targeted evaluator.
+    #[test]
+    fn deferred_jacobian_is_bit_identical_to_eager_columns() {
+        let cache = ExpressionCache::new();
+        let mut deferring: Option<TnvmEvaluator> = None;
+        for radices in [vec![2, 2], vec![3, 3], vec![2, 3], vec![2, 4], vec![2, 3, 4]] {
+            let edges: Vec<(usize, usize)> = (0..radices.len() - 1).map(|q| (q, q + 1)).collect();
+            let circuit = builders::pqc_template(&radices, &edges).unwrap();
+            let program = compile_network(&TensorNetwork::from_circuit(&circuit));
+            let evaluator = match deferring.as_mut() {
+                Some(evaluator) => {
+                    evaluator.load_program(&program, &cache);
+                    evaluator
+                }
+                None => deferring.insert(TnvmEvaluator::from_program(&program, &cache)),
+            };
+            let n = circuit.num_params();
+            let params: Vec<f64> = (0..n).map(|k| (1.7 * k as f64 + 0.3).sin() * 3.0).collect();
+            let other: Vec<f64> = params.iter().map(|p| p + 0.5).collect();
+            let (_, eager) = TnvmEvaluator::from_program(&program, &cache).evaluate(&params);
+
+            let m = residual_len(evaluator.dim());
+            // NaN-filled, so an entry the evaluator skips cannot match.
+            let mut jacobian = vec![f64::NAN; m * n];
+            let _rejected = evaluator.evaluate_trial(&other);
+            let (_, deferred) = evaluator.evaluate_trial(&params);
+            assert!(deferred.is_none());
+            evaluator.deferred_jacobian(&mut jacobian);
+            let mut expected = vec![0.0; m];
+            for (k, (g, column)) in eager.iter().zip(jacobian.chunks_exact(m)).enumerate() {
+                jacobian_column_into(g.as_slice(), &mut expected);
+                let bits = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(column), bits(&expected), "{radices:?} column {k}");
+            }
         }
     }
 

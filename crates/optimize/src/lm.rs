@@ -459,7 +459,7 @@ fn minimize_with(
         match grads.take() {
             Some(current) => {
                 for (g, column) in current.iter().zip(jacobian.chunks_exact_mut(m)) {
-                    jacobian_column_into(g, column);
+                    jacobian_column_into(g.as_slice(), column);
                 }
             }
             None => evaluator.deferred_jacobian(&mut jacobian),
@@ -795,7 +795,7 @@ mod tests {
             self.deferred += 1;
             let gradient = ToyEvaluator.evaluate(&self.last).1;
             for (g, column) in gradient.iter().zip(jacobian.chunks_exact_mut(residual_len(2))) {
-                jacobian_column_into(g, column);
+                jacobian_column_into(g.as_slice(), column);
             }
         }
     }

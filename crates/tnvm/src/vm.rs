@@ -30,11 +30,11 @@
 //! that [`Tnvm::gradient`] belongs to the most recent [`Tnvm::evaluate_unitary`]; any
 //! later value sweep or [`Tnvm::load`] replaces the values it reads.
 //!
-//! [`Tnvm::gradient_columns`] runs the same gradient sweep and hands its result over as
-//! a least-squares Jacobian instead of one matrix per parameter: it copies the output
-//! buffer's derivative blocks straight from the gradient arena into the caller's
-//! columns (real parts, then imaginary parts), bit for bit the entries of
-//! [`Tnvm::gradient`]. The sweeps allocate nothing; only returned matrices do.
+//! [`Tnvm::gradient_blocks`] runs the same gradient sweep and lends the output buffer's
+//! derivative blocks straight from the gradient arena instead of copying one matrix
+//! per parameter; the caller lays them out as it needs (the Levenberg–Marquardt
+//! evaluator copies them into its Jacobian columns). The sweeps allocate nothing; only
+//! returned matrices do.
 //!
 //! Because the gradient sweep reads every operand's value after the *whole* value
 //! sweep has run, each buffer keeps its own arena storage: a placement that reused a
@@ -292,52 +292,32 @@ impl<T: Float> Tnvm<T> {
     /// Panics if the VM was not built in [`DiffMode::Gradient`], or if no value sweep
     /// has run since construction or the last [`Tnvm::load`].
     pub fn gradient(&mut self) -> Vec<Matrix<T>> {
-        self.gradient_sweep();
-        let out = self.program.output;
-        let info = &self.program.buffers[out];
-        let mut grads = vec![Matrix::zeros(info.rows, info.cols); self.program.num_params];
-        for &(param, offset) in &self.grad_slots[out] {
-            grads[param] = Matrix::from_vec(
-                info.rows,
-                info.cols,
-                self.grads[offset..offset + info.len()].to_vec(),
-            )
-            .expect("gradient block has matrix shape");
-        }
-        grads
+        let info = &self.program.buffers[self.program.output];
+        let (rows, cols) = (info.rows, info.cols);
+        self.gradient_blocks()
+            .map(|block| match block {
+                Some(block) => Matrix::from_vec(rows, cols, block.to_vec())
+                    .expect("gradient block has matrix shape"),
+                None => Matrix::zeros(rows, cols),
+            })
+            .collect()
     }
 
-    /// Runs the gradient sweep like [`Tnvm::gradient`] and writes its result into
-    /// `jacobian` as least-squares Jacobian columns instead of matrices. With `len` the
-    /// output's element count, column `k` at `[2k·len, 2(k+1)·len)` holds the real parts
-    /// of ∂U/∂θₖ in [`Tnvm::gradient`]'s element order, then the imaginary parts. A
-    /// parameter the output does not depend on gets a zero column. Every entry is
-    /// bit-identical to the matching one of [`Tnvm::gradient`].
+    /// Runs the gradient sweep like [`Tnvm::gradient`] and lends its result instead of
+    /// copying it: one item per circuit parameter, the output's ∂U/∂θᵢ block in the
+    /// gradient arena (row-major, [`Tnvm::gradient`]'s element order), or `None` for a
+    /// parameter the output does not depend on.
     ///
     /// # Panics
     ///
-    /// Panics like [`Tnvm::gradient`], and if `jacobian` does not hold exactly
-    /// `2·len·num_params` entries.
-    pub fn gradient_columns(&mut self, jacobian: &mut [T]) {
+    /// Panics like [`Tnvm::gradient`].
+    pub fn gradient_blocks(&mut self) -> impl Iterator<Item = Option<&[Complex<T>]>> + '_ {
         self.gradient_sweep();
         let out = self.program.output;
         let len = self.program.buffers[out].len();
-        assert_eq!(
-            jacobian.len(),
-            2 * len * self.program.num_params,
-            "Jacobian holds one column of 2 × {len} entries per parameter"
-        );
-        for (param, column) in jacobian.chunks_exact_mut(2 * len).enumerate() {
-            let Some(offset) = grad_offset(&self.grad_slots[out], param) else {
-                column.fill(T::zero());
-                continue;
-            };
-            let (re, im) = column.split_at_mut(len);
-            for ((re, im), z) in re.iter_mut().zip(im).zip(&self.grads[offset..offset + len]) {
-                *re = z.re;
-                *im = z.im;
-            }
-        }
+        let (slots, grads) = (&self.grad_slots[out], &self.grads);
+        (0..self.program.num_params)
+            .map(move |param| grad_offset(slots, param).map(|offset| &grads[offset..offset + len]))
     }
 
     /// The gradient sweep: the product rule and the permutations over the derivative
@@ -903,7 +883,7 @@ mod tests {
     /// Runs every registered radix mix through one VM re-targeted with `load` (after a
     /// discarded value sweep at other parameters, like a rejected LM trial) and checks
     /// `evaluate_unitary` + `gradient` against a fresh VM's `evaluate`, and
-    /// `gradient_columns` after the same sweeps against `gradient`, bit for bit.
+    /// `gradient_blocks` after the same sweeps against `gradient`, bit for bit.
     fn check_split_sweeps<T: Float>(to_t: fn(f64) -> T) {
         let cache = ExpressionCache::new();
         let mut split: Option<Tnvm<T>> = None;
@@ -934,22 +914,15 @@ mod tests {
                 assert_bits_equal(g, f, &format!("{radices:?} gradient {k}"));
             }
 
-            // NaN-filled, so an entry the writer skips cannot match.
-            let len = unitary.as_slice().len();
-            let mut jacobian = vec![T::from_f64(f64::NAN); 2 * len * gradient.len()];
             let _rejected = vm.evaluate_unitary(&other);
             let _ = vm.evaluate_unitary(&params);
-            vm.gradient_columns(&mut jacobian);
-            for (k, (g, column)) in gradient.iter().zip(jacobian.chunks_exact(2 * len)).enumerate()
-            {
-                let expected: Vec<u64> = g
-                    .as_slice()
-                    .iter()
-                    .map(|z| z.re.to_f64().to_bits())
-                    .chain(g.as_slice().iter().map(|z| z.im.to_f64().to_bits()))
-                    .collect();
-                let written: Vec<u64> = column.iter().map(|v| v.to_f64().to_bits()).collect();
-                assert_eq!(written, expected, "{radices:?} Jacobian column {k}");
+            let blocks: Vec<_> = vm.gradient_blocks().map(|b| b.map(<[_]>::to_vec)).collect();
+            assert_eq!(blocks.len(), gradient.len());
+            for (k, (block, g)) in blocks.into_iter().zip(&gradient).enumerate() {
+                let zeros = Matrix::zeros(g.rows(), g.cols());
+                let lent =
+                    block.map_or(zeros, |b| Matrix::from_vec(g.rows(), g.cols(), b).unwrap());
+                assert_bits_equal(&lent, g, &format!("{radices:?} gradient block {k}"));
             }
         }
     }
